@@ -120,21 +120,6 @@ def extract_metrics(report: dict, absolute: bool = False
                 report["fleet"]["throughput_rps"])
             metrics["fleet_p99_latency_ms"] = float(
                 report["fleet"]["latency_p99_s"]) * 1e3
-    # BENCH_surrogate.json shape.  The amortized-predict speedup is a
-    # machine-normalized ratio (grid and surrogate timed back-to-back
-    # on the same host), so it is always gated.  The accuracy contract
-    # is collapsed to 1.0/0.0 on the normalized p95 error delta (worst
-    # of force/location as a fraction of its cap): a fresh report over
-    # the cap reads 0.0 against a 1.0 baseline and fails outright —
-    # the delta is a *hard cap*, not a trend to regress gradually.
-    if "surrogate_speedup" in report:
-        metrics["surrogate_speedup"] = float(report["surrogate_speedup"])
-        if "surrogate_p95_error_delta" in report:
-            metrics["surrogate_parity_ok"] = float(
-                report["surrogate_p95_error_delta"] <= 1.0)
-        if "surrogate_fallback_rate" in report:
-            metrics["surrogate_accept_rate"] = 1.0 - float(
-                report["surrogate_fallback_rate"])
     # BENCH_serve.json shape.
     if "speedup_vs_serial" in report:
         metrics["speedup_vs_serial"] = float(report["speedup_vs_serial"])

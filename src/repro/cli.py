@@ -9,7 +9,6 @@ Commands:
     report      Run every paper-figure runner, write REPORT.md.
     serve-bench Drive the async inference service with synthetic load.
     fleet-bench Drive the sharded fleet and check single-shard parity.
-    surrogate   Train / evaluate the learned amortized inverse backend.
     gateway     Serve the inference service over HTTP/WebSocket sockets.
     gateway-bench  Load-test the gateway through real loopback sockets.
     chaos       Run the serve campaign under an armed fault plan.
@@ -176,7 +175,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         batching=not args.no_batching,
         carrier_frequency=args.carrier,
         fast=not args.full,
-        backend=args.backend,
         seed=args.seed,
         arrival=args.arrival,
         arrival_rate_rps=args.arrival_rate,
@@ -215,7 +213,6 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_delay_s=args.max_delay_ms * 1e-3,
             carrier_frequency=args.carrier,
-            backend=args.backend,
             seed=args.seed,
             arrival=args.arrival,
             arrival_rate_rps=args.arrival_rate,
@@ -244,7 +241,7 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
 
 
 def _parse_tenants(specs: List[str]):
-    """``name:token[:rate[:burst[:backend]]]`` specs -> Tenant list."""
+    """``name:token[:rate[:burst]]`` specs -> Tenant list."""
     from repro.errors import ConfigurationError
     from repro.gateway import Tenant
 
@@ -253,14 +250,12 @@ def _parse_tenants(specs: List[str]):
         parts = spec.split(":")
         if len(parts) < 2 or not all(parts[:2]):
             raise ConfigurationError(
-                f"--tenant needs name:token[:rate[:burst[:backend]]], "
-                f"got {spec!r}")
+                f"--tenant needs name:token[:rate[:burst]], got "
+                f"{spec!r}")
         rate = float(parts[2]) if len(parts) > 2 else 200.0
         burst = int(parts[3]) if len(parts) > 3 else 50
-        backend = parts[4] if len(parts) > 4 else ""
         tenants.append(Tenant(name=parts[0], token=parts[1],
-                              rate_per_s=rate, burst=burst,
-                              backend=backend))
+                              rate_per_s=rate, burst=burst))
     return tenants
 
 
@@ -312,7 +307,6 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
         max_delay_s=args.max_delay_ms * 1e-3,
         carrier_frequency=args.carrier,
         fast=not args.full,
-        backend=args.backend,
         seed=args.seed,
         arrival=args.arrival,
         arrival_rate_rps=args.arrival_rate,
@@ -329,51 +323,6 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
     if not report["parity"]["touched_match"] \
             or report["parity"]["max_force_delta_n"] > 0.0:
         logger.error("gateway parity check failed")
-        return 1
-    return 0
-
-
-def _cmd_surrogate(args: argparse.Namespace) -> int:
-    from repro.experiments.scenarios import calibrated_model
-    from repro.surrogate import (
-        DatasetSpec,
-        evaluate_surrogate,
-        summarize,
-        train_surrogate,
-        write_report,
-    )
-
-    fast = not args.full
-    spec = DatasetSpec(carrier_frequency=args.carrier, fast=fast)
-    if args.surrogate_action == "train":
-        logger.info("training the surrogate inverse at %.0f MHz "
-                    "(%s contact map; cold sweeps go through the "
-                    "artifact cache)", args.carrier / 1e6,
-                    "fast" if fast else "full")
-        model = calibrated_model(args.carrier, fast=fast)
-        surrogate = train_surrogate(model, spec)
-        print(f"trained on {surrogate.train_samples} sweep samples "
-              f"({len(surrogate.weights)} features)")
-        print(f"train residual p50 / p95 : "
-              f"{surrogate.train_residual_p50:.4f} / "
-              f"{surrogate.train_residual_p95:.4f} rad")
-        print(f"fallback residual bound  : "
-              f"{surrogate.residual_bound:.4f} rad")
-        print(f"dataset key              : {spec.cache_key()}")
-        return 0
-    # eval
-    logger.info("evaluating surrogate vs grid oracle at N=%d "
-                "(seed %d, %.1f deg phase noise)", args.samples,
-                args.seed, args.noise_deg)
-    report = evaluate_surrogate(
-        samples=args.samples, carrier_frequency=args.carrier,
-        fast=fast, seed=args.seed, noise_deg=args.noise_deg,
-        best_of=args.best_of, spec=spec)
-    print(summarize(report))
-    write_report(report, args.output)
-    print(f"Wrote {args.output}")
-    if report["surrogate_p95_error_delta"] > 1.0:
-        logger.error("surrogate p95 error delta exceeds the parity cap")
         return 1
     return 0
 
@@ -579,14 +528,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared estimator-backend selector for the bench commands."""
-    parser.add_argument(
-        "--backend", choices=["grid", "surrogate"], default="grid",
-        help="estimator backend for every request: the exhaustive "
-             "grid oracle (default) or the learned amortized inverse")
-
-
 def _add_arrival_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared open-loop arrival-shaping flags."""
     parser.add_argument(
@@ -675,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument(
         "--profile", action="store_true",
         help="print a per-stage hotspot profile of the bench run")
-    _add_backend_argument(serve_bench)
     _add_arrival_arguments(serve_bench)
 
     fleet_bench = sub.add_parser(
@@ -701,49 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_bench.add_argument(
         "--output", default="benchmarks/results/BENCH_fleet.json",
         help="JSON report path")
-    _add_backend_argument(fleet_bench)
     _add_arrival_arguments(fleet_bench)
-
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="train / evaluate the learned amortized inverse "
-             "(the 'surrogate' estimator backend)")
-    surrogate_sub = surrogate.add_subparsers(dest="surrogate_action",
-                                             required=True)
-    surrogate_train = surrogate_sub.add_parser(
-        "train",
-        help="materialize the training sweep and fit the ridge inverse "
-             "(both land in the artifact cache)")
-    surrogate_train.add_argument("--carrier", type=float, default=900e6,
-                                 help="carrier frequency [Hz] "
-                                      "(default 900e6)")
-    surrogate_train.add_argument(
-        "--full", action="store_true",
-        help="full-resolution calibration (slower)")
-    surrogate_eval = surrogate_sub.add_parser(
-        "eval",
-        help="score the surrogate against the grid oracle "
-             "(error CDFs + amortized speedup)")
-    surrogate_eval.add_argument("--carrier", type=float, default=900e6,
-                                help="carrier frequency [Hz] "
-                                     "(default 900e6)")
-    surrogate_eval.add_argument(
-        "--full", action="store_true",
-        help="full-resolution calibration (slower)")
-    surrogate_eval.add_argument(
-        "--samples", type=int, default=1000,
-        help="held-out batch size (default 1000, the acceptance N)")
-    surrogate_eval.add_argument("--seed", type=int, default=42,
-                                help="held-out workload seed")
-    surrogate_eval.add_argument(
-        "--noise-deg", type=float, default=1.0,
-        help="Gaussian phase noise on held-out phases [deg]")
-    surrogate_eval.add_argument(
-        "--best-of", type=int, default=3,
-        help="timing repetitions; min is reported (default 3)")
-    surrogate_eval.add_argument(
-        "--output", default="benchmarks/results/BENCH_surrogate.json",
-        help="JSON report path")
 
     gateway = sub.add_parser(
         "gateway",
@@ -754,9 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port (default 8790; 0 = ephemeral)")
     gateway.add_argument(
         "--tenant", action="append", default=[],
-        metavar="NAME:TOKEN[:RATE[:BURST[:BACKEND]]]",
-        help="register a tenant credential (repeatable); BACKEND "
-             "forces an estimator backend on the tenant's requests")
+        metavar="NAME:TOKEN[:RATE[:BURST]]",
+        help="register a tenant credential (repeatable)")
     gateway.add_argument(
         "--anonymous", action="store_true",
         help="allow unauthenticated requests (loopback demos only)")
@@ -792,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway_bench.add_argument(
         "--output", default="benchmarks/results/BENCH_gateway.json",
         help="JSON report path")
-    _add_backend_argument(gateway_bench)
     _add_arrival_arguments(gateway_bench)
 
     chaos = sub.add_parser(
@@ -885,7 +781,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "serve-bench": _cmd_serve_bench,
     "fleet-bench": _cmd_fleet_bench,
-    "surrogate": _cmd_surrogate,
     "gateway": _cmd_gateway,
     "gateway-bench": _cmd_gateway_bench,
     "chaos": _cmd_chaos,

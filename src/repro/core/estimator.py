@@ -121,10 +121,6 @@ class ForceLocationEstimator:
             zoomed search [N] / [m].
     """
 
-    #: Registry name of this inversion strategy (see
-    #: :func:`build_estimator`); subclasses override it.
-    backend = "grid"
-
     def __init__(self, model: SensorModel, touch_threshold_deg: float = 5.0,
                  force_resolution: float = 0.01,
                  location_resolution: float = 0.05e-3):
@@ -353,42 +349,3 @@ class ForceLocationEstimator:
         return BatchForceLocationEstimate(force=force, location=location,
                                           residual=residual,
                                           touched=touched)
-
-
-#: Inversion strategies :func:`build_estimator` can resolve.
-ESTIMATOR_BACKENDS = ("grid", "surrogate")
-
-
-def build_estimator(model: SensorModel, backend: str = "grid",
-                    touch_threshold_deg: float = 5.0,
-                    **options) -> ForceLocationEstimator:
-    """Build an estimator by backend name (the pluggable seam).
-
-    Mirrors :func:`repro.reader.batch.resolve_sounder`: callers name a
-    strategy, the registry builds it, and every strategy honors the
-    same ``invert`` / ``invert_batch`` contract.
-
-    * ``"grid"`` — the coarse-plus-zoom grid search (the accuracy
-      oracle); ``options`` pass through to
-      :class:`ForceLocationEstimator` (``force_resolution``,
-      ``location_resolution``).
-    * ``"surrogate"`` — the learned amortized inverse of
-      :mod:`repro.surrogate` (imported lazily so the core package
-      carries no dependency on it); ``options`` pass through to
-      :func:`repro.surrogate.model.build_surrogate_estimator`
-      (``carrier_frequency``, ``fast``, ``spec``, ...).
-
-    Raises:
-        EstimationError: Unknown backend name.
-    """
-    if backend == "grid":
-        return ForceLocationEstimator(
-            model, touch_threshold_deg=touch_threshold_deg, **options)
-    if backend == "surrogate":
-        from repro.surrogate.model import build_surrogate_estimator
-
-        return build_surrogate_estimator(
-            model, touch_threshold_deg=touch_threshold_deg, **options)
-    raise EstimationError(
-        f"unknown estimator backend {backend!r}; expected one of "
-        f"{ESTIMATOR_BACKENDS}")

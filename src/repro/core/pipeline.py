@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import SensorModel
-from repro.core.estimator import ForceLocationEstimate, build_estimator
+from repro.core.estimator import ForceLocationEstimate, ForceLocationEstimator
 from repro.core.harmonics import (
     HarmonicExtractor,
     HarmonicMatrix,
@@ -119,19 +119,13 @@ class WiForceReader:
         group_length: Snapshots per phase group; default picks the
             smallest integer-period length for the tag's base clock.
         extractor: Override the harmonic extractor entirely.
-        backend: Inversion strategy (``"grid"`` | ``"surrogate"``; see
-            :func:`repro.core.estimator.build_estimator`).
-        backend_options: Extra keyword arguments for the backend
-            factory (e.g. ``fast`` / ``spec`` for the surrogate).
     """
 
     def __init__(self, sounder: FrameLevelSounder, model: SensorModel,
                  groups_per_capture: int = 2,
                  baseline_groups: int = 8,
                  group_length: Optional[int] = None,
-                 extractor: Optional[HarmonicExtractor] = None,
-                 backend: str = "grid",
-                 backend_options: Optional[dict] = None):
+                 extractor: Optional[HarmonicExtractor] = None):
         if groups_per_capture < 1:
             raise ReaderError(
                 f"groups per capture must be >= 1, got {groups_per_capture}"
@@ -156,9 +150,7 @@ class WiForceReader:
                 group_length=group_length,
             )
         self.extractor = extractor
-        self.backend = str(backend)
-        self.estimator = build_estimator(model, backend=self.backend,
-                                         **(backend_options or {}))
+        self.estimator = ForceLocationEstimator(model)
         self._clock = 0.0
         self._baseline: Optional[Dict[float, np.ndarray]] = None
         self._drift: Dict[float, float] = {}
@@ -302,56 +294,6 @@ class WiForceReader:
         if obs is not None:
             obs.counter("reader.reads").increment()
         return PressReading(phi1=phi1, phi2=phi2, estimate=estimate)
-
-    def measure_phases_batch(self, states: List[TagState]
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Differential phase pairs for many presses in one fused pass.
-
-        Drives :meth:`repro.reader.batch.FastSounder.capture_batch`
-        when the sounder offers it — every press in the sweep rides
-        one time-contiguous array pass — and falls back to sequential
-        :meth:`_measure_phases` captures otherwise (oracle sounder, or
-        an armed fault plan, which must see every injection site in
-        the stream path's order).  Captures a baseline first if none
-        exists.  This is the acquisition loop of the surrogate
-        training sweeps (:mod:`repro.surrogate.data`).
-        """
-        if self._baseline is None:
-            self.capture_baseline()
-        if not states:
-            return np.zeros(0), np.zeros(0)
-        batched = (fault_armed() is None
-                   and hasattr(self.sounder, "capture_batch"))
-        if not batched:
-            pairs = [self._measure_phases(state) for state in states]
-            return (np.array([pair[0] for pair in pairs]),
-                    np.array([pair[1] for pair in pairs]))
-        frames = self.frames_per_capture
-        with maybe_span("reader.capture_batch",
-                        {"captures": len(states),
-                         "frames": frames * len(states)}):
-            streams = self.sounder.capture_batch(states, frames,
-                                                 start_time=self._clock)
-            self._clock += (len(states) * frames
-                            * self.sounder.config.frame_period)
-            tone1 = self.extractor.tones[0]
-            tone2 = self.extractor.tones[1]
-            phi1 = np.zeros(len(states))
-            phi2 = np.zeros(len(states))
-            for index, stream in enumerate(streams):
-                matrices = self.extractor.extract(stream)
-                phi1[index] = differential_phase(
-                    self._baseline[tone1],
-                    self._derotated_vector(matrices[tone1], tone1))
-                phi2[index] = differential_phase(
-                    self._baseline[tone2],
-                    self._derotated_vector(matrices[tone2], tone2))
-        obs = active()
-        if obs is not None:
-            obs.counter("reader.captures").increment(len(states))
-            obs.counter("reader.frames").increment(frames * len(states))
-            obs.counter("reader.batched_captures").increment(len(states))
-        return phi1, phi2
 
     def _measure_phases(self, state: TagState) -> Tuple[float, float]:
         """One capture's differential phase pair against the baseline."""

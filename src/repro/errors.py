@@ -61,10 +61,6 @@ class EstimationError(WiForceError):
     """Force/location estimation failed (no sensor signal found)."""
 
 
-class SurrogateError(EstimationError):
-    """Surrogate inverse training/serialization failed."""
-
-
 class CampaignTrialError(WiForceError):
     """One campaign trial raised; names the trial so sharded runs
     fail with the same diagnostics as a plain serial loop."""

@@ -153,89 +153,6 @@ def _per_unit_trial(unit: int, carrier: float, seed: int,
     return _protocol(reader, rng)
 
 
-def _training_sweep_trial(level: int, carrier: float, fast: bool,
-                          tx_power_dbm: float,
-                          forces: Tuple[float, ...],
-                          locations: Tuple[float, ...],
-                          repeats: int, seed: int,
-                          chunk_captures: int = 64,
-                          baseline_groups: int = 32):
-    """One SNR level of a surrogate training sweep.
-
-    Builds a fresh deployment at ``tx_power_dbm`` (its own clutter
-    draw), then drives the (force, location) x repeats press grid
-    through
-    :meth:`~repro.core.pipeline.WiForceReader.measure_phases_batch` —
-    one fused :meth:`~repro.reader.batch.FastSounder.capture_batch`
-    pass per chunk instead of per-press captures.  The sweep
-    rebaselines every ``chunk_captures`` presses with a
-    ``baseline_groups``-group drift fit: a single baseline's linear
-    clock-drift extrapolation drifts ~1.5 rad across a thousand
-    contiguous captures, which would scramble the training labels
-    (the paper's protocol re-references between presses for the same
-    reason).  Seeded entirely by its arguments, so it shards across
-    warm campaign pools bit-identically to a serial run.
-
-    Returns:
-        (phi1, phi2, force, location, tx_power_dbm) arrays, one row
-        per press.
-    """
-    reader = build_wireless_scenario(carrier, seed=seed + level,
-                                     fast=fast,
-                                     tx_power_dbm=tx_power_dbm,
-                                     baseline_groups=baseline_groups)
-    force_grid, location_grid = np.meshgrid(
-        np.asarray(forces, dtype=float),
-        np.asarray(locations, dtype=float), indexing="ij")
-    truth_force = np.tile(force_grid.ravel(), repeats)
-    truth_location = np.tile(location_grid.ravel(), repeats)
-    states = [TagState(float(force), float(location))
-              for force, location in zip(truth_force, truth_location)]
-    phi1 = np.zeros(truth_force.size)
-    phi2 = np.zeros(truth_force.size)
-    step = max(int(chunk_captures), 1)
-    for start in range(0, len(states), step):
-        reader.capture_baseline()
-        chunk1, chunk2 = reader.measure_phases_batch(
-            states[start:start + step])
-        phi1[start:start + step] = chunk1
-        phi2[start:start + step] = chunk2
-    return (phi1, phi2, truth_force, truth_location,
-            np.full(truth_force.size, float(tx_power_dbm)))
-
-
-def training_sweep_campaign(carrier: float = 900e6, fast: bool = True,
-                            tx_power_sweep: Tuple[float, ...] = (10.0,),
-                            forces: Tuple[float, ...] = (),
-                            locations: Tuple[float, ...] = (),
-                            repeats: int = 1, seed: int = 17,
-                            chunk_captures: int = 64,
-                            baseline_groups: int = 32,
-                            executor: Optional[CampaignExecutor] = None):
-    """Surrogate training sweep, one campaign trial per SNR level.
-
-    The campaign-runner face of :mod:`repro.surrogate.data`: each
-    transmit-power level is one :func:`_training_sweep_trial`, sharded
-    across the executor's persistent warm pools (or run serially when
-    ``executor`` is None) and concatenated in level order.
-
-    Returns:
-        (phi1, phi2, force, location, tx_power_dbm) stacked arrays.
-    """
-    argument_lists = [
-        (level, carrier, fast, float(power), tuple(forces),
-         tuple(locations), repeats, seed, int(chunk_captures),
-         int(baseline_groups))
-        for level, power in enumerate(tx_power_sweep)
-    ]
-    if executor is None:
-        rows = [_training_sweep_trial(*arguments)
-                for arguments in argument_lists]
-    else:
-        rows = executor.run(_training_sweep_trial, argument_lists).results
-    return tuple(np.concatenate(column) for column in zip(*rows))
-
-
 def _campaign(label: str, trial, argument_lists,
               executor: Optional[CampaignExecutor]) -> CampaignResult:
     execution = (executor or CampaignExecutor()).run(trial, argument_lists)

@@ -81,9 +81,7 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
                             groups_per_capture: int = 2,
                             tx_power_dbm: float = 10.0,
                             clock_offset_ppm: float = 20.0,
-                            sounder: str = "fast",
-                            backend: str = "grid",
-                            baseline_groups: int = 8) -> WiForceReader:
+                            sounder: str = "fast") -> WiForceReader:
     """A ready-to-read deployment (Fig. 12 geometry by default).
 
     Args:
@@ -100,11 +98,6 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
             Arduino clock, section 4.4).
         sounder: ``"fast"`` (batched vectorized default) or
             ``"oracle"`` (bit-level reference sounder).
-        backend: Inversion strategy for the reader's estimator
-            (``"grid"`` | ``"surrogate"``; see
-            :func:`repro.core.estimator.build_estimator`).
-        baseline_groups: Phase groups captured per baseline; long
-            batched sweeps raise this for a tighter clock-drift fit.
     """
     rng = np.random.default_rng(seed)
     transducer = fast_transducer() if fast else default_transducer()
@@ -118,9 +111,5 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
     sounder_instance = resolve_sounder(sounder)(config, tag, link,
                                                 clutter, rng=rng)
     model = calibrated_model(carrier_frequency, fast=fast)
-    backend_options = {} if backend == "grid" else {
-        "carrier_frequency": carrier_frequency, "fast": fast}
     return WiForceReader(sounder_instance, model,
-                         groups_per_capture=groups_per_capture,
-                         baseline_groups=baseline_groups,
-                         backend=backend, backend_options=backend_options)
+                         groups_per_capture=groups_per_capture)

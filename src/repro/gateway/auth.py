@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.core.estimator import ESTIMATOR_BACKENDS
 from repro.errors import AuthError, ConfigurationError
 
 #: Tenant name used when the table allows anonymous access.
@@ -45,12 +44,6 @@ class Tenant:
             idle period before the rate limit bites.
         max_connections: Concurrent gateway connections this tenant
             may hold open.
-        backend: Estimator backend forced onto every estimate this
-            tenant submits (``"grid"`` | ``"surrogate"``); empty means
-            no override — requests keep whatever their sensor config
-            says.  Per-tenant backend choice is how a latency-driven
-            tenant opts into the amortized surrogate while others stay
-            on the grid oracle.
     """
 
     name: str
@@ -58,16 +51,10 @@ class Tenant:
     rate_per_s: float = 200.0
     burst: int = 50
     max_connections: int = 32
-    backend: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
-        if self.backend and self.backend not in ESTIMATOR_BACKENDS:
-            raise ConfigurationError(
-                f"unknown estimator backend {self.backend!r} for "
-                f"tenant {self.name!r}; expected one of "
-                f"{ESTIMATOR_BACKENDS}")
         if self.rate_per_s <= 0.0:
             raise ConfigurationError(
                 f"rate_per_s must be > 0, got {self.rate_per_s}")

@@ -49,20 +49,17 @@ from repro.serve.session import ModelFactory
 
 
 def bench_tenants(count: int, rate_per_s: float = 1e6,
-                  burst: int = 1 << 16,
-                  backend: str = "") -> List[Tenant]:
+                  burst: int = 1 << 16) -> List[Tenant]:
     """One tenant (and token) per bench connection.
 
     The default quota envelope is effectively unlimited so the bench
     measures the transport, not the limiter; pass a small
     ``rate_per_s`` / ``burst`` to measure shedding instead.
-    ``backend`` forces an estimator backend onto every request the
-    tenants submit (empty = no override).
     """
     return [
         Tenant(name=f"tenant-{index:03d}",
                token=f"bench-token-{index:03d}",
-               rate_per_s=rate_per_s, burst=burst, backend=backend)
+               rate_per_s=rate_per_s, burst=burst)
         for index in range(count)
     ]
 
@@ -226,7 +223,6 @@ def run_gateway_benchmark(
         "batching": profile.batching,
         "seed": profile.seed,
         "carrier_frequency": profile.carrier_frequency,
-        "backend": profile.backend,
         "arrival": profile.arrival,
         "arrival_rate_rps": profile.arrival_rate_rps,
         "pareto_alpha": profile.pareto_alpha,

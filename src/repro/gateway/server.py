@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import (
@@ -197,24 +197,6 @@ class Gateway:
     def _count(self, name: str) -> None:
         self.telemetry.counter(name).increment()
 
-    def _apply_tenant_backend(self, request: EstimateRequest,
-                              tenant: Tenant) -> EstimateRequest:
-        """Force the tenant's estimator backend onto a request.
-
-        A tenant configured with ``backend=""`` (the default) leaves
-        requests untouched; otherwise the sensor config's backend is
-        rewritten before the request reaches the inference service,
-        so per-tenant backend choice composes with the session
-        manager's config-keyed estimator cache and the scheduler's
-        config-keyed micro-batch groups.
-        """
-        if not tenant.backend or request.config.backend == tenant.backend:
-            return request
-        self._count("gateway.backend_overrides")
-        return replace(request,
-                       config=replace(request.config,
-                                      backend=tenant.backend))
-
     def _internal_error(self, where: str) -> None:
         """The zero-crash boundary tripped: count it and dump the
         flight recorder so the events leading up to it survive."""
@@ -359,10 +341,8 @@ class Gateway:
                 return
             start = loop.time()
             try:
-                estimate_request = self._apply_tenant_backend(
-                    EstimateRequest.from_json(
-                        request.body.decode("utf-8", errors="replace")),
-                    tenant)
+                estimate_request = EstimateRequest.from_json(
+                    request.body.decode("utf-8", errors="replace"))
                 response = await self.service.estimate(
                     estimate_request)
             except ProtocolError as exc:
@@ -615,8 +595,7 @@ class Gateway:
                 {"path": "/v1/stream", "method": "WS"},
                 context=context, parent=remote):
             try:
-                request = self._apply_tenant_backend(
-                    EstimateRequest.from_dict(payload), conn.tenant)
+                request = EstimateRequest.from_dict(payload)
             except ProtocolError as exc:
                 self._count("gateway.protocol_errors")
                 await conn.send_json(dict(echo, **{

@@ -2,10 +2,9 @@
 
 One dependency-free layer shared by every subsystem.  The instruments
 (:class:`Counter`, :class:`Gauge`, :class:`Histogram`, trace
-:class:`Span`) were promoted from ``repro.serve.telemetry`` so the
-reader, estimator, tracker, campaign executor and inference service
-all speak the same vocabulary and can share a single
-:class:`Registry`.
+:class:`Span`) are the one vocabulary that the reader, estimator,
+tracker, campaign executor and inference service all speak, so they
+can share a single :class:`Registry`.
 
 Instrumentation is **off by default** and costs one ``active()`` call
 per instrumented operation when disabled.  Turn it on with

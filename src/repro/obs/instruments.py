@@ -1,6 +1,6 @@
 """Observability instruments: counters, gauges, histograms, spans.
 
-Promoted from ``repro.serve.telemetry`` so every subsystem shares one
+Every subsystem, the inference service included, shares this one
 instrument vocabulary.  The hot paths (scheduler flushes, batched
 inversions, per-group tracking) touch these on every operation, so the
 instruments are deliberately tiny — plain attribute updates, no locks

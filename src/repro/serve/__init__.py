@@ -34,38 +34,22 @@ from repro.serve.scheduler import (
 from repro.serve.service import InferenceService
 from repro.serve.session import SensorSession, SessionManager
 from repro.serve.shard import HashRing, ShardedInferenceService
-from repro.serve.telemetry import (
-    Counter,
-    Histogram,
-    MemorySink,
-    NullSink,
-    Span,
-    Telemetry,
-    TelemetrySink,
-)
 
 __all__ = [
     "BatchPolicy",
-    "Counter",
     "EstimateRequest",
     "EstimateResponse",
     "FleetHarness",
     "FleetProfile",
     "HashRing",
-    "Histogram",
     "InferenceService",
     "LoadProfile",
-    "MemorySink",
     "MicroBatchScheduler",
-    "NullSink",
     "ScheduledEstimate",
     "SensorConfig",
     "SensorSession",
     "SessionManager",
     "ShardedInferenceService",
-    "Span",
-    "Telemetry",
-    "TelemetrySink",
     "generate_requests",
     "run_benchmark",
     "run_fleet_benchmark",

@@ -251,7 +251,6 @@ def run_fleet_benchmark(profile: Optional[FleetProfile] = None,
         "arrival": load.arrival,
         "arrival_rate_rps": load.arrival_rate_rps,
         "pareto_alpha": load.pareto_alpha,
-        "backend": load.backend,
         "seed": load.seed,
     }
     report = {

@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import SensorModel
-from repro.core.estimator import ESTIMATOR_BACKENDS
 from repro.errors import ServeError
 from repro.obs.manifest import stamp_report
 from repro.obs.profiler import Profiler
@@ -49,10 +48,8 @@ class LoadProfile:
             rest are untouched, below-threshold phases).
         phase_noise_deg: Measurement noise on the synthetic phases.
         sample_period_s: Stream timestamp spacing [s].
-        carrier_frequency / fast / touch_threshold_deg / backend:
-            Sensor config shared by the whole fleet (``backend``
-            selects the inversion strategy, ``"grid"`` |
-            ``"surrogate"``).
+        carrier_frequency / fast / touch_threshold_deg: Sensor config
+            shared by the whole fleet.
         seed: Reproducibility seed for the synthetic presses.
         arrival: Arrival-pattern shape for request submission:
             ``"uniform"`` spaces requests evenly at
@@ -78,7 +75,6 @@ class LoadProfile:
     carrier_frequency: float = 900e6
     fast: bool = True
     touch_threshold_deg: float = 5.0
-    backend: str = "grid"
     seed: int = 7
     arrival: str = "uniform"
     arrival_rate_rps: float = 0.0
@@ -92,10 +88,6 @@ class LoadProfile:
             raise ServeError(
                 f"touch_fraction must be in [0, 1], got "
                 f"{self.touch_fraction}")
-        if self.backend not in ESTIMATOR_BACKENDS:
-            raise ServeError(
-                f"unknown estimator backend {self.backend!r}; "
-                f"expected one of {ESTIMATOR_BACKENDS}")
         if self.arrival not in ("uniform", "pareto"):
             raise ServeError(
                 f"arrival must be 'uniform' or 'pareto', got "
@@ -119,8 +111,7 @@ class LoadProfile:
         """The fleet's shared sensor config."""
         return SensorConfig(
             carrier_frequency=self.carrier_frequency, fast=self.fast,
-            touch_threshold_deg=self.touch_threshold_deg,
-            backend=self.backend)
+            touch_threshold_deg=self.touch_threshold_deg)
 
 
 def generate_requests(model: SensorModel,
@@ -293,7 +284,6 @@ def run_benchmark(profile: Optional[LoadProfile] = None,
         "batching": profile.batching,
         "seed": profile.seed,
         "carrier_frequency": profile.carrier_frequency,
-        "backend": profile.backend,
         "arrival": profile.arrival,
         "arrival_rate_rps": profile.arrival_rate_rps,
         "pareto_alpha": profile.pareto_alpha,

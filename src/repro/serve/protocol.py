@@ -10,9 +10,12 @@ losslessly; ``to_json`` / ``from_json`` are provided for convenience.
 Decoders are hardened against hostile wire input: any malformed,
 truncated, or type-confused payload raises
 :class:`repro.errors.ProtocolError` (a :class:`ServeError`) — never a
-bare ``KeyError``/``TypeError``/``AttributeError`` — so a transport
-adapter can map *every* decode failure to one error response
-(fuzz-tested in ``tests/test_serve_protocol_fuzz.py``).
+bare ``KeyError``/``TypeError``/``AttributeError``/``OverflowError``
+— so a transport adapter can map *every* decode failure to one error
+response (fuzz-tested in ``tests/test_serve_protocol_fuzz.py``).
+Request-side decoders also reject NaN and +/-Inf in every float field:
+``json.loads`` accepts the ``NaN`` / ``Infinity`` literals, and a
+non-finite phase would otherwise come back as an "ok" estimate.
 
 :class:`SensorConfig` doubles as the *model cache key*: two sensors
 with equal configs share one calibrated :class:`SensorModel` and one
@@ -23,15 +26,17 @@ requests into a single ``invert_batch`` call.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.estimator import ESTIMATOR_BACKENDS, ForceLocationEstimate
+from repro.core.estimator import ForceLocationEstimate
 from repro.errors import ProtocolError
 
-#: Exception types a decoder converts into :class:`ProtocolError`.
+#: Exception types a decoder converts into :class:`ProtocolError`
+#: (``OverflowError``: ``int()`` of an infinite JSON number).
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
-                  IndexError)
+                  IndexError, OverflowError)
 
 
 def _require_dict(payload, what: str) -> dict:
@@ -40,6 +45,14 @@ def _require_dict(payload, what: str) -> dict:
         raise ProtocolError(
             f"{what} payload must be a dict, got {type(payload).__name__}")
     return payload
+
+
+def _finite(value, field: str) -> float:
+    """A wire number as a finite float (NaN and +/-Inf rejected)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ProtocolError(f"{field} must be finite, got {number!r}")
+    return number
 
 
 def _decode_json(text, what: str) -> dict:
@@ -64,16 +77,11 @@ class SensorConfig:
         carrier_frequency: Calibration carrier [Hz].
         fast: Reduced-resolution contact map (tests / demos).
         touch_threshold_deg: No-contact classification threshold.
-        backend: Inversion strategy (``"grid"`` | ``"surrogate"``; see
-            :func:`repro.core.estimator.build_estimator`).  Part of
-            the cache key, so sensors on different backends never
-            share an estimator or a micro-batch.
     """
 
     carrier_frequency: float = 900e6
     fast: bool = True
     touch_threshold_deg: float = 5.0
-    backend: str = "grid"
 
     def to_dict(self) -> dict:
         """JSON-ready dict (plain python scalars only)."""
@@ -81,7 +89,6 @@ class SensorConfig:
             "carrier_frequency": float(self.carrier_frequency),
             "fast": bool(self.fast),
             "touch_threshold_deg": float(self.touch_threshold_deg),
-            "backend": str(self.backend),
         }
 
     @classmethod
@@ -89,29 +96,24 @@ class SensorConfig:
         """Inverse of :meth:`to_dict`; missing keys take defaults.
 
         Raises:
-            ProtocolError: The payload is not a dict, a field does
-                not coerce to its wire type, or ``backend`` names an
-                unknown inversion strategy.
+            ProtocolError: The payload is not a dict, a field does not
+                coerce to its wire type, or a number is not finite.
         """
         payload = _require_dict(payload, "sensor config")
         defaults = cls()
         try:
-            config = cls(
-                carrier_frequency=float(payload.get(
-                    "carrier_frequency", defaults.carrier_frequency)),
+            return cls(
+                carrier_frequency=_finite(payload.get(
+                    "carrier_frequency", defaults.carrier_frequency),
+                    "carrier_frequency"),
                 fast=bool(payload.get("fast", defaults.fast)),
-                touch_threshold_deg=float(payload.get(
-                    "touch_threshold_deg", defaults.touch_threshold_deg)),
-                backend=str(payload.get("backend", defaults.backend)),
+                touch_threshold_deg=_finite(payload.get(
+                    "touch_threshold_deg", defaults.touch_threshold_deg),
+                    "touch_threshold_deg"),
             )
         except _DECODE_ERRORS as exc:
             raise ProtocolError(
                 f"malformed sensor config: {exc}") from exc
-        if config.backend not in ESTIMATOR_BACKENDS:
-            raise ProtocolError(
-                f"unknown estimator backend {config.backend!r}; "
-                f"expected one of {ESTIMATOR_BACKENDS}")
-        return config
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ class EstimateRequest:
 
         Raises:
             ProtocolError: The payload is not a dict, a required field
-                is missing, or a field does not coerce to its wire
-                type.
+                is missing, a field does not coerce to its wire type,
+                or a number is not finite.
         """
         payload = _require_dict(payload, "estimate request")
         try:
@@ -163,11 +165,12 @@ class EstimateRequest:
             return cls(
                 sensor_id=str(payload["sensor_id"]),
                 sequence=int(payload["sequence"]),
-                time=float(payload["time"]),
-                phi1=float(payload["phi1"]),
-                phi2=float(payload["phi2"]),
+                time=_finite(payload["time"], "time"),
+                phi1=_finite(payload["phi1"], "phi1"),
+                phi2=_finite(payload["phi2"], "phi2"),
                 config=SensorConfig.from_dict(payload.get("config", {})),
-                location_hint=None if hint is None else float(hint),
+                location_hint=(None if hint is None
+                               else _finite(hint, "location_hint")),
             )
         except ProtocolError:
             raise

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import SensorModel
-from repro.core.estimator import ForceLocationEstimator, build_estimator
+from repro.core.estimator import ForceLocationEstimator
 from repro.core.tracking import StreamingTracker, TouchEvent, TrackedSample
 from repro.errors import ServeError
 from repro.obs.registry import active
@@ -237,7 +237,7 @@ class SessionManager:
         self.max_sessions = max_sessions
         self.idle_ttl_s = idle_ttl_s
         self._clock = clock if clock is not None else time.monotonic
-        self._models: Dict[Tuple[float, bool, str], SensorModel] = {}
+        self._models: Dict[Tuple[float, bool], SensorModel] = {}
         self._estimators: Dict[SensorConfig, ForceLocationEstimator] = {}
         self._sessions: Dict[str, SensorSession] = {}
         self.model_builds = 0
@@ -255,13 +255,9 @@ class SessionManager:
     def estimator(self, config: SensorConfig) -> ForceLocationEstimator:
         """The shared estimator for ``config`` (builds on first use).
 
-        Models are cached on the calibration identity plus the
-        inversion backend (carrier, fast, backend) — configs differing
-        only in the touch threshold share one calibrated model and
-        differ only in their estimator, while a surrogate-backed
-        config never aliases a grid one (the surrogate's training is
-        memoized through :mod:`repro.cache`, so the extra calibration
-        entry costs a disk-tier hit, not a refit).
+        Models are cached on the calibration identity (carrier, fast)
+        — configs differing only in the touch threshold share one
+        calibrated model and differ only in their estimator.
         """
         obs = active()
         estimator = self._estimators.get(config)
@@ -270,8 +266,7 @@ class SessionManager:
             if obs is not None:
                 obs.counter("serve.session.model_hits").increment()
             return estimator
-        model_key = (config.carrier_frequency, config.fast,
-                     config.backend)
+        model_key = (config.carrier_frequency, config.fast)
         model = self._models.get(model_key)
         if model is None:
             model = self._factory(config)
@@ -279,13 +274,8 @@ class SessionManager:
             self.model_builds += 1
             if obs is not None:
                 obs.counter("serve.session.model_builds").increment()
-        options = {} if config.backend == "grid" else {
-            "carrier_frequency": config.carrier_frequency,
-            "fast": config.fast,
-        }
-        estimator = build_estimator(
-            model, backend=config.backend,
-            touch_threshold_deg=config.touch_threshold_deg, **options)
+        estimator = ForceLocationEstimator(
+            model, touch_threshold_deg=config.touch_threshold_deg)
         self._estimators[config] = estimator
         return estimator
 

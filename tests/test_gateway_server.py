@@ -65,6 +65,22 @@ def _request(sensor_id, sequence, phi1=0.5, phi2=0.4, time=None):
         phi1=phi1, phi2=phi2, config=SensorConfig())
 
 
+#: Estimate payloads a JSON decoder accepts but the protocol must not:
+#: non-finite phases and an integer field that is infinite (``int()``
+#: of it overflows).  Each becomes a ``NaN`` / ``Infinity`` literal on
+#: the wire.
+_NON_FINITE = [
+    pytest.param({"phi1": float("nan"), "phi2": float("inf")},
+                 id="nan-inf-phases"),
+    pytest.param({"sequence": float("inf")}, id="inf-sequence"),
+]
+
+
+def _internal_errors(gateway):
+    return gateway.telemetry.snapshot()["counters"].get(
+        "gateway.internal_errors", 0)
+
+
 class TestStreamingParity:
     """The acceptance e2e: N concurrent tenants, bit-exact parity."""
 
@@ -459,6 +475,24 @@ class TestHttpSurface:
         assert response.status == 400
         assert "error" in response.json()
 
+    @pytest.mark.parametrize("override", _NON_FINITE)
+    def test_non_finite_estimate_body_400(self, model_900, override):
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                payload = dict(_request("s", 0).to_dict(), **override)
+                response = await http_request(
+                    host, port, "POST", "/v1/estimate",
+                    payload=payload, token="token-0")
+                return response, _internal_errors(gateway)
+
+        response, internal_errors = asyncio.run(scenario())
+        assert response.status == 400
+        assert "error" in response.json()
+        assert internal_errors == 0
+
     def test_stream_without_upgrade_headers_426(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),
@@ -570,6 +604,30 @@ class TestWsProtocolSurface:
         assert error["type"] == "error"
         assert error["code"] == "protocol"
         assert reply["type"] == "estimate"
+
+    @pytest.mark.parametrize("override", _NON_FINITE)
+    def test_non_finite_estimate_is_a_protocol_error(self, model_900,
+                                                     override):
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                payload = dict(_request("s", 0).to_dict(), **override)
+                error, _ = await estimate_over_ws(client, payload,
+                                                  timeout=5.0)
+                reply, _ = await estimate_over_ws(
+                    client, _request("s", 1).to_dict())
+                await client.close()
+                return error, reply, _internal_errors(gateway)
+
+        error, reply, internal_errors = asyncio.run(scenario())
+        assert error["type"] == "error"
+        assert error["code"] == "protocol"
+        assert reply["type"] == "estimate"
+        assert internal_errors == 0
 
     def test_clean_close_handshake(self, model_900):
         async def scenario():

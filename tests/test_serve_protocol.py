@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.core.estimator import ForceLocationEstimate
 from repro.core.pipeline import PressReading
 from repro.core.tracking import TouchEvent, TrackedSample
-from repro.errors import ServeError
+from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (
     EstimateRequest,
     EstimateResponse,
@@ -75,6 +76,17 @@ class TestSensorConfig:
         b = SensorConfig(carrier_frequency=900e6)
         assert len({a, b}) == 1
 
+    def test_unknown_keys_are_ignored(self):
+        payload = dict(SensorConfig().to_dict(), backend="learned")
+        assert SensorConfig.from_dict(payload) == SensorConfig()
+
+    @pytest.mark.parametrize("field", ["carrier_frequency",
+                                       "touch_threshold_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_a_protocol_error(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            SensorConfig.from_dict({field: value})
+
 
 class TestEstimateRequest:
     def test_json_roundtrip_with_hint(self):
@@ -93,6 +105,17 @@ class TestEstimateRequest:
     def test_malformed_raises_serve_error(self):
         with pytest.raises(ServeError):
             EstimateRequest.from_dict({"sensor_id": "x"})
+
+    @pytest.mark.parametrize("field", ["time", "phi1", "phi2",
+                                       "location_hint"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_is_a_protocol_error(self, field, value):
+        payload = EstimateRequest(sensor_id="s", sequence=1, time=0.1,
+                                  phi1=0.4, phi2=-0.2,
+                                  location_hint=0.04).to_dict()
+        payload[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            EstimateRequest.from_dict(payload)
 
 
 class TestEstimateResponse:

@@ -12,6 +12,8 @@ junk, and valid payloads with one key deleted.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,23 @@ class TestContractDetails:
         response = EstimateResponse.from_dict(_VALID_RESPONSE)
         assert response.to_dict() == _VALID_RESPONSE
         assert response.quality == "recovered"
+
+    @pytest.mark.parametrize("decoder,valid,field", [
+        pytest.param(EstimateRequest.from_dict, _VALID_REQUEST,
+                     "sequence", id="request-sequence"),
+        pytest.param(EstimateResponse.from_dict, _VALID_RESPONSE,
+                     "sequence", id="response-sequence"),
+        pytest.param(EstimateResponse.from_dict, _VALID_RESPONSE,
+                     "batch_size", id="response-batch_size"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_integer_field_is_a_protocol_error(self, decoder,
+                                                        valid, field,
+                                                        value):
+        """``int(inf)`` raises ``OverflowError``, not ``ValueError``;
+        JSON ``1e999`` decodes to exactly this float."""
+        with pytest.raises(ProtocolError):
+            decoder(dict(valid, **{field: value}))
 
     def test_quality_defaults_ok_on_old_payloads(self):
         payload = dict(_VALID_RESPONSE)

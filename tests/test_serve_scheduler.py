@@ -10,8 +10,8 @@ import pytest
 
 from repro.core.estimator import ForceLocationEstimator
 from repro.errors import QueueFullError, ServeError
+from repro.obs import MemorySink, Registry
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
-from repro.serve.telemetry import MemorySink, Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ class TestDegradation:
         sink = MemorySink()
         scheduler = MicroBatchScheduler(
             BatchPolicy(max_batch=3, max_delay_s=10.0),
-            telemetry=Telemetry(sink))
+            telemetry=Registry(sink))
         broken = _ExplodingBatcher(estimator)
 
         async def drive():

@@ -1,8 +1,7 @@
 """Telemetry instruments: counters, histograms, spans, snapshots.
 
-These instruments now live in :mod:`repro.obs.instruments`;
-``repro.serve.telemetry`` is a compatibility shim.  The tests import
-through the shim on purpose — existing serve code must keep working.
+The inference service records into the shared :mod:`repro.obs`
+registry; these tests pin the instrument behaviour it relies on.
 """
 
 from __future__ import annotations
@@ -13,17 +12,12 @@ import math
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.serve.telemetry import (
-    BATCH_BUCKETS,
-    Histogram,
-    MemorySink,
-    Telemetry,
-)
+from repro.obs import BATCH_BUCKETS, Histogram, MemorySink, Registry
 
 
 class TestCounter:
     def test_increments(self):
-        telemetry = Telemetry()
+        telemetry = Registry()
         counter = telemetry.counter("requests")
         counter.increment()
         counter.increment(4)
@@ -31,7 +25,7 @@ class TestCounter:
 
     def test_rejects_decrease(self):
         with pytest.raises(ObservabilityError):
-            Telemetry().counter("x").increment(-1)
+            Registry().counter("x").increment(-1)
 
 
 class TestHistogram:
@@ -91,7 +85,7 @@ class TestHistogram:
 class TestSpan:
     def test_span_emits_to_sink(self):
         sink = MemorySink()
-        telemetry = Telemetry(sink)
+        telemetry = Registry(sink)
         with telemetry.span("flush", {"batch_size": 8}) as span:
             span.set("path", "batched")
         assert len(sink.events) == 1
@@ -104,7 +98,7 @@ class TestSpan:
 
     def test_span_records_error(self):
         sink = MemorySink()
-        telemetry = Telemetry(sink)
+        telemetry = Registry(sink)
         with pytest.raises(RuntimeError):
             with telemetry.span("flush"):
                 raise RuntimeError("boom")
@@ -112,7 +106,7 @@ class TestSpan:
 
     def test_span_duration_lands_in_histogram(self):
         """Spans double as latency histograms in the snapshot."""
-        telemetry = Telemetry()
+        telemetry = Registry()
         with telemetry.span("flush"):
             pass
         snapshot = telemetry.snapshot()
@@ -121,7 +115,7 @@ class TestSpan:
 
 class TestSnapshot:
     def test_snapshot_is_json_ready(self):
-        telemetry = Telemetry()
+        telemetry = Registry()
         telemetry.counter("requests").increment(3)
         telemetry.histogram("batch_size", BATCH_BUCKETS).observe(4)
         snapshot = json.loads(telemetry.to_json())
