@@ -3,19 +3,21 @@
 CI runs this after the bench-smoke suites regenerate the benchmark
 reports, comparing them against the baselines committed in
 ``benchmarks/results/``.  The gate fails (exit code 1) when any
-tracked throughput metric drops — or any latency metric in
-``LOWER_IS_BETTER`` rises — by more than ``--max-regression``
-(default 20%).
+tracked metric drops by more than ``--max-regression`` (default 20%),
+or when one side tracks a metric the other lacks: a fresh report that
+lost a metric stopped measuring it, and a baseline that lacks one
+(say, regenerated from part of a suite) would silently stop gating it.
 
 By default only **machine-normalized ratio metrics** are gated — the
-batch-vs-scalar speedup and the service-vs-serial speedup — because a
-CI runner is not the machine that produced the committed baseline, so
-absolute req/s numbers would gate on hardware, not code.  Pass
-``--absolute`` to also gate raw throughputs (useful when baseline and
-fresh report come from the same machine).
+batch-vs-scalar speedup, the campaign/cache/reader speedups and the
+chaos survival rate — because a CI runner is not the machine that
+produced the committed baseline, so absolute throughputs would gate on
+hardware, not code.  Pass ``--absolute`` to also gate raw throughputs
+(useful when baseline and fresh report come from the same machine).
 
-The script understands both report schemas (``BENCH_estimator.json``
-and ``BENCH_serve.json``) by key inspection, so pre-``schema_version``
+The script understands every committed report schema
+(``BENCH_estimator``, ``BENCH_cache``, ``BENCH_reader``,
+``BENCH_chaos``) by key inspection, so pre-``schema_version``
 baselines keep working.
 """
 
@@ -27,17 +29,10 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: Metrics gated on *increase* rather than decrease (latencies).
-LOWER_IS_BETTER = frozenset({
-    "gateway_p99_latency_ms",
-    "gateway_p50_latency_ms",
-    "fleet_p99_latency_ms",
-})
-
 
 def extract_metrics(report: dict, absolute: bool = False
                     ) -> Dict[str, float]:
-    """Higher-is-better throughput metrics from either report schema."""
+    """Higher-is-better metrics from any committed report schema."""
     metrics: Dict[str, float] = {}
     # BENCH_estimator.json shape.
     if "batch_speedup" in report:
@@ -81,54 +76,6 @@ def extract_metrics(report: dict, absolute: bool = False
     if "survival" in report:
         metrics["chaos_survival_rate"] = float(
             report["survival"]["survival_rate"])
-    # BENCH_gateway.json shape.  The gateway-vs-in-process throughput
-    # ratio and the accept rate are machine-normalized, so they are
-    # always gated; absolute throughput and latency percentiles gate
-    # hardware as much as code and sit behind ``--absolute``.
-    if "gateway_vs_inprocess" in report:
-        metrics["gateway_vs_inprocess"] = float(
-            report["gateway_vs_inprocess"])
-        gateway = report.get("gateway", {})
-        if "rejection_rate" in gateway:
-            metrics["gateway_accept_rate"] = 1.0 - float(
-                gateway["rejection_rate"])
-        if absolute:
-            if "throughput_rps" in gateway:
-                metrics["gateway_throughput_rps"] = float(
-                    gateway["throughput_rps"])
-            for percentile in ("p50", "p99"):
-                key = f"{percentile}_latency_ms"
-                if key in gateway:
-                    metrics[f"gateway_{key}"] = float(gateway[key])
-    # BENCH_fleet.json shape.  The sharded-vs-single ratio and the
-    # ring balance are machine-normalized; parity is the bit-identical
-    # contract collapsed to 1.0/0.0, so any nonzero delta fails the
-    # gate outright (a 1.0 baseline cannot tolerate a 0.0).
-    if "sharded_vs_single" in report:
-        metrics["sharded_vs_single"] = float(report["sharded_vs_single"])
-        if "shard_balance" in report:
-            metrics["fleet_shard_balance"] = float(
-                report["shard_balance"])
-        parity = report.get("parity", {})
-        if parity:
-            metrics["fleet_parity_ok"] = float(
-                parity.get("max_force_delta_n", 1.0) == 0.0
-                and parity.get("max_location_delta_m", 1.0) == 0.0
-                and parity.get("touched_match", False))
-        if absolute and "fleet" in report:
-            metrics["fleet_throughput_rps"] = float(
-                report["fleet"]["throughput_rps"])
-            metrics["fleet_p99_latency_ms"] = float(
-                report["fleet"]["latency_p99_s"]) * 1e3
-    # BENCH_serve.json shape.
-    if "speedup_vs_serial" in report:
-        metrics["speedup_vs_serial"] = float(report["speedup_vs_serial"])
-    if absolute and "service" in report:
-        metrics["service_throughput_rps"] = float(
-            report["service"]["throughput_rps"])
-    if absolute and "serial_baseline" in report:
-        metrics["serial_throughput_rps"] = float(
-            report["serial_baseline"]["throughput_rps"])
     return metrics
 
 
@@ -143,8 +90,16 @@ def compare(baseline: dict, fresh: dict, max_regression: float = 0.20,
     lines = [f"{'metric':<26}  {'baseline':>12}  {'fresh':>12}  "
              f"{'change':>8}  verdict"]
     failures: List[str] = []
-    for name, base_value in sorted(base_metrics.items()):
+    for name in sorted(set(base_metrics) | set(fresh_metrics)):
+        base_value = base_metrics.get(name)
         fresh_value = fresh_metrics.get(name)
+        if base_value is None:
+            failures.append(f"metric {name} missing from baseline report "
+                            f"(regenerate the baseline from the whole "
+                            f"suite)")
+            lines.append(f"{name:<26}  {'missing':>12}  "
+                         f"{fresh_value:>12.3f}  {'-':>8}  FAIL")
+            continue
         if fresh_value is None:
             failures.append(f"metric {name} missing from fresh report")
             lines.append(f"{name:<26}  {base_value:>12.3f}  "
@@ -156,18 +111,13 @@ def compare(baseline: dict, fresh: dict, max_regression: float = 0.20,
                          f"(non-positive baseline)")
             continue
         change = fresh_value / base_value - 1.0
-        if name in LOWER_IS_BETTER:
-            regressed = change > max_regression
-            direction = "rose"
-        else:
-            regressed = change < -max_regression
-            direction = "regressed"
+        regressed = change < -max_regression
         verdict = "FAIL" if regressed else "ok"
         lines.append(f"{name:<26}  {base_value:>12.3f}  "
                      f"{fresh_value:>12.3f}  {change:>+7.1%}  {verdict}")
         if regressed:
             failures.append(
-                f"{name} {direction} {abs(change):.1%} "
+                f"{name} regressed {abs(change):.1%} "
                 f"({base_value:.3f} -> {fresh_value:.3f}), "
                 f"above the {max_regression:.0%} gate")
     return lines, failures
@@ -186,9 +136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--absolute", action="store_true",
                         help="also gate raw throughputs, not just "
                              "machine-normalized speedups")
-    parser.add_argument("--slo", action="store_true",
-                        help="also evaluate the declarative serve SLOs "
-                             "against the fresh report")
     args = parser.parse_args(argv)
     if not 0.0 <= args.max_regression < 1.0:
         parser.error("--max-regression must be in [0, 1)")
@@ -201,29 +148,6 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"(max regression {args.max_regression:.0%})")
     for line in lines:
         print(line)
-    if args.slo:
-        try:
-            from repro.obs.slo import (
-                evaluate_report,
-                render_statuses,
-                report_slos,
-            )
-        except ImportError:
-            # Running from a checkout without an installed package.
-            sys.path.insert(
-                0, str(Path(__file__).resolve().parents[1] / "src"))
-            from repro.obs.slo import (
-                evaluate_report,
-                render_statuses,
-                report_slos,
-            )
-
-        statuses = evaluate_report(report_slos(), fresh)
-        print()
-        print(render_statuses(statuses))
-        failures.extend(
-            f"SLO {status['name']} violated" for status in statuses
-            if not status["ok"])
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

@@ -7,14 +7,10 @@ Commands:
     read        Simulate wireless reads of one press with a saved model.
     demo        One-command end-to-end demo (build, calibrate, read).
     report      Run every paper-figure runner, write REPORT.md.
-    serve-bench Drive the async inference service with synthetic load.
-    fleet-bench Drive the sharded fleet and check single-shard parity.
     gateway     Serve the inference service over HTTP/WebSocket sockets.
-    gateway-bench  Load-test the gateway through real loopback sockets.
     chaos       Run the serve campaign under an armed fault plan.
     obs-report  Summarize the observability manifest of a bench run.
     trace       Render a trace waterfall from exported span events.
-    slo         Evaluate the SLOs against a benchmark report.
     cache       Inspect / prune / clear the shared artifact cache.
 
 Primary results go to stdout (machine-consumable); progress and
@@ -163,83 +159,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.obs import Profiler
-    from repro.serve import LoadProfile, run_benchmark, summarize, write_report
-
-    profile = LoadProfile(
-        sensors=args.sensors,
-        requests_per_sensor=args.requests,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms * 1e-3,
-        batching=not args.no_batching,
-        carrier_frequency=args.carrier,
-        fast=not args.full,
-        seed=args.seed,
-        arrival=args.arrival,
-        arrival_rate_rps=args.arrival_rate,
-        pareto_alpha=args.pareto_alpha,
-    )
-    logger.info(
-        "driving the inference service with %d requests "
-        "(%d sensors x %d samples, max batch %d, deadline %.1f ms, "
-        "%s arrivals)",
-        profile.total_requests, profile.sensors,
-        profile.requests_per_sensor, profile.max_batch,
-        profile.max_delay_s * 1e3, profile.arrival)
-    profiler = Profiler(enabled=args.profile)
-    report = run_benchmark(profile, profiler=profiler)
-    print(summarize(report))
-    if args.profile:
-        print()
-        print(profiler.report())
-    path = write_report(report, args.output)
-    print(f"Wrote {path}")
-    return 0
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    from repro.serve import LoadProfile, write_report
-    from repro.serve.fleet import (
-        FleetProfile,
-        run_fleet_benchmark,
-        summarize_fleet,
-    )
-
-    profile = FleetProfile(
-        load=LoadProfile(
-            sensors=args.sensors,
-            requests_per_sensor=args.requests,
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            carrier_frequency=args.carrier,
-            seed=args.seed,
-            arrival=args.arrival,
-            arrival_rate_rps=args.arrival_rate,
-            pareto_alpha=args.pareto_alpha,
-        ),
-        shards=args.shards,
-        vnodes=args.vnodes,
-    )
-    logger.info(
-        "driving %d shards with %d requests (%d sensors x %d samples, "
-        "%s arrivals)",
-        profile.shards, profile.load.total_requests,
-        profile.load.sensors, profile.load.requests_per_sensor,
-        profile.load.arrival)
-    report = run_fleet_benchmark(profile)
-    print(summarize_fleet(report))
-    path = write_report(report, args.output)
-    print(f"Wrote {path}")
-    if report["parity"]["max_force_delta_n"] != 0.0 or \
-            report["parity"]["max_location_delta_m"] != 0.0 or \
-            not report["parity"]["touched_match"]:
-        logger.error("sharded fleet is NOT bit-identical to the "
-                     "single-shard reference")
-        return 1
-    return 0
-
-
 def _parse_tenants(specs: List[str]):
     """``name:token[:rate[:burst]]`` specs -> Tenant list."""
     from repro.errors import ConfigurationError
@@ -292,38 +211,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:
         logger.info("gateway stopped")
-    return 0
-
-
-def _cmd_gateway_bench(args: argparse.Namespace) -> int:
-    from repro.gateway import run_gateway_benchmark
-    from repro.gateway import summarize as gateway_summarize
-    from repro.serve import LoadProfile, write_report
-
-    profile = LoadProfile(
-        sensors=args.connections,
-        requests_per_sensor=args.requests,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms * 1e-3,
-        carrier_frequency=args.carrier,
-        fast=not args.full,
-        seed=args.seed,
-        arrival=args.arrival,
-        arrival_rate_rps=args.arrival_rate,
-        pareto_alpha=args.pareto_alpha,
-    )
-    logger.info(
-        "load-testing the gateway with %d requests over %d tenant "
-        "connections (%s arrivals)", profile.total_requests,
-        profile.sensors, profile.arrival)
-    report = run_gateway_benchmark(profile)
-    print(gateway_summarize(report))
-    path = write_report(report, args.output)
-    print(f"Wrote {path}")
-    if not report["parity"]["touched_match"] \
-            or report["parity"]["max_force_delta_n"] > 0.0:
-        logger.error("gateway parity check failed")
-        return 1
     return 0
 
 
@@ -387,7 +274,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         logger.error("no benchmark report at %s — run "
-                     "`python -m repro serve-bench` first", path)
+                     "`python -m repro chaos` first", path)
         return 1
     report = json.loads(path.read_text())
     manifest = report.get("manifest") or {}
@@ -464,31 +351,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.obs.slo import evaluate_report, render_statuses, report_slos
-
-    path = Path(args.input)
-    if not path.exists():
-        logger.error("no benchmark report at %s — run "
-                     "`python -m repro serve-bench` first", path)
-        return 1
-    report = json.loads(path.read_text())
-    statuses = evaluate_report(report_slos(), report)
-    if args.json:
-        print(json.dumps(statuses, indent=2, sort_keys=True))
-    else:
-        print(render_statuses(statuses))
-    violated = [status for status in statuses if not status["ok"]]
-    if violated:
-        logger.error("%d SLO objective(s) violated: %s", len(violated),
-                     ", ".join(status["name"] for status in violated))
-        return 1
-    return 0
-
-
 def _cache_directory(args: argparse.Namespace):
     from repro.cache import config_from_env
 
@@ -526,22 +388,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"removed {result['removed']} artifacts "
           f"({result['removed_bytes']} bytes) from {directory}")
     return 0
-
-
-def _add_arrival_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared open-loop arrival-shaping flags."""
-    parser.add_argument(
-        "--arrival", choices=["uniform", "pareto"], default="uniform",
-        help="arrival pattern when --arrival-rate > 0: evenly spaced "
-             "or heavy-tailed bursts (default uniform)")
-    parser.add_argument(
-        "--arrival-rate", type=float, default=0.0,
-        help="mean aggregate arrival rate [req/s]; 0 (default) "
-             "submits the whole load at once")
-    parser.add_argument(
-        "--pareto-alpha", type=float, default=1.5,
-        help="Pareto tail exponent for --arrival pareto (> 1; "
-             "smaller = burstier; default 1.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,56 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--full", dest="fast", action="store_false",
                            help="full-resolution transducers (slower)")
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the async micro-batching inference service")
-    serve_bench.add_argument("--sensors", type=int, default=8,
-                             help="concurrent sensor streams (default 8)")
-    serve_bench.add_argument("--requests", type=int, default=64,
-                             help="samples per stream (default 64)")
-    serve_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batch flush size (default 32)")
-    serve_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                             help="micro-batch flush deadline [ms]")
-    serve_bench.add_argument("--no-batching", action="store_true",
-                             help="bench the degraded scalar-direct path")
-    serve_bench.add_argument("--carrier", type=float, default=900e6)
-    serve_bench.add_argument("--seed", type=int, default=7)
-    serve_bench.add_argument("--full", action="store_true",
-                             help="full-resolution calibration (slower)")
-    serve_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_serve.json",
-        help="JSON report path")
-    serve_bench.add_argument(
-        "--profile", action="store_true",
-        help="print a per-stage hotspot profile of the bench run")
-    _add_arrival_arguments(serve_bench)
-
-    fleet_bench = sub.add_parser(
-        "fleet-bench",
-        help="benchmark the consistent-hash sharded fleet vs one shard")
-    fleet_bench.add_argument("--sensors", type=int, default=1024,
-                             help="simulated sensor streams "
-                                  "(default 1024; nightly runs 100000)")
-    fleet_bench.add_argument("--requests", type=int, default=4,
-                             help="samples per stream (default 4)")
-    fleet_bench.add_argument("--shards", type=int, default=4,
-                             help="service shards / worker threads "
-                                  "(default 4)")
-    fleet_bench.add_argument("--vnodes", type=int, default=64,
-                             help="virtual nodes per shard on the hash "
-                                  "ring (default 64)")
-    fleet_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batch flush size (default 32)")
-    fleet_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                             help="micro-batch flush deadline [ms]")
-    fleet_bench.add_argument("--carrier", type=float, default=900e6)
-    fleet_bench.add_argument("--seed", type=int, default=7)
-    fleet_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_fleet.json",
-        help="JSON report path")
-    _add_arrival_arguments(fleet_bench)
-
     gateway = sub.add_parser(
         "gateway",
         help="serve the inference service over HTTP/WebSocket")
@@ -668,28 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--idle-ttl-s", type=float, default=900.0,
         help="evict sensor sessions idle longer than this [s]")
-
-    gateway_bench = sub.add_parser(
-        "gateway-bench",
-        help="load-test the gateway through real loopback sockets")
-    gateway_bench.add_argument(
-        "--connections", type=int, default=8,
-        help="concurrent tenant connections (default 8)")
-    gateway_bench.add_argument("--requests", type=int, default=64,
-                               help="samples per connection (default 64)")
-    gateway_bench.add_argument("--max-batch", type=int, default=32,
-                               help="micro-batch flush size (default 32)")
-    gateway_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                               help="micro-batch flush deadline [ms]")
-    gateway_bench.add_argument("--carrier", type=float, default=900e6)
-    gateway_bench.add_argument("--seed", type=int, default=7)
-    gateway_bench.add_argument(
-        "--full", action="store_true",
-        help="full-resolution calibration (slower)")
-    gateway_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_gateway.json",
-        help="JSON report path")
-    _add_arrival_arguments(gateway_bench)
 
     chaos = sub.add_parser(
         "chaos",
@@ -720,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize the manifest + instrument snapshot of a "
              "benchmark report")
     obs_report.add_argument(
-        "--input", default="benchmarks/results/BENCH_serve.json",
-        help="stamped benchmark JSON (default BENCH_serve.json)")
+        "--input", default="benchmarks/results/BENCH_chaos.json",
+        help="stamped benchmark JSON (default BENCH_chaos.json)")
     obs_report.add_argument(
         "--prometheus", action="store_true",
         help="dump the snapshot in Prometheus text format instead")
@@ -739,17 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default="trace-events.jsonl",
         help="span-event JSONL written via REPRO_TRACE_EXPORT "
              "(default trace-events.jsonl)")
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate the serve SLOs against a benchmark report "
-             "(exit 1 on violation)")
-    slo.add_argument(
-        "--input", default="benchmarks/results/BENCH_serve.json",
-        help="stamped benchmark JSON (default BENCH_serve.json)")
-    slo.add_argument(
-        "--json", action="store_true",
-        help="emit the raw status dicts as JSON instead of the table")
 
     cache = sub.add_parser(
         "cache",
@@ -779,14 +542,10 @@ _COMMANDS = {
     "read": _cmd_read,
     "demo": _cmd_demo,
     "report": _cmd_report,
-    "serve-bench": _cmd_serve_bench,
-    "fleet-bench": _cmd_fleet_bench,
     "gateway": _cmd_gateway,
-    "gateway-bench": _cmd_gateway_bench,
     "chaos": _cmd_chaos,
     "obs-report": _cmd_obs_report,
     "trace": _cmd_trace,
-    "slo": _cmd_slo,
     "cache": _cmd_cache,
 }
 

@@ -1,9 +1,10 @@
 """Chaos harness: a serve campaign run under an armed fault plan.
 
-Drives the async inference service with the same synthetic fleet as
-``repro serve-bench`` while a :class:`~repro.faults.plan.FaultPlan` is
-armed, then reports *survival*: how many requests rode a degraded
-path (and said so via their ``quality`` flag), how many recovered
+Drives the async inference service with a synthetic sensor fleet
+(:func:`repro.serve.loadgen.generate_requests`) while a
+:class:`~repro.faults.plan.FaultPlan` is armed, then reports
+*survival*: how many requests rode a degraded path (and said so via
+their ``quality`` flag), how many recovered
 through the bounded retry budget, how many were shed as backpressure,
 and how many crashed outright.  The acceptance bar for the built-in
 default plan is zero crashes and a survival rate >= 0.95.
@@ -237,7 +238,6 @@ def run_chaos(plan: Optional[FaultPlan] = None,
         max_batch=profile.max_batch,
         max_delay_s=profile.max_delay_s,
         max_queue=max(1024, profile.total_requests),
-        enabled=profile.batching,
     )
     with recording() as recorder, observed() as registry:
         service = InferenceService(policy=policy,

@@ -21,11 +21,6 @@ from repro.gateway.client import (
     http_request,
 )
 from repro.gateway.http import GatewayLimits, HttpRequest, HttpResponse
-from repro.gateway.loadgen import (
-    bench_tenants,
-    run_gateway_benchmark,
-    summarize,
-)
 from repro.gateway.server import Gateway
 
 __all__ = [
@@ -39,9 +34,6 @@ __all__ = [
     "TenantTable",
     "TokenBucket",
     "WebSocketClient",
-    "bench_tenants",
     "estimate_over_ws",
     "http_request",
-    "run_gateway_benchmark",
-    "summarize",
 ]

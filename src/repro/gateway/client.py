@@ -1,4 +1,4 @@
-"""Minimal asyncio clients for the gateway (loadgen + tests).
+"""Minimal asyncio clients for the gateway (chaos campaign + tests).
 
 Two transports, both stdlib-only:
 

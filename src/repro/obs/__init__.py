@@ -1,4 +1,4 @@
-"""``repro.obs`` — repo-wide observability: tracing, metrics, profiling.
+"""``repro.obs`` — repo-wide observability: tracing, metrics, SLOs.
 
 One dependency-free layer shared by every subsystem.  The instruments
 (:class:`Counter`, :class:`Gauge`, :class:`Histogram`, trace
@@ -10,7 +10,7 @@ Instrumentation is **off by default** and costs one ``active()`` call
 per instrumented operation when disabled.  Turn it on with
 :func:`enable` / the :func:`observed` context manager; export with
 :func:`to_prometheus` or a JSON snapshot; stamp benchmark artifacts
-with :func:`stamp_report`; find hotspots with :class:`Profiler`.
+with :func:`stamp_report`.
 
 See DESIGN.md ("Observability") and README.md ("Observability &
 benchmarking") for the data flow and a quickstart.
@@ -41,7 +41,6 @@ from repro.obs.manifest import (
     run_manifest,
     stamp_report,
 )
-from repro.obs.profiler import Profiler
 from repro.obs.recorder import (
     FlightRecorder,
     flight_recorder,
@@ -64,9 +63,7 @@ from repro.obs.slo import (
     Slo,
     SloMonitor,
     default_slos,
-    evaluate_report,
     evaluate_snapshot,
-    report_slos,
 )
 from repro.obs.trace import (
     TraceContext,
@@ -89,7 +86,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "MemorySink",
     "NullSink",
-    "Profiler",
     "Registry",
     "SCHEMA_VERSION",
     "Slo",
@@ -107,7 +103,6 @@ __all__ = [
     "enable",
     "enable_from_env",
     "encode_traceparent",
-    "evaluate_report",
     "evaluate_snapshot",
     "flight_recorder",
     "get_logger",
@@ -119,7 +114,6 @@ __all__ = [
     "parse_traceparent",
     "recording",
     "registry_from_snapshot",
-    "report_slos",
     "run_manifest",
     "set_flight_recorder",
     "set_registry",

@@ -1,6 +1,6 @@
 """Declarative SLOs over registry snapshots, with burn-rate alerts.
 
-An :class:`Slo` names an objective in one of three shapes:
+An :class:`Slo` names an objective in one of two shapes:
 
 * ``availability`` — 1 - bad/total over named counters (e.g. gateway
   operations that did not hit the internal-error boundary).
@@ -8,13 +8,10 @@ An :class:`Slo` names an objective in one of three shapes:
   under ``threshold_s`` (so ``target=0.99`` with ``threshold_s=0.3``
   reads "p99 <= 300 ms").  Evaluated from bucket counts, which is why
   thresholds should sit on a bucket bound.
-* ``report`` — a bound on a dotted path into a benchmark report
-  (e.g. ``parity.max_force_delta_n <= 0``), for objectives that are
-  properties of an artifact rather than of live counters.
 
-:func:`evaluate_snapshot` / :func:`evaluate_report` are pure
-functions returning one status dict per objective (compliance,
-target, error-budget remaining, ok flag).  :class:`SloMonitor` adds
+:func:`evaluate_snapshot` is a pure function returning one status
+dict per objective (compliance, target, error-budget remaining, ok
+flag).  :class:`SloMonitor` adds
 time: it keeps a bounded deque of (timestamp, snapshot) samples and
 computes **multi-window burn rates** — the rate at which the error
 budget is being consumed over a short and a long trailing window.  An
@@ -22,9 +19,7 @@ objective *alerts* only when every window with data burns above its
 factor, the standard fast-burn/slow-burn pairing that ignores both
 ancient history and single-sample blips.
 
-Surfaces: ``GET /healthz`` detail on the gateway, the ``repro slo``
-CLI (non-zero exit on violation), and the ``--slo`` gate in
-``benchmarks/compare_bench.py``.
+Surface: the ``GET /healthz`` detail on the gateway.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -52,16 +47,12 @@ class Slo:
 
     Attributes:
         name: Stable identifier (shows up in /healthz and CLI output).
-        kind: ``"availability"`` | ``"latency"`` | ``"report"``.
-        target: Compliance target in [0, 1] for availability/latency
-            (the objective holds while compliance >= target); unused
-            for ``report`` bounds.
+        kind: ``"availability"`` | ``"latency"``.
+        target: Compliance target in (0, 1) (the objective holds
+            while compliance >= target).
         description: One-line human explanation.
         total / bad: Counter names summed for availability.
         histogram / threshold_s: Latency source and bound.
-        path: Dotted path into a report dict (``report`` kind).
-        upper_bound / lower_bound: Report-value bounds (either or
-            both; a violated bound fails the objective).
     """
 
     name: str
@@ -72,21 +63,15 @@ class Slo:
     bad: Tuple[str, ...] = ()
     histogram: str = ""
     threshold_s: float = 0.3
-    path: str = ""
-    upper_bound: Optional[float] = None
-    lower_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("availability", "latency", "report"):
+        if self.kind not in ("availability", "latency"):
             raise ObservabilityError(
                 f"SLO {self.name}: unknown kind {self.kind!r}")
-        if self.kind != "report" and not 0.0 < self.target < 1.0:
+        if not 0.0 < self.target < 1.0:
             raise ObservabilityError(
                 f"SLO {self.name}: target must be in (0, 1), got "
                 f"{self.target}")
-        if self.kind == "report" and not self.path:
-            raise ObservabilityError(
-                f"SLO {self.name}: report objectives need a path")
 
 
 def _counter_sum(snapshot: dict, names: Sequence[str]) -> float:
@@ -110,17 +95,8 @@ def _bad_total(slo: Slo, snapshot: dict) -> Tuple[float, float]:
     return total - good, total
 
 
-def _lookup_path(report: dict, path: str):
-    node = report
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node
-
-
 def evaluate_slo(slo: Slo, snapshot: dict) -> dict:
-    """Point-in-time status of one counter/histogram objective.
+    """Point-in-time status of one objective.
 
     An objective with no traffic yet is compliant by definition
     (``no_data: True``) — empty services do not page.
@@ -150,56 +126,10 @@ def evaluate_slo(slo: Slo, snapshot: dict) -> dict:
     return status
 
 
-def evaluate_report_slo(slo: Slo, report: dict) -> dict:
-    """Status of one ``report``-kind objective against a report dict."""
-    value = _lookup_path(report, slo.path)
-    status = {
-        "name": slo.name,
-        "kind": slo.kind,
-        "description": slo.description,
-        "path": slo.path,
-        "value": value,
-        "upper_bound": slo.upper_bound,
-        "lower_bound": slo.lower_bound,
-    }
-    if value is None or isinstance(value, bool) \
-            or not isinstance(value, (int, float)):
-        status.update(ok=bool(value) if isinstance(value, bool)
-                      else False,
-                      no_data=value is None)
-        return status
-    ok = True
-    if slo.upper_bound is not None and value > slo.upper_bound:
-        ok = False
-    if slo.lower_bound is not None and value < slo.lower_bound:
-        ok = False
-    status.update(ok=ok, no_data=False)
-    return status
-
-
 def evaluate_snapshot(slos: Sequence[Slo], snapshot: dict
                       ) -> List[dict]:
-    """Statuses of every counter/histogram objective in ``slos``."""
-    return [evaluate_slo(slo, snapshot) for slo in slos
-            if slo.kind != "report"]
-
-
-def evaluate_report(slos: Sequence[Slo], report: dict) -> List[dict]:
-    """Statuses of every objective against one benchmark report.
-
-    Counter/histogram objectives read the report's instrument
-    snapshot (the ``telemetry`` block, else ``manifest.instruments``);
-    ``report`` objectives read the report itself.
-    """
-    snapshot = report.get("telemetry") \
-        or (report.get("manifest") or {}).get("instruments") or {}
-    statuses = []
-    for slo in slos:
-        if slo.kind == "report":
-            statuses.append(evaluate_report_slo(slo, report))
-        else:
-            statuses.append(evaluate_slo(slo, snapshot))
-    return statuses
+    """Statuses of every objective in ``slos``."""
+    return [evaluate_slo(slo, snapshot) for slo in slos]
 
 
 class SloMonitor:
@@ -212,7 +142,7 @@ class SloMonitor:
     sample and the newest.
 
     Args:
-        slos: Objectives to track (``report`` kinds are ignored here).
+        slos: Objectives to track.
         windows: (seconds, max burn factor) pairs; alerting requires
             every window with data to burn above its factor.
         clock: Monotonic time source (injectable for tests).
@@ -223,7 +153,7 @@ class SloMonitor:
                  windows: Sequence[Tuple[float, float]] = DEFAULT_WINDOWS,
                  clock: Callable[[], float] = time.monotonic,
                  max_samples: int = 512):
-        self.slos = tuple(slo for slo in slos if slo.kind != "report")
+        self.slos = tuple(slos)
         self.windows = tuple((float(seconds), float(factor))
                              for seconds, factor in windows)
         self._clock = clock
@@ -291,57 +221,3 @@ def default_slos() -> Tuple[Slo, ...]:
             description="end-to-end estimates under 300 ms (p99)"),
     )
 
-
-def report_slos() -> Tuple[Slo, ...]:
-    """Objectives for a serve benchmark report (``repro slo``)."""
-    return (
-        Slo(name="serve-availability", kind="availability",
-            target=0.999,
-            total=("serve.requests",), bad=("serve.rejected",),
-            description="admitted requests that were not shed as "
-                        "backpressure"),
-        Slo(name="serve-latency", kind="latency", target=0.99,
-            histogram="serve.latency_seconds", threshold_s=0.3,
-            description="end-to-end estimates under 300 ms (p99)"),
-        Slo(name="parity-force", kind="report",
-            path="parity.max_force_delta_n", upper_bound=0.0,
-            description="batched vs scalar force estimates are "
-                        "bit-identical"),
-        Slo(name="parity-location", kind="report",
-            path="parity.max_location_delta_m", upper_bound=0.0,
-            description="batched vs scalar locations are "
-                        "bit-identical"),
-        Slo(name="batching-speedup", kind="report",
-            path="speedup_vs_serial", lower_bound=1.0,
-            description="micro-batching beats the serial baseline"),
-    )
-
-
-def render_statuses(statuses: Sequence[dict]) -> str:
-    """One-screen table of SLO statuses (the ``repro slo`` output)."""
-    lines = [f"{'objective':<22} {'kind':<13} {'status':<6} "
-             f"{'compliance':>10} {'target':>8}  detail"]
-    for status in statuses:
-        verdict = "ok" if status["ok"] else "FAIL"
-        if status.get("kind") == "report":
-            compliance = ("-" if status.get("value") is None
-                          else f"{status['value']:.6g}")
-            bounds = []
-            if status.get("upper_bound") is not None:
-                bounds.append(f"<= {status['upper_bound']:g}")
-            if status.get("lower_bound") is not None:
-                bounds.append(f">= {status['lower_bound']:g}")
-            target = " ".join(bounds) or "-"
-            detail = status.get("path", "")
-        else:
-            compliance = ("no data" if status.get("no_data")
-                          else f"{status['compliance']:.5f}")
-            target = f"{status['target']:.3f}"
-            detail = (f"budget {status['budget_remaining']:.0%} left"
-                      if not status.get("no_data") else "")
-            if status.get("alerting"):
-                detail += " [BURN ALERT]"
-        lines.append(f"{status['name']:<22} {status['kind']:<13} "
-                     f"{verdict:<6} {compliance:>10} {target:>8}  "
-                     f"{detail}")
-    return "\n".join(lines)

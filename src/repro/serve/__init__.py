@@ -7,18 +7,9 @@ telemetry.  See DESIGN.md ("Serving architecture") for the data flow
 and README.md ("Serving") for the quickstart.
 """
 
-from repro.serve.fleet import (
-    FleetHarness,
-    FleetProfile,
-    run_fleet_benchmark,
-    summarize_fleet,
-)
 from repro.serve.loadgen import (
     LoadProfile,
     generate_requests,
-    run_benchmark,
-    run_service_load,
-    summarize,
     write_report,
 )
 from repro.serve.protocol import (
@@ -39,8 +30,6 @@ __all__ = [
     "BatchPolicy",
     "EstimateRequest",
     "EstimateResponse",
-    "FleetHarness",
-    "FleetProfile",
     "HashRing",
     "InferenceService",
     "LoadProfile",
@@ -51,10 +40,5 @@ __all__ = [
     "SessionManager",
     "ShardedInferenceService",
     "generate_requests",
-    "run_benchmark",
-    "run_fleet_benchmark",
-    "run_service_load",
-    "summarize",
-    "summarize_fleet",
     "write_report",
 ]

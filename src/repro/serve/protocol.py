@@ -15,7 +15,11 @@ bare ``KeyError``/``TypeError``/``AttributeError``/``OverflowError``
 response (fuzz-tested in ``tests/test_serve_protocol_fuzz.py``).
 Request-side decoders also reject NaN and +/-Inf in every float field:
 ``json.loads`` accepts the ``NaN`` / ``Infinity`` literals, and a
-non-finite phase would otherwise come back as an "ok" estimate.
+non-finite phase would otherwise come back as an "ok" estimate.  A
+sensor config must also name a carrier inside the band the sensor is
+designed for (:data:`CARRIER_BAND_HZ`) and a non-negative touch
+threshold; anything else would make the service calibrate (and cache)
+a model for a frequency the sensor was never built for.
 
 :class:`SensorConfig` doubles as the *model cache key*: two sensors
 with equal configs share one calibrated :class:`SensorModel` and one
@@ -37,6 +41,10 @@ from repro.errors import ProtocolError
 #: (``OverflowError``: ``int()`` of an infinite JSON number).
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError,
                   IndexError, OverflowError)
+
+#: Carrier band [Hz] a :class:`SensorConfig` may name on the wire: the
+#: 10 MHz - 3 GHz range the sensor is designed for and Fig. 10 sweeps.
+CARRIER_BAND_HZ = (10e6, 3e9)
 
 
 def _require_dict(payload, what: str) -> dict:
@@ -97,12 +105,14 @@ class SensorConfig:
 
         Raises:
             ProtocolError: The payload is not a dict, a field does not
-                coerce to its wire type, or a number is not finite.
+                coerce to its wire type, a number is not finite, the
+                carrier lies outside :data:`CARRIER_BAND_HZ`, or the
+                touch threshold is negative.
         """
         payload = _require_dict(payload, "sensor config")
         defaults = cls()
         try:
-            return cls(
+            config = cls(
                 carrier_frequency=_finite(payload.get(
                     "carrier_frequency", defaults.carrier_frequency),
                     "carrier_frequency"),
@@ -114,6 +124,16 @@ class SensorConfig:
         except _DECODE_ERRORS as exc:
             raise ProtocolError(
                 f"malformed sensor config: {exc}") from exc
+        low, high = CARRIER_BAND_HZ
+        if not low <= config.carrier_frequency <= high:
+            raise ProtocolError(
+                f"carrier_frequency must be in [{low:g}, {high:g}] Hz, "
+                f"got {config.carrier_frequency!r}")
+        if config.touch_threshold_deg < 0.0:
+            raise ProtocolError(
+                f"touch_threshold_deg must be >= 0, got "
+                f"{config.touch_threshold_deg!r}")
+        return config
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ Robustness:
 * **Backpressure** — admission is bounded by ``max_queue`` pending
   requests; beyond it :class:`repro.errors.QueueFullError` is raised
   instead of growing the queue without bound.
-* **Graceful degradation** — with batching disabled
-  (``enabled=False``) every request runs the scalar
-  :meth:`ForceLocationEstimator.invert` path directly; if a batched
-  flush raises, the scheduler falls back to per-request scalar
-  inversion so one poisoned sample only fails its own future.
+* **Graceful degradation** — if a batched flush raises, the
+  scheduler falls back to per-request scalar inversion so one
+  poisoned sample only fails its own future; while the circuit
+  breaker is open every request runs the scalar
+  :meth:`ForceLocationEstimator.invert` path directly.
 
 Parity: ``invert_batch`` is element-wise identical to ``invert``
 (property-tested in ``tests/test_serve_service.py``), so batching is
@@ -60,14 +60,11 @@ class BatchPolicy:
             this long [s] (the latency budget spent on coalescing).
         max_queue: Total pending requests admitted before
             :class:`QueueFullError` backpressure kicks in.
-        enabled: ``False`` short-circuits every request to the scalar
-            ``invert`` path (no queueing, batch size 1).
     """
 
     max_batch: int = 32
     max_delay_s: float = 0.002
     max_queue: int = 1024
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -186,15 +183,12 @@ class MicroBatchScheduler:
             fault = inj.draw("serve.scheduler")
             if fault is not None:
                 quality = await self._apply_fault(fault)
-        if not self.policy.enabled:
-            return self._scalar(estimator, phi1, phi2, location_hint,
-                                loop.time(), quality=quality)
         if not self.breaker.allow():
             # Open circuit: the batched path has been failing, so stop
             # feeding it and serve degraded-but-correct scalar results.
             self.telemetry.counter("serve.breaker_scalar").increment()
             return self._scalar(estimator, phi1, phi2, location_hint,
-                                loop.time(), quality="degraded")
+                                loop.time())
         if self._pending_total >= self.policy.max_queue:
             self.telemetry.counter("serve.rejected").increment()
             raise QueueFullError(
@@ -243,8 +237,8 @@ class MicroBatchScheduler:
 
     def _scalar(self, estimator: ForceLocationEstimator, phi1: float,
                 phi2: float, location_hint: Optional[float],
-                start: float, quality: str = "ok") -> ScheduledEstimate:
-        """The degraded (batching-off) path: immediate scalar invert."""
+                start: float) -> ScheduledEstimate:
+        """The open-circuit path: immediate scalar invert, degraded."""
         self.telemetry.counter("serve.scalar_direct").increment()
         estimate = estimator.invert(float(phi1), float(phi2),
                                     location_hint=location_hint)
@@ -253,7 +247,7 @@ class MicroBatchScheduler:
                                  BATCH_BUCKETS).observe(1)
         return ScheduledEstimate(estimate=estimate, batch_size=1,
                                  queue_seconds=loop.time() - start,
-                                 quality=quality)
+                                 quality="degraded")
 
     def flush_all(self) -> None:
         """Flush every group now (shutdown / end-of-load drain)."""

@@ -45,8 +45,6 @@ class InferenceService:
             streams are already baseline-referenced).
         sink: Telemetry sink for trace spans (ignored when
             ``registry`` is given — the registry owns its sink).
-        history: Keep per-session tracked histories (needed for
-            touch-event queries; disable for unbounded streams).
         registry: Share an existing :class:`repro.obs.Registry` (e.g.
             ``repro.obs.get_registry()``) so the service's instruments
             land next to the reader/estimator/campaign ones; default
@@ -66,7 +64,6 @@ class InferenceService:
                  model_factory: Optional[ModelFactory] = None,
                  baseline_samples: int = 0,
                  sink: Optional[TelemetrySink] = None,
-                 history: bool = True,
                  registry: Optional[Registry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_sessions: Optional[int] = None,
@@ -75,7 +72,6 @@ class InferenceService:
             else Registry(sink)
         self.sessions = SessionManager(model_factory,
                                        baseline_samples=baseline_samples,
-                                       history=history,
                                        max_sessions=max_sessions,
                                        idle_ttl_s=idle_ttl_s)
         self.scheduler = MicroBatchScheduler(policy,

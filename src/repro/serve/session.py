@@ -61,7 +61,6 @@ class SensorSession:
         baseline_samples: Untouched warmup samples used to fit the
             phase reference and drift; 0 disables correction (the
             stream's phases are already baseline-referenced).
-        history: Keep every tracked sample for touch-event queries.
         quarantine_after: Consecutive non-``"ok"`` results that
             quarantine the session: its baseline/drift state is
             discarded and re-warmed from scratch, on the theory that a
@@ -72,8 +71,7 @@ class SensorSession:
 
     def __init__(self, sensor_id: str, config: SensorConfig,
                  estimator: ForceLocationEstimator,
-                 baseline_samples: int = 0, history: bool = True,
-                 quarantine_after: int = 5):
+                 baseline_samples: int = 0, quarantine_after: int = 5):
         if baseline_samples < 0:
             raise ServeError(
                 f"baseline_samples must be >= 0, got {baseline_samples}")
@@ -84,7 +82,6 @@ class SensorSession:
         self.config = config
         self.estimator = estimator
         self.baseline_samples = int(baseline_samples)
-        self.keep_history = bool(history)
         self.quarantine_after = int(quarantine_after)
         self.samples: List[TrackedSample] = []
         self.last_seen = 0.0
@@ -187,8 +184,7 @@ class SensorSession:
 
     def record(self, sample: TrackedSample) -> None:
         """Append one tracked sample to the session history."""
-        if self.keep_history:
-            self.samples.append(sample)
+        self.samples.append(sample)
 
     def touch_events(self, min_groups: int = 1) -> List[TouchEvent]:
         """Segment the session history into touch events."""
@@ -213,14 +209,13 @@ class SessionManager:
         model_factory: ``SensorConfig -> SensorModel``; defaults to
             calibrating the paper's default sensor.
         baseline_samples: Warmup window for new sessions.
-        history: Whether sessions keep their tracked history.
         max_sessions: Live-session cap (None = unbounded).
         idle_ttl_s: Idle eviction age [s] (None = never).
         clock: Monotonic time source (injected by tests).
     """
 
     def __init__(self, model_factory: Optional[ModelFactory] = None,
-                 baseline_samples: int = 0, history: bool = True,
+                 baseline_samples: int = 0,
                  max_sessions: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None,
                  clock: Optional[Callable[[], float]] = None):
@@ -233,7 +228,6 @@ class SessionManager:
         self._factory = (model_factory if model_factory is not None
                          else default_model_factory)
         self.baseline_samples = int(baseline_samples)
-        self.history = bool(history)
         self.max_sessions = max_sessions
         self.idle_ttl_s = idle_ttl_s
         self._clock = clock if clock is not None else time.monotonic
@@ -332,8 +326,7 @@ class SessionManager:
                 self._evict_one()
         session = SensorSession(
             sensor_id, config, self.estimator(config),
-            baseline_samples=self.baseline_samples,
-            history=self.history)
+            baseline_samples=self.baseline_samples)
         session.last_seen = now
         self._sessions[sensor_id] = session
         return session

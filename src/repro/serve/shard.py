@@ -18,9 +18,7 @@ shard, preserving the per-session ordering the drift corrector needs.
 The ring uses virtual nodes so shard loads stay balanced (the classic
 consistent-hashing construction): each shard owns ``vnodes`` points on
 a 64-bit circle, a sensor maps to the first point clockwise of its own
-hash.  ``repro fleet-bench`` (see :mod:`repro.serve.fleet`) drives the
-sharded service with a threaded worker per shard and checks the
-bit-identical-to-single-shard contract under load.
+hash.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class ShardedInferenceService:
     Every shard owns its own micro-batch scheduler, session table, and
     telemetry :class:`Registry` — nothing is shared across shards, so
     they can be driven from separate threads or event loops without
-    coordination (what :class:`repro.serve.fleet.FleetHarness` does).
+    coordination.
 
     Constructor arguments mirror :class:`InferenceService` and are
     applied to every shard.
@@ -116,7 +114,6 @@ class ShardedInferenceService:
                  policy: Optional[BatchPolicy] = None,
                  model_factory: Optional[ModelFactory] = None,
                  baseline_samples: int = 0,
-                 history: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_sessions: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None):
@@ -124,7 +121,7 @@ class ShardedInferenceService:
         self.services = [
             InferenceService(policy=policy, model_factory=model_factory,
                              baseline_samples=baseline_samples,
-                             history=history, registry=Registry(),
+                             registry=Registry(),
                              retry_policy=retry_policy,
                              max_sessions=max_sessions,
                              idle_ttl_s=idle_ttl_s)

@@ -34,6 +34,10 @@ class TestParser:
         assert args.input == "x.json"
         assert args.prometheus is True
 
+    def test_obs_report_defaults_to_chaos_report(self):
+        args = build_parser().parse_args(["obs-report"])
+        assert args.input == "benchmarks/results/BENCH_chaos.json"
+
     def test_calibrate_defaults(self):
         args = build_parser().parse_args(["calibrate"])
         assert args.carrier == 900e6
@@ -92,7 +96,7 @@ class TestObsReport:
             pass
         report = stamp_report({"service": {"throughput_rps": 1000.0}},
                               config={"sensors": 8}, registry=registry)
-        path = tmp_path / "BENCH_serve.json"
+        path = tmp_path / "BENCH_chaos.json"
         path.write_text(json.dumps(report))
         return path
 

@@ -33,12 +33,6 @@ ESTIMATOR_BASELINE = {
     "batch_speedup": 6.0,
 }
 
-SERVE_BASELINE = {
-    "speedup_vs_serial": 2.0,
-    "service": {"throughput_rps": 4000.0},
-    "serial_baseline": {"throughput_rps": 2000.0},
-}
-
 
 class TestExtractMetrics:
     def test_estimator_schema_ratio_only(self):
@@ -51,14 +45,6 @@ class TestExtractMetrics:
         assert metrics["batch_inversions_per_s"] == pytest.approx(10000.0)
         assert metrics["scalar_inversions_per_s"] == pytest.approx(
             1000 / 0.60)
-
-    def test_serve_schema(self):
-        assert compare_bench.extract_metrics(SERVE_BASELINE) == {
-            "speedup_vs_serial": 2.0}
-        absolute = compare_bench.extract_metrics(SERVE_BASELINE,
-                                                 absolute=True)
-        assert absolute["service_throughput_rps"] == 4000.0
-        assert absolute["serial_throughput_rps"] == 2000.0
 
     def test_cache_schema(self):
         report = {"warm_speedup": 3.8, "cold_seconds": 7.0,
@@ -75,52 +61,6 @@ class TestExtractMetrics:
         absolute = compare_bench.extract_metrics(report, absolute=True)
         assert absolute["fast_frames_per_s"] == 5.9e6
         assert absolute["oracle_frames_per_s"] == 2.4e5
-
-    def test_gateway_schema(self):
-        report = {
-            "gateway_vs_inprocess": 0.62,
-            "gateway": {"rejection_rate": 0.25,
-                        "throughput_rps": 4200.0,
-                        "p50_latency_ms": 105.0,
-                        "p99_latency_ms": 115.0},
-        }
-        assert compare_bench.extract_metrics(report) == {
-            "gateway_vs_inprocess": 0.62,
-            "gateway_accept_rate": 0.75}
-        absolute = compare_bench.extract_metrics(report, absolute=True)
-        assert absolute["gateway_throughput_rps"] == 4200.0
-        assert absolute["gateway_p50_latency_ms"] == 105.0
-        assert absolute["gateway_p99_latency_ms"] == 115.0
-
-    def test_gateway_latency_rise_fails_only_with_absolute(self):
-        baseline = {
-            "gateway_vs_inprocess": 0.6,
-            "gateway": {"rejection_rate": 0.0,
-                        "p99_latency_ms": 100.0},
-        }
-        fresh = {
-            "gateway_vs_inprocess": 0.6,
-            "gateway": {"rejection_rate": 0.0,
-                        "p99_latency_ms": 150.0},  # +50% latency
-        }
-        _, failures = compare_bench.compare(baseline, fresh)
-        assert failures == []
-        _, failures = compare_bench.compare(baseline, fresh,
-                                            absolute=True)
-        assert len(failures) == 1
-        assert "gateway_p99_latency_ms" in failures[0]
-        assert "rose" in failures[0]
-
-    def test_gateway_latency_drop_passes(self):
-        baseline = {"gateway_vs_inprocess": 0.6,
-                    "gateway": {"rejection_rate": 0.0,
-                                "p99_latency_ms": 100.0}}
-        fresh = {"gateway_vs_inprocess": 0.6,
-                 "gateway": {"rejection_rate": 0.0,
-                             "p99_latency_ms": 40.0}}
-        _, failures = compare_bench.compare(baseline, fresh,
-                                            absolute=True)
-        assert failures == []
 
     def test_chaos_schema(self):
         report = {"survival": {"survival_rate": 0.98, "crashes": 0},
@@ -169,6 +109,18 @@ class TestCompare:
                                             {"something": 1})
         assert any("missing" in f for f in failures)
 
+    def test_metric_missing_from_baseline_fails(self):
+        """A baseline regenerated from part of a suite must not
+        silently stop gating the metrics it dropped."""
+        partial = {"campaign": {"parallel_speedup": 2.5}}
+        fresh = dict(ESTIMATOR_BASELINE, campaign={"parallel_speedup": 2.5})
+        lines, failures = compare_bench.compare(partial, fresh)
+        assert failures == ["metric batch_speedup missing from baseline "
+                            "report (regenerate the baseline from the "
+                            "whole suite)"]
+        assert any(line.startswith("batch_speedup") and "FAIL" in line
+                   for line in lines)
+
     def test_empty_baseline_fails(self):
         _, failures = compare_bench.compare({"something": 1},
                                             ESTIMATOR_BASELINE)
@@ -208,12 +160,10 @@ class TestMain:
         assert "FAIL" in captured.out
 
     def test_absolute_flag_gates_throughput(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "base.json", SERVE_BASELINE)
-        slow = {
-            "speedup_vs_serial": 2.0,  # ratio unchanged
-            "service": {"throughput_rps": 1000.0},  # -75% absolute
-            "serial_baseline": {"throughput_rps": 500.0},
-        }
+        baseline = self._write(tmp_path, "base.json", ESTIMATOR_BASELINE)
+        slow = dict(ESTIMATOR_BASELINE,  # ratio unchanged,
+                    scalar_seconds=2.4,  # -75% absolute throughput
+                    batch_seconds=0.40)
         fresh = self._write(tmp_path, "fresh.json", slow)
         assert compare_bench.main(["--baseline", baseline,
                                    "--fresh", fresh]) == 0
@@ -231,10 +181,18 @@ class TestMain:
     def test_gates_committed_baselines(self, capsys):
         """The committed BENCH_*.json files pass against themselves."""
         results = _SCRIPT.parent / "results"
-        for name in ("BENCH_estimator.json", "BENCH_serve.json",
-                     "BENCH_cache.json", "BENCH_chaos.json",
-                     "BENCH_reader.json", "BENCH_gateway.json"):
+        for name in ("BENCH_estimator.json", "BENCH_cache.json",
+                     "BENCH_chaos.json", "BENCH_reader.json"):
             path = results / name
             assert compare_bench.main(["--baseline", str(path),
                                        "--fresh", str(path)]) == 0
         capsys.readouterr()
+
+    def test_estimator_baseline_gates_the_batch_speedup(self):
+        """The committed estimator baseline covers the whole suite."""
+        path = _SCRIPT.parent / "results" / "BENCH_estimator.json"
+        metrics = compare_bench.extract_metrics(
+            json.loads(path.read_text()))
+        assert set(metrics) == {"batch_speedup",
+                                "campaign_parallel_speedup",
+                                "campaign_cold_speedup"}

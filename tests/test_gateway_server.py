@@ -67,12 +67,19 @@ def _request(sensor_id, sequence, phi1=0.5, phi2=0.4, time=None):
 
 #: Estimate payloads a JSON decoder accepts but the protocol must not:
 #: non-finite phases and an integer field that is infinite (``int()``
-#: of it overflows).  Each becomes a ``NaN`` / ``Infinity`` literal on
-#: the wire.
-_NON_FINITE = [
+#: of it overflows), each a ``NaN`` / ``Infinity`` literal on the wire;
+#: carriers outside the 10 MHz - 3 GHz design band; and a negative
+#: touch threshold.
+_BAD_PAYLOADS = [
     pytest.param({"phi1": float("nan"), "phi2": float("inf")},
                  id="nan-inf-phases"),
     pytest.param({"sequence": float("inf")}, id="inf-sequence"),
+    pytest.param({"config": {"carrier_frequency": -5}},
+                 id="negative-carrier"),
+    pytest.param({"config": {"carrier_frequency": 1e30}},
+                 id="huge-carrier"),
+    pytest.param({"config": {"touch_threshold_deg": -1}},
+                 id="negative-threshold"),
 ]
 
 
@@ -173,6 +180,36 @@ class TestStreamingParity:
                 == [event.to_dict() for event in events]
             assert [push["index"] for push in pushed] \
                 == list(range(len(events)))
+
+    def test_requests_from_separate_sockets_share_one_batch(self,
+                                                            model_900):
+        """Micro-batching survives the socket hop: N tenant sockets
+        sending one request each coalesce into a single flush of N."""
+        tenants = _tenants(N_TENANTS)
+
+        async def one_request(host, port, index):
+            client = await WebSocketClient.connect(
+                host, port, token=tenants[index].token)
+            reply, _ = await estimate_over_ws(
+                client, _request(f"sensor-{index}", 0).to_dict())
+            await client.close()
+            return reply
+
+        async def scenario():
+            service = _service(model_900, policy=BatchPolicy(
+                max_batch=N_TENANTS, max_delay_s=1.0))
+            gateway = Gateway(service, tenants=TenantTable(tenants))
+            async with gateway:
+                host, port = gateway.address
+                return await asyncio.gather(*(
+                    one_request(host, port, index)
+                    for index in range(N_TENANTS)))
+
+        replies = asyncio.run(scenario())
+        assert [reply["type"] for reply in replies] \
+            == ["estimate"] * N_TENANTS
+        assert [reply["response"]["batch_size"] for reply in replies] \
+            == [N_TENANTS] * N_TENANTS
 
     def test_http_estimate_matches_inprocess(self, model_900):
         request = _request("sensor-http", 0)
@@ -475,7 +512,7 @@ class TestHttpSurface:
         assert response.status == 400
         assert "error" in response.json()
 
-    @pytest.mark.parametrize("override", _NON_FINITE)
+    @pytest.mark.parametrize("override", _BAD_PAYLOADS)
     def test_non_finite_estimate_body_400(self, model_900, override):
         async def scenario():
             gateway = Gateway(_service(model_900),
@@ -486,11 +523,16 @@ class TestHttpSurface:
                 response = await http_request(
                     host, port, "POST", "/v1/estimate",
                     payload=payload, token="token-0")
-                return response, _internal_errors(gateway)
+                follow_up = await http_request(
+                    host, port, "POST", "/v1/estimate",
+                    payload=_request("s", 1).to_dict(), token="token-0")
+                return response, follow_up, _internal_errors(gateway)
 
-        response, internal_errors = asyncio.run(scenario())
+        response, follow_up, internal_errors = asyncio.run(scenario())
         assert response.status == 400
         assert "error" in response.json()
+        assert follow_up.status == 200
+        assert follow_up.json()["sequence"] == 1
         assert internal_errors == 0
 
     def test_stream_without_upgrade_headers_426(self, model_900):
@@ -605,7 +647,7 @@ class TestWsProtocolSurface:
         assert error["code"] == "protocol"
         assert reply["type"] == "estimate"
 
-    @pytest.mark.parametrize("override", _NON_FINITE)
+    @pytest.mark.parametrize("override", _BAD_PAYLOADS)
     def test_non_finite_estimate_is_a_protocol_error(self, model_900,
                                                      override):
         async def scenario():

@@ -1,23 +1,17 @@
-"""SLO objectives, multi-window burn-rate alerting, the CLI gate."""
+"""SLO objectives and multi-window burn-rate alerting."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.obs.slo import (
     DEFAULT_WINDOWS,
     Slo,
     SloMonitor,
     default_slos,
-    evaluate_report,
     evaluate_slo,
     evaluate_snapshot,
-    render_statuses,
-    report_slos,
 )
 
 _AVAIL = Slo(name="avail", kind="availability", target=0.99,
@@ -43,15 +37,12 @@ class TestSloValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ObservabilityError):
             Slo(name="x", kind="vibes")
+        with pytest.raises(ObservabilityError):
+            Slo(name="x", kind="report")
 
     def test_rejects_target_out_of_range(self):
         with pytest.raises(ObservabilityError):
             Slo(name="x", kind="availability", target=1.0)
-
-    def test_report_kind_needs_path(self):
-        with pytest.raises(ObservabilityError):
-            Slo(name="x", kind="report")
-
 
 class TestPointInTime:
     def test_no_traffic_is_compliant(self):
@@ -80,56 +71,11 @@ class TestPointInTime:
         failing = evaluate_slo(_LATENCY, _snapshot(latency=(80, 20)))
         assert not failing["ok"]
 
-    def test_evaluate_snapshot_skips_report_kind(self):
-        slos = (_AVAIL,
-                Slo(name="r", kind="report", path="a.b", upper_bound=1))
-        statuses = evaluate_snapshot(slos, _snapshot(requests=10))
-        assert [status["name"] for status in statuses] == ["avail"]
-
-
-class TestReportEvaluation:
-    def test_report_bounds(self):
-        slo = Slo(name="parity", kind="report",
-                  path="parity.max_force_delta_n", upper_bound=0.0)
-        ok = evaluate_report([slo],
-                             {"parity": {"max_force_delta_n": 0.0}})
-        assert ok[0]["ok"]
-        bad = evaluate_report([slo],
-                              {"parity": {"max_force_delta_n": 0.5}})
-        assert not bad[0]["ok"]
-
-    def test_missing_path_is_no_data_failure(self):
-        slo = Slo(name="parity", kind="report", path="nope.nothing",
-                  upper_bound=0.0)
-        status = evaluate_report([slo], {})[0]
-        assert not status["ok"] and status["no_data"]
-
-    def test_counter_slos_read_the_telemetry_block(self):
-        report = {"telemetry": _snapshot(requests=100, errors=0)}
-        statuses = evaluate_report([_AVAIL], report)
-        assert statuses[0]["ok"] and not statuses[0]["no_data"]
-
-    def test_builtin_report_slos_pass_on_bench_report(self):
-        report = {
-            "telemetry": {
-                "counters": {"serve.requests": 512, "serve.rejected": 0},
-                "histograms": {
-                    "serve.latency_seconds": {
-                        "name": "serve.latency_seconds",
-                        "bounds": [0.1, 0.3, 1.0],
-                        "counts": [500, 12, 0, 0], "count": 512,
-                        "sum": 1.0, "mean": 0.0, "min": 0.0, "max": 0.2,
-                    },
-                },
-            },
-            "parity": {"max_force_delta_n": 0.0,
-                       "max_location_delta_m": 0.0},
-            "speedup_vs_serial": 2.5,
-        }
-        statuses = evaluate_report(report_slos(), report)
-        assert all(status["ok"] for status in statuses)
-        assert len(statuses) == 5
-
+    def test_evaluate_snapshot_covers_every_objective(self):
+        snapshot = _snapshot(requests=1000, errors=15, latency=(95, 5))
+        statuses = evaluate_snapshot((_AVAIL, _LATENCY), snapshot)
+        assert statuses == [evaluate_slo(_AVAIL, snapshot),
+                            evaluate_slo(_LATENCY, snapshot)]
 
 class TestBurnRates:
     def _monitor(self, windows=DEFAULT_WINDOWS):
@@ -190,78 +136,7 @@ class TestBurnRates:
             if burn["burn_rate"] is not None:
                 assert burn["burn_rate"] == 0.0
 
-    def test_report_kind_slos_are_ignored(self):
-        monitor = SloMonitor(report_slos())
-        assert all(slo.kind != "report" for slo in monitor.slos)
-
     def test_default_slos_cover_gateway_and_latency(self):
         names = {slo.name for slo in default_slos()}
         assert names == {"gateway-availability", "serve-latency"}
 
-
-class TestRender:
-    def test_table_marks_failures_and_alerts(self):
-        statuses = evaluate_report(report_slos(), {
-            "telemetry": _snapshot(),
-            "parity": {"max_force_delta_n": 1.0,
-                       "max_location_delta_m": 0.0},
-            "speedup_vs_serial": 2.0,
-        })
-        table = render_statuses(statuses)
-        assert "FAIL" in table
-        assert "parity-force" in table
-
-    def test_burn_alert_annotated(self):
-        status = dict(evaluate_slo(_AVAIL,
-                                   _snapshot(requests=100, errors=0)),
-                      alerting=True)
-        assert "[BURN ALERT]" in render_statuses([status])
-
-
-class TestSloCli:
-    def _write_report(self, tmp_path, **overrides):
-        report = {
-            "telemetry": {
-                "counters": {"serve.requests": 100, "serve.rejected": 0},
-                "histograms": {
-                    "serve.latency_seconds": {
-                        "name": "serve.latency_seconds",
-                        "bounds": [0.1, 0.3],
-                        "counts": [100, 0, 0], "count": 100,
-                        "sum": 1.0, "mean": 0.01, "min": 0.0,
-                        "max": 0.05,
-                    },
-                },
-            },
-            "parity": {"max_force_delta_n": 0.0,
-                       "max_location_delta_m": 0.0},
-            "speedup_vs_serial": 1.8,
-        }
-        report.update(overrides)
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(report))
-        return path
-
-    def test_passing_report_exits_zero(self, tmp_path, capsys):
-        path = self._write_report(tmp_path)
-        assert main(["slo", "--input", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "serve-latency" in out
-        assert "FAIL" not in out
-
-    def test_violated_report_exits_one(self, tmp_path, capsys):
-        path = self._write_report(
-            tmp_path, parity={"max_force_delta_n": 0.7,
-                              "max_location_delta_m": 0.0})
-        assert main(["slo", "--input", str(path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_json_output(self, tmp_path, capsys):
-        path = self._write_report(tmp_path)
-        assert main(["slo", "--input", str(path), "--json"]) == 0
-        statuses = json.loads(capsys.readouterr().out)
-        assert {status["name"] for status in statuses} \
-            == {slo.name for slo in report_slos()}
-
-    def test_missing_report_fails(self, tmp_path):
-        assert main(["slo", "--input", str(tmp_path / "nope.json")]) == 1

@@ -166,7 +166,12 @@ class TestCircuitBreaker:
         assert second.quality == "degraded"
         assert breaker.state == "open"
         telemetry = scheduler.telemetry.snapshot()["counters"]
-        assert telemetry["serve.breaker_scalar"] >= 1
+        assert telemetry["serve.breaker_scalar"] == 1
+        assert telemetry["serve.scalar_direct"] == 1
+        # Both degraded paths still answer with the exact scalar estimate.
+        for (phi1, phi2), result in zip(press_phases, (first, second)):
+            assert result.batch_size == 1
+            assert result.estimate == estimator.invert(phi1, phi2)
 
     def test_breaker_closes_after_successful_probe(self, estimator,
                                                    press_phases):

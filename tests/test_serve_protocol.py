@@ -59,6 +59,21 @@ class TestCoreSerialization:
         json.dumps(payload)  # must not raise
 
 
+#: Config numbers a JSON decoder accepts but the protocol must not:
+#: non-finite values, carriers outside the 10 MHz - 3 GHz design band
+#: and a negative touch threshold.
+_BAD_CONFIG_NUMBERS = [
+    pytest.param(field, value, id=f"{value}-{field}")
+    for field in ("carrier_frequency", "touch_threshold_deg")
+    for value in (math.nan, math.inf, -math.inf)
+] + [
+    pytest.param("carrier_frequency", -5.0, id="-5-carrier_frequency"),
+    pytest.param("carrier_frequency", 1e30, id="1e30-carrier_frequency"),
+    pytest.param("touch_threshold_deg", -1.0,
+                 id="-1-touch_threshold_deg"),
+]
+
+
 class TestSensorConfig:
     def test_roundtrip(self):
         config = SensorConfig(carrier_frequency=2.4e9, fast=False,
@@ -80,12 +95,19 @@ class TestSensorConfig:
         payload = dict(SensorConfig().to_dict(), backend="learned")
         assert SensorConfig.from_dict(payload) == SensorConfig()
 
-    @pytest.mark.parametrize("field", ["carrier_frequency",
-                                       "touch_threshold_deg"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, value", _BAD_CONFIG_NUMBERS)
     def test_non_finite_number_is_a_protocol_error(self, field, value):
         with pytest.raises(ProtocolError, match=field):
             SensorConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"carrier_frequency": 10e6}, id="10MHz"),
+        pytest.param({"carrier_frequency": 3e9}, id="3GHz"),
+        pytest.param({"touch_threshold_deg": 0.0}, id="zero-threshold")])
+    def test_band_edges_are_accepted(self, payload):
+        config = SensorConfig.from_dict(payload)
+        assert config.to_dict() == dict(SensorConfig().to_dict(),
+                                        **payload)
 
 
 class TestEstimateRequest:

@@ -158,21 +158,6 @@ class TestBackpressure:
 
 
 class TestDegradation:
-    def test_disabled_batching_runs_scalar_path(self, estimator,
-                                                press_phases):
-        scheduler = MicroBatchScheduler(BatchPolicy(enabled=False))
-
-        async def drive():
-            return [await scheduler.submit(estimator, phi1, phi2)
-                    for phi1, phi2 in press_phases[:3]]
-
-        results = asyncio.run(drive())
-        assert [r.batch_size for r in results] == [1, 1, 1]
-        counters = scheduler.telemetry.snapshot()["counters"]
-        assert counters["serve.scalar_direct"] == 3
-        for (phi1, phi2), result in zip(press_phases, results):
-            assert result.estimate == estimator.invert(phi1, phi2)
-
     def test_batcher_error_falls_back_to_scalar(self, estimator,
                                                 press_phases):
         sink = MemorySink()

@@ -130,19 +130,6 @@ class TestServiceParity:
             expected = reference.invert(request.phi1, request.phi2)
             assert response.estimate == expected
 
-    def test_disabled_batching_parity(self, model_900):
-        reference = ForceLocationEstimator(model_900)
-        rng = np.random.default_rng(11)
-        phases = list(zip(rng.uniform(-3, 3, 12),
-                          rng.uniform(-3, 3, 12)))
-        service = _service(model_900,
-                           policy=BatchPolicy(enabled=False))
-        responses = asyncio.run(
-            service.estimate_many(_requests(phases)))
-        for (phi1, phi2), response in zip(phases, responses):
-            assert response.batch_size == 1
-            assert response.estimate == reference.invert(phi1, phi2)
-
     def test_baseline_corrected_stream_parity(self, model_900):
         """With warmup enabled, parity holds on the corrected phases."""
         reference = ForceLocationEstimator(model_900)

@@ -132,13 +132,6 @@ class TestHistoryAndEvents:
         session = manager.session("sensor-a", SensorConfig())
         assert session.touch_events() == []
 
-    def test_history_can_be_disabled(self, model_900):
-        manager = SessionManager(model_factory=lambda config: model_900,
-                                 history=False)
-        session = manager.session("sensor-a", SensorConfig())
-        session.record(self._sample(0.0, True, 1.0, 0.02))
-        assert session.samples == []
-
 
 class TestEviction:
     @staticmethod
