@@ -60,10 +60,7 @@ def extract_metrics(report: dict, absolute: bool = False
     # BENCH_cache.json shape.
     if "warm_speedup" in report:
         metrics["warm_speedup"] = float(report["warm_speedup"])
-    # BENCH_reader.json shape.  Only the fused-vs-oracle cold speedup
-    # is gated; the stream batch ratio sits near 1 by design (both
-    # sides are bound by the same per-frame noise draws) and would
-    # gate on timer noise.
+    # BENCH_reader.json shape: the fused-vs-oracle cold speedup.
     if "cold_speedup" in report:
         metrics["cold_speedup"] = float(report["cold_speedup"])
     if absolute and report.get("fast_frames_per_s"):

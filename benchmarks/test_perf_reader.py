@@ -1,4 +1,4 @@
-"""Performance benchmark for the batched sounder cold path.
+"""Performance benchmark for the fast sounder cold path.
 
 The claim under test: the fused capture+extract path of
 :class:`repro.reader.batch.FastSounder` (``capture_matrices``) delivers
@@ -36,7 +36,6 @@ from repro.core.harmonics import (
 )
 from repro.experiments.scenarios import fast_transducer
 from repro.obs import observed, stamp_report
-from repro.reader._kernels import HAVE_NUMBA
 from repro.reader.batch import FastSounder
 from repro.reader.sounder import FrameLevelSounder
 from repro.reader.waveform import OFDMSounderConfig
@@ -52,7 +51,7 @@ GROUPS = 2
 #: Timed captures per path.
 REPEATS = 40
 
-#: Captures fused per ``capture_batch`` call in the stream benchmark.
+#: Distinct press states cycled through the timed captures.
 BATCH = 8
 
 #: The hard floor the tentpole promises for the fused path.
@@ -63,7 +62,6 @@ _report: dict = {
     "repeats": REPEATS,
     "batch": BATCH,
     "min_cold_speedup": MIN_COLD_SPEEDUP,
-    "numba": HAVE_NUMBA,
 }
 
 
@@ -94,8 +92,7 @@ def bench_report():
     yield
     stamp_report(_report, config={"groups": GROUPS, "repeats": REPEATS,
                                   "batch": BATCH,
-                                  "min_cold_speedup": MIN_COLD_SPEEDUP,
-                                  "numba": HAVE_NUMBA})
+                                  "min_cold_speedup": MIN_COLD_SPEEDUP})
     RESULTS_DIR.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
                           + "\n")
@@ -150,54 +147,8 @@ def test_cold_capture_speedup():
     })
     assert speedup >= MIN_COLD_SPEEDUP, (
         f"fused capture path is only {speedup:.2f}x faster than the "
-        f"oracle; the batched sounder should deliver "
+        f"oracle; the fast sounder should deliver "
         f">= {MIN_COLD_SPEEDUP:.0f}x"
-    )
-
-
-def test_stream_batch_throughput():
-    """``capture_batch`` tracks sequential oracle streams (informational).
-
-    The stream path keeps per-frame noise, so both sides are bound by
-    the same Gaussian draws and memory traffic; batching wins a modest
-    margin, not an order of magnitude.  The report records the ratio
-    but only ``cold_speedup`` is gated — here we just assert the batch
-    path is not a regression beyond timer noise.
-    """
-    oracle = _build(FrameLevelSounder)
-    fast = _build(FastSounder)
-    states = _states(BATCH)
-    frames = 625
-
-    oracle.capture(states[0], frames)  # warm tag tables
-    fast.capture_batch(states, frames)
-
-    def time_sequential():
-        start = time.perf_counter()
-        clock = 0.0
-        for state in states:
-            oracle.capture(state, frames, start_time=clock)
-            clock += frames * oracle.config.frame_period
-        return time.perf_counter() - start
-
-    def time_batch():
-        start = time.perf_counter()
-        fast.capture_batch(states, frames)
-        return time.perf_counter() - start
-
-    # Best-of to shed GC pauses and scheduler noise.
-    sequential_seconds = min(time_sequential() for _ in range(5))
-    batch_seconds = min(time_batch() for _ in range(5))
-
-    ratio = sequential_seconds / batch_seconds
-    _report.update({
-        "stream_sequential_seconds": sequential_seconds,
-        "stream_batch_seconds": batch_seconds,
-        "stream_batch_speedup": ratio,
-    })
-    assert ratio > 0.7, (
-        f"capture_batch ({batch_seconds:.3f}s) regressed against "
-        f"sequential oracle captures ({sequential_seconds:.3f}s)"
     )
 
 

@@ -39,12 +39,7 @@ from repro.core import (
     calibrate_harmonic_observable,
     calibrate_port_observable,
 )
-from repro.reader import (
-    FastSounder,
-    FrameLevelSounder,
-    OFDMSounderConfig,
-    resolve_sounder,
-)
+from repro.reader import FastSounder, FrameLevelSounder, OFDMSounderConfig
 from repro.sensor import (
     ForceTransducer,
     SensorDesign,
@@ -73,9 +68,7 @@ class WiForceSystem:
         tag: Backscatter tag.
         link: Reader/tag geometry.
         clutter: Environment multipath.
-        sounder: Channel sounder (the batched :class:`FastSounder` by
-            default; :class:`FrameLevelSounder` when built with
-            ``sounder="oracle"``).
+        sounder: Channel sounder (a :class:`FastSounder`).
         model: Calibrated sensor model.
         reader: End-to-end reader.
     """
@@ -85,7 +78,7 @@ class WiForceSystem:
     tag: WiForceTag
     link: BackscatterLink
     clutter: Optional[MultipathChannel]
-    sounder: FrameLevelSounder
+    sounder: FastSounder
     model: SensorModel
     reader: WiForceReader
 
@@ -95,8 +88,7 @@ def build_default_system(carrier_frequency: float = 900e6,
                          seed: Optional[int] = None,
                          calibration_forces: Optional[np.ndarray] = None,
                          transducer: Optional[ForceTransducer] = None,
-                         groups_per_capture: int = 2,
-                         sounder: str = "fast") -> WiForceSystem:
+                         groups_per_capture: int = 2) -> WiForceSystem:
     """Assemble the paper's default deployment in one call.
 
     Sensor at 50 cm from both reader antennas (Fig. 12), indoor
@@ -111,9 +103,6 @@ def build_default_system(carrier_frequency: float = 900e6,
         transducer: Reuse an existing transducer (its contact map is
             the expensive part).
         groups_per_capture: Phase groups averaged per reading.
-        sounder: ``"fast"`` (batched vectorized default) or
-            ``"oracle"`` (the frame-level reference sounder, for
-            bit-level verification).
     """
     rng = np.random.default_rng(seed)
     design = default_sensor_design()
@@ -124,13 +113,12 @@ def build_default_system(carrier_frequency: float = 900e6,
         link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
     clutter = indoor_channel(carrier_frequency, rng=rng)
     config = OFDMSounderConfig(carrier_frequency=carrier_frequency)
-    sounder_instance = resolve_sounder(sounder)(config, tag, link, clutter,
-                                                rng=rng)
+    sounder = FastSounder(config, tag, link, clutter, rng=rng)
     if calibration_forces is None:
         calibration_forces = np.linspace(FORCE_RANGE[0], FORCE_RANGE[1], 16)
     model = calibrate_harmonic_observable(
         tag, carrier_frequency, CALIBRATION_LOCATIONS, calibration_forces)
-    reader = WiForceReader(sounder_instance, model,
+    reader = WiForceReader(sounder, model,
                            groups_per_capture=groups_per_capture)
     return WiForceSystem(
         design=design,
@@ -138,7 +126,7 @@ def build_default_system(carrier_frequency: float = 900e6,
         tag=tag,
         link=link,
         clutter=clutter,
-        sounder=sounder_instance,
+        sounder=sounder,
         model=model,
         reader=reader,
     )
@@ -163,7 +151,6 @@ __all__ = [
     "calibrate_port_observable",
     "FrameLevelSounder",
     "FastSounder",
-    "resolve_sounder",
     "OFDMSounderConfig",
     "ForceTransducer",
     "SensorDesign",

@@ -104,14 +104,14 @@ def _cmd_read(args: argparse.Namespace) -> int:
     from repro.channel.propagation import BackscatterLink
     from repro.core.calibration import SensorModel
     from repro.core.pipeline import WiForceReader
-    from repro.reader.batch import resolve_sounder
+    from repro.reader.batch import FastSounder
     from repro.reader.waveform import OFDMSounderConfig
     from repro.sensor.tag import TagState
 
     model = SensorModel.load(args.model)
     tag = _build_tag(args.fast)
     rng = np.random.default_rng(args.seed)
-    sounder = resolve_sounder(args.sounder)(
+    sounder = FastSounder(
         OFDMSounderConfig(carrier_frequency=model.frequency), tag,
         BackscatterLink(), indoor_channel(model.frequency, rng=rng),
         rng=rng)
@@ -423,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     read.add_argument("--repeats", type=int, default=3)
     read.add_argument("--seed", type=int, default=0)
     read.add_argument("--fast", action="store_true")
-    read.add_argument("--sounder", choices=("fast", "oracle"),
-                      default="fast",
-                      help="batched sounder (default) or the bit-level "
-                           "oracle")
 
     demo = sub.add_parser("demo", help="end-to-end demo")
     demo.add_argument("--carrier", type=float, default=900e6)

@@ -8,11 +8,10 @@ taking the DFT across each group at the readout tones isolates the tag:
     P_i[k, g] = sum_{n in group g} H[k, n] w_n exp(-j 2 pi f_i t_n)
 
 Static clutter is 60+ dB above the backscatter, so spectral leakage
-from the DC bin matters.  Two defences are provided: choosing the
-group length so every readout tone spans an integer number of cycles
-(rectangular-window nulls land exactly on DC leakage, see
-:func:`integer_period_group_length`), and an optional Hann window plus
-per-group mean removal for streams where that is impossible.
+from the DC bin matters.  The group length is chosen so every readout
+tone spans an integer number of cycles (rectangular-window nulls land
+exactly on DC leakage, see :func:`integer_period_group_length`), and
+each group's per-subcarrier mean is removed before the DFT.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ import numpy as np
 from repro.errors import ConfigurationError, ReaderError
 from repro.reader.sounder import ChannelEstimateStream
 
-#: Supported window names.
-_WINDOWS = ("rect", "hann")
-
 
 def integer_period_group_length(frame_period: float, base_frequency: float,
                                 max_length: int = 100_000) -> int:
@@ -41,7 +37,7 @@ def integer_period_group_length(frame_period: float, base_frequency: float,
 
     Raises:
         ConfigurationError: No such N up to ``max_length`` (irrational
-            ratio); use a Hann window instead.
+            ratio).
     """
     if frame_period <= 0.0 or base_frequency <= 0.0:
         raise ConfigurationError("frame period and frequency must be positive")
@@ -51,7 +47,7 @@ def integer_period_group_length(frame_period: float, base_frequency: float,
     if error > 1e-12:
         raise ConfigurationError(
             "no integer-period group length found; the tone/frame ratio "
-            "is effectively irrational — use window='hann'"
+            "is effectively irrational"
         )
     length = cycles_per_frame.denominator
     if length > max_length:
@@ -90,17 +86,17 @@ class HarmonicExtractor:
     """Splits a channel-estimate stream into phase groups and extracts
     the readout-tone amplitudes.
 
+    Each group's per-subcarrier mean is subtracted and the group is
+    projected on the readout tones with a rectangular window, which
+    nulls the DC clutter exactly when every tone completes an integer
+    number of cycles per group.
+
     Args:
         tones: Readout tones [Hz] (fs and 4 fs for the default scheme).
         group_length: Snapshots N per phase group.
-        window: 'rect' (use with integer-period group lengths) or
-            'hann'.
-        remove_mean: Subtract each group's per-subcarrier mean before
-            the DFT (kills DC clutter even without integer periods).
     """
 
-    def __init__(self, tones: Sequence[float], group_length: int,
-                 window: str = "rect", remove_mean: bool = True):
+    def __init__(self, tones: Sequence[float], group_length: int):
         if not tones:
             raise ConfigurationError("need at least one readout tone")
         if any(tone <= 0.0 for tone in tones):
@@ -109,19 +105,8 @@ class HarmonicExtractor:
             raise ConfigurationError(
                 f"group length must be >= 4, got {group_length}"
             )
-        if window not in _WINDOWS:
-            raise ConfigurationError(
-                f"unknown window {window!r}; choose from {_WINDOWS}"
-            )
         self.tones = tuple(float(tone) for tone in tones)
         self.group_length = int(group_length)
-        self.window = window
-        self.remove_mean = bool(remove_mean)
-
-    def _window_values(self) -> np.ndarray:
-        if self.window == "hann":
-            return np.hanning(self.group_length)
-        return np.ones(self.group_length)
 
     def check_stream(self, stream: ChannelEstimateStream) -> int:
         """Validate Nyquist and length; return the usable group count."""
@@ -150,14 +135,12 @@ class HarmonicExtractor:
         estimates = stream.estimates[:usable].reshape(
             groups, n, stream.frequencies.size)
         times = stream.times[:usable].reshape(groups, n)
-        if self.remove_mean:
-            estimates = estimates - estimates.mean(axis=1, keepdims=True)
-        window = self._window_values()
-        window = window / window.sum()
+        estimates = estimates - estimates.mean(axis=1, keepdims=True)
         group_times = times.mean(axis=1)
         result: Dict[float, HarmonicMatrix] = {}
         for tone in self.tones:
-            basis = np.exp(-2j * np.pi * tone * times) * window[None, :]
+            # Rectangular window, normalized to unit sum.
+            basis = np.exp(-2j * np.pi * tone * times) * (1.0 / n)
             values = np.einsum("gn,gnk->gk", basis, estimates)
             result[tone] = HarmonicMatrix(tone=tone, values=values,
                                           group_times=group_times)
@@ -180,9 +163,7 @@ class HarmonicExtractor:
         n = self.group_length
         start = group_index * n
         block = stream.estimates[start:start + n]
-        window = self._window_values()
-        window = window / window.sum()
-        spectrum = np.fft.fft(block * window[:, None], axis=0)
+        spectrum = np.fft.fft(block * (1.0 / n), axis=0)
         frequencies = np.fft.fftfreq(n, d=stream.frame_period)
         order = np.argsort(frequencies)
         magnitude = np.abs(spectrum[order]).mean(axis=1)

@@ -116,16 +116,14 @@ class WiForceReader:
         groups_per_capture: Phase groups averaged per reading.
         baseline_groups: Phase groups in the baseline capture (longer =
             better drift fit).
-        group_length: Snapshots per phase group; default picks the
-            smallest integer-period length for the tag's base clock.
-        extractor: Override the harmonic extractor entirely.
+
+    Each phase group is the smallest integer-period length for the
+    tag's base clock, read out at the tag's two readout tones.
     """
 
     def __init__(self, sounder: FrameLevelSounder, model: SensorModel,
                  groups_per_capture: int = 2,
-                 baseline_groups: int = 8,
-                 group_length: Optional[int] = None,
-                 extractor: Optional[HarmonicExtractor] = None):
+                 baseline_groups: int = 8):
         if groups_per_capture < 1:
             raise ReaderError(
                 f"groups per capture must be >= 1, got {groups_per_capture}"
@@ -140,16 +138,11 @@ class WiForceReader:
         self.groups_per_capture = int(groups_per_capture)
         self.baseline_groups = int(baseline_groups)
         scheme = sounder.tag.clocking
-        if extractor is None:
-            if group_length is None:
-                group_length = integer_period_group_length(
-                    sounder.config.frame_period,
-                    scheme.clock_port1.frequency)
-            extractor = HarmonicExtractor(
-                tones=(scheme.readout_port1, scheme.readout_port2),
-                group_length=group_length,
-            )
-        self.extractor = extractor
+        self.extractor = HarmonicExtractor(
+            tones=(scheme.readout_port1, scheme.readout_port2),
+            group_length=integer_period_group_length(
+                sounder.config.frame_period, scheme.clock_port1.frequency),
+        )
         self.estimator = ForceLocationEstimator(model)
         self._clock = 0.0
         self._baseline: Optional[Dict[float, np.ndarray]] = None

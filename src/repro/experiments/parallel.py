@@ -118,7 +118,7 @@ def _warm_worker(warmup: WarmupSpec) -> None:
 
     Runs once per worker process at spawn.  The imports cover what
     every campaign trial touches (scenario builders, the estimator,
-    the batched sounder); the optional ``warmup`` specs then build
+    the fast sounder); the optional ``warmup`` specs then build
     each ``(carrier, fast)`` calibrated model, which flows through
     the :mod:`repro.cache` disk tier — so a worker whose parent (or
     any earlier process on the machine) already calibrated starts

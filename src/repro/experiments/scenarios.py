@@ -22,7 +22,7 @@ from repro.channel.multipath import MultipathChannel, indoor_channel
 from repro.channel.propagation import BackscatterLink
 from repro.core.calibration import SensorModel, calibrate_harmonic_observable
 from repro.core.pipeline import WiForceReader
-from repro.reader.batch import resolve_sounder
+from repro.reader.batch import FastSounder
 from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.geometry import default_sensor_design, thin_trace_design
 from repro.sensor.tag import WiForceTag
@@ -80,8 +80,7 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
                             fast: bool = False,
                             groups_per_capture: int = 2,
                             tx_power_dbm: float = 10.0,
-                            clock_offset_ppm: float = 20.0,
-                            sounder: str = "fast") -> WiForceReader:
+                            clock_offset_ppm: float = 20.0) -> WiForceReader:
     """A ready-to-read deployment (Fig. 12 geometry by default).
 
     Args:
@@ -96,8 +95,6 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
         tx_power_dbm: Reader transmit power.
         clock_offset_ppm: Tag crystal frequency error (unsynchronized
             Arduino clock, section 4.4).
-        sounder: ``"fast"`` (batched vectorized default) or
-            ``"oracle"`` (bit-level reference sounder).
     """
     rng = np.random.default_rng(seed)
     transducer = fast_transducer() if fast else default_transducer()
@@ -108,8 +105,7 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
         clutter = indoor_channel(carrier_frequency, rng=rng)
     config = OFDMSounderConfig(carrier_frequency=carrier_frequency,
                                tx_power_dbm=tx_power_dbm)
-    sounder_instance = resolve_sounder(sounder)(config, tag, link,
-                                                clutter, rng=rng)
+    sounder = FastSounder(config, tag, link, clutter, rng=rng)
     model = calibrated_model(carrier_frequency, fast=fast)
-    return WiForceReader(sounder_instance, model,
+    return WiForceReader(sounder, model,
                          groups_per_capture=groups_per_capture)

@@ -596,14 +596,13 @@ class Gateway:
                 context=context, parent=remote):
             try:
                 request = EstimateRequest.from_dict(payload)
+                response = await self.service.estimate(request)
             except ProtocolError as exc:
                 self._count("gateway.protocol_errors")
                 await conn.send_json(dict(echo, **{
                     "type": "error", "code": "protocol",
                     "error": str(exc)}))
                 return
-            try:
-                response = await self.service.estimate(request)
             except QueueFullError as exc:
                 self._count("gateway.rejected")
                 await conn.send_json(dict(echo, **{

@@ -103,50 +103,6 @@ class OFDMModem:
         received = self.received_preamble(channel_response)
         return self.estimate_channel(received)
 
-    def sound_many(self, channel_responses: np.ndarray) -> np.ndarray:
-        """Batched sounding: many frames through the modem at once.
-
-        Equivalent in distribution to mapping :meth:`sound_once` over
-        the rows, but every per-frame FFT collapses into one batched
-        transform and the receiver noise is one fused draw — the
-        sample-level analogue of the batched frame sounder.  The RNG
-        draw order differs from a sequential :meth:`sound_once` loop
-        (one interleaved complex draw instead of per-frame pairs), so
-        results match the loop statistically, not bitwise.
-
-        Args:
-            channel_responses: Complex responses on the subcarrier grid
-                in ascending-frequency order, shape (frames,
-                subcarriers).
-
-        Returns:
-            LS channel estimates, shape (frames, subcarriers).
-        """
-        n = self.config.subcarriers
-        repeats = self.config.symbol_repeats
-        responses = np.asarray(channel_responses, dtype=complex)
-        if responses.ndim != 2 or responses.shape[1] != n:
-            raise ReaderError(
-                f"channel responses must have shape (frames, {n}), got "
-                f"{responses.shape}"
-            )
-        frames = responses.shape[0]
-        response_fft_order = np.fft.ifftshift(responses, axes=-1)
-        symbol_spectrum = np.fft.fft(self._preamble[:n])
-        received_symbols = np.fft.ifft(
-            symbol_spectrum[None, :] * response_fft_order, axis=-1)
-        noise_power = thermal_noise_power(self.config.bandwidth,
-                                          self.noise_figure_db)
-        noise = self._rng.standard_normal(
-            2 * frames * repeats * n).view(np.complex128).reshape(
-            frames, repeats, n) * np.sqrt(noise_power / 2.0)
-        # The preamble repeats one symbol, so the LS estimate only
-        # needs the symbol-averaged noise; average before the FFT.
-        averaged = received_symbols + noise.mean(axis=1)
-        spectrum = np.fft.fft(averaged, axis=-1)
-        tx_spectrum = np.fft.fft(self._preamble[:n])
-        return np.fft.fftshift(spectrum / tx_spectrum[None, :], axes=-1)
-
     def estimate_noise_std(self) -> float:
         """Predicted per-subcarrier channel-estimate noise std.
 

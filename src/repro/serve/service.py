@@ -26,7 +26,8 @@ import asyncio
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.tracking import TouchEvent, TrackedSample
-from repro.errors import QueueFullError, ServeError
+from repro.errors import (EstimationError, ProtocolError, QueueFullError,
+                          ServeError)
 from repro.faults.retry import RetryPolicy, retry_async
 from repro.obs.instruments import TelemetrySink
 from repro.obs.registry import Registry
@@ -85,6 +86,8 @@ class InferenceService:
         Raises:
             QueueFullError: Backpressure — the scheduler queue stayed
                 full through the whole retry budget.
+            ProtocolError: The location hint's search window misses
+                the session model's calibrated span.
             ServeError: Session/config routing failure.
         """
         loop = asyncio.get_running_loop()
@@ -97,6 +100,13 @@ class InferenceService:
                     "serve.session", {"sensor_id": request.sensor_id}):
                 session = self.sessions.session(request.sensor_id,
                                                 request.config)
+                # A hint that fails invert_batch's span check would
+                # fail the whole micro-batch flush it joined; reject
+                # it here so it fails alone.
+                try:
+                    session.estimator.location_span(request.location_hint)
+                except EstimationError as exc:
+                    raise ProtocolError(str(exc)) from exc
                 phi1, phi2 = session.correct(request.time, request.phi1,
                                              request.phi2)
             retried = False

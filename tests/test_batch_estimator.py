@@ -101,6 +101,28 @@ class TestInvertBatch:
         estimates = list(batch)
         assert estimates[1].force == batch[1].force == batch.force[1]
 
+    def test_out_of_span_hint_rejected_by_every_path(self, model_900):
+        """One span rule: ``location_span`` (the serving layer's
+        request check), ``invert`` and ``invert_batch`` reject the
+        same hints and accept the same edge hint."""
+        estimator = ForceLocationEstimator(model_900)
+        low, high = model_900.locations[0], model_900.locations[-1]
+        for hint in (low - 10.5e-3, high + 10.5e-3, 5.0):
+            with pytest.raises(EstimationError, match="calibrated span"):
+                estimator.location_span(hint)
+            with pytest.raises(EstimationError):
+                estimator.invert(1.0, 1.0, location_hint=hint)
+            with pytest.raises(EstimationError):
+                estimator.invert_batch(np.ones(3), np.ones(3),
+                                       location_hint=[0.04, hint, 0.04])
+        edge = high + 9.5e-3
+        edge_low, edge_high = estimator.location_span(edge)
+        assert edge_high == high
+        assert edge_low == pytest.approx(high - 0.5e-3)
+        batch, scalar = _pair_batch(estimator, [1.0, -1.0], [1.0, 0.5],
+                                    hint=edge)
+        _assert_matches(batch, scalar)
+
     def test_rejects_non_1d(self, model_900):
         estimator = ForceLocationEstimator(model_900)
         with pytest.raises(EstimationError):

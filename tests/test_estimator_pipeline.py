@@ -61,10 +61,6 @@ class TestEstimator:
         with pytest.raises(EstimationError):
             ForceLocationEstimator(model_900, touch_threshold_deg=-1.0)
 
-    def test_rejects_bad_resolution(self, model_900):
-        with pytest.raises(EstimationError):
-            ForceLocationEstimator(model_900, force_resolution=0.0)
-
 
 class TestWiForceReader:
     def test_read_requires_baseline_or_rebaselines(self):

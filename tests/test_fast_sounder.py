@@ -1,19 +1,14 @@
-"""Parity suite for the batched fast sounder (repro.reader.batch).
+"""Parity suite for the fast sounder (repro.reader.batch).
 
-Three tiers of agreement with the frame-level oracle, matching the
+Two tiers of agreement with the frame-level oracle, matching the
 contract in DESIGN.md "Batched sounder":
 
 * ``FastSounder.capture`` — bit-identical for every configuration,
-  including armed fault plans (the RNG stream and operation order are
-  preserved).
-* ``FastSounder.capture_batch`` — bit-identical when the sounder
-  consumes no randomness; bounded-delta otherwise (fused draws).
+  including armed fault plans (it inherits the oracle's capture).
 * ``FastSounder.capture_matrices`` — statistically exact; noiseless
   runs agree to rounding, noisy runs differ by two independent noise
   draws of the same distribution.
 """
-
-import importlib
 
 import numpy as np
 import pytest
@@ -29,11 +24,9 @@ from repro.errors import ConfigurationError, ReaderError
 from repro.experiments.scenarios import calibrated_model
 from repro.faults.inject import inject
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.reader import _kernels
-from repro.reader.batch import FastSounder, resolve_sounder
+from repro.reader.batch import FastSounder
 from repro.reader.fmcw import FMCWSounder, FMCWSounderConfig
 from repro.reader.frontend import SDRFrontEnd
-from repro.reader.ofdm import OFDMModem
 from repro.reader.sounder import FrameLevelSounder
 from repro.reader.uwb import UWBSounder, UWBSounderConfig
 from repro.reader.waveform import OFDMSounderConfig
@@ -62,10 +55,9 @@ def _pair(cls_args, seed=7, quiet=False, **kwargs):
     """Build (oracle, fast) sounders with identical RNG streams."""
     config, transducer, clutter = cls_args
     if quiet:
-        # Exactly zero noise (not merely tiny): the batch bit-identity
-        # contract only holds when the sounder consumes no randomness,
-        # and a sub-ulp quantization floor still flips bits where the
-        # static field fades.
+        # Exactly zero noise (not merely tiny): the sounders then
+        # consume no randomness, so the two paths differ only by
+        # rounding.
         kwargs.setdefault("front_end",
                           SDRFrontEnd(dynamic_range_db=float("inf")))
         kwargs.setdefault("noise_figure_db", float("-inf"))
@@ -148,82 +140,50 @@ class TestSingleCaptureBitParity:
 
 
 class TestCaptureBatch:
-    def test_noiseless_batch_bit_identical_to_sequential(self, builder):
-        oracle, fast = _pair(builder, quiet=True)
-        states = [TagState(), PRESS, TagState(force=1.0, location=0.06),
-                  TagState()]
-        streams = fast.capture_batch(states, 625)
-        clock = 0.0
-        for state, stream in zip(states, streams):
-            ref = oracle.capture(state, 625, start_time=clock)
-            clock += 625 * oracle.config.frame_period
-            assert np.array_equal(ref.estimates, stream.estimates)
-            assert np.array_equal(ref.times, stream.times)
+    """A run of back-to-back captures with changing press states and
+    frame counts, as a reader loop issues them."""
 
     def test_variable_frame_counts(self, builder):
         oracle, fast = _pair(builder, quiet=True)
-        states = [PRESS, TagState()]
-        streams = fast.capture_batch(states, [625, 1250])
         clock = 0.0
-        for state, frames, stream in zip(states, (625, 1250), streams):
+        for state, frames in ((PRESS, 625), (TagState(), 1250),
+                              (PRESS, 625)):
             ref = oracle.capture(state, frames, start_time=clock)
+            got = fast.capture(state, frames, start_time=clock)
             clock += frames * oracle.config.frame_period
-            assert np.array_equal(ref.estimates, stream.estimates)
-
-    def test_noisy_batch_matches_in_distribution(self, builder):
-        # Fused RNG reorders the noise draws: same noise power, not the
-        # same bits.  Check the residual statistics agree.
-        oracle, fast = _pair(builder, seed=5)
-        states = [TagState()] * 4
-        streams = fast.capture_batch(states, 625)
-        clock = 0.0
-        refs = []
-        for state in states:
-            refs.append(oracle.capture(state, 625, start_time=clock))
-            clock += 625 * oracle.config.frame_period
-        noise_std = oracle.effective_noise_std()
-        for ref, got in zip(refs, streams):
+            assert np.array_equal(ref.estimates, got.estimates)
             assert np.array_equal(ref.times, got.times)
-            delta = got.estimates - ref.estimates
-            # Difference of two independent complex AWGN draws (plus a
-            # bounded jitter-phase contribution).
-            assert np.sqrt(np.mean(np.abs(delta) ** 2)) < 3.0 * noise_std
-
-    def test_rejects_empty_and_mismatched_inputs(self, builder):
-        _, fast = _pair(builder, quiet=True)
         with pytest.raises(ConfigurationError):
-            fast.capture_batch([], 625)
-        with pytest.raises(ConfigurationError):
-            fast.capture_batch([PRESS], [625, 625])
-        with pytest.raises(ConfigurationError):
-            fast.capture_batch([PRESS], 0)
+            fast.capture(PRESS, 0)
 
     def test_armed_plan_fires_per_capture_in_order(self, builder):
-        # Sounder-level fault sites must see the same visit sequence a
-        # sequential oracle run would: the deterministic fault draws
-        # (site counters + event RNGs) shape the signal identically;
-        # only the fused AWGN bits differ.
+        # Sounder-level fault sites must see the same visit sequence as
+        # the oracle: the deterministic fault draws (site counters +
+        # event RNGs) shape the signal identically.
         plan = FaultPlan(specs=(
             FaultSpec(site="sensor.clock", kind="drift",
                       probability=0.7, magnitude=4.0),
             FaultSpec(site="channel.snr", kind="interference",
                       probability=0.7, magnitude=6.0),
         ), seed=13, name="batch-order")
+        sites = ("sensor.clock", "channel.snr")
         oracle, fast = _pair(builder, quiet=True)
         states = [PRESS, TagState(), PRESS]
-        with inject(plan) as injector:
-            streams = fast.capture_batch(states, 625)
-            fast_counts = {site: injector.counter(site)
-                           for site in ("sensor.clock", "channel.snr")}
-        clock = 0.0
-        with inject(plan) as injector:
-            refs = []
-            for state in states:
-                refs.append(oracle.capture(state, 625, start_time=clock))
-                clock += 625 * oracle.config.frame_period
-            oracle_counts = {site: injector.counter(site)
-                             for site in ("sensor.clock", "channel.snr")}
-        assert fast_counts == oracle_counts
+
+        def run(sounder):
+            clock = 0.0
+            streams = []
+            with inject(plan) as injector:
+                for state in states:
+                    streams.append(sounder.capture(state, 625,
+                                                   start_time=clock))
+                    clock += 625 * sounder.config.frame_period
+                counts = {site: injector.counter(site) for site in sites}
+            return streams, counts
+
+        refs, oracle_counts = run(oracle)
+        streams, fast_counts = run(fast)
+        assert fast_counts == oracle_counts == {site: 3 for site in sites}
         for ref, got in zip(refs, streams):
             assert np.array_equal(ref.estimates, got.estimates)
 
@@ -233,20 +193,13 @@ class TestHarmonicFastPath:
         _, fast = _pair(builder)
         assert fast.supports_matrices(extractor)
 
-    def test_rejects_hann_window(self, builder, extractor):
-        _, fast = _pair(builder)
-        hann = HarmonicExtractor(tones=extractor.tones,
-                                 group_length=extractor.group_length,
-                                 window="hann")
-        assert not fast.supports_matrices(hann)
-        with pytest.raises(ReaderError):
-            fast.capture_matrices(PRESS, 2, hann)
-
     def test_rejects_non_integer_period_tones(self, builder, extractor):
         _, fast = _pair(builder)
         odd = HarmonicExtractor(tones=(997.0, 4000.0),
                                 group_length=extractor.group_length)
         assert not fast.supports_matrices(odd)
+        with pytest.raises(ReaderError):
+            fast.capture_matrices(PRESS, 2, odd)
 
     def test_noiseless_matrices_match_oracle_extract(self, builder,
                                                      extractor):
@@ -414,16 +367,6 @@ class TestBatchedTagAPI:
         np.testing.assert_array_equal(table[2], reflections[(True, False)])
         np.testing.assert_array_equal(table[3], reflections[(True, True)])
 
-    def test_reflection_table_stacks_states(self, transducer, config):
-        tag = WiForceTag(transducer)
-        frequencies = config.subcarrier_frequencies()
-        states = [TagState(), PRESS]
-        stacked = tag.reflection_table(frequencies, states)
-        assert stacked.shape == (2, 4, frequencies.size)
-        for index, state in enumerate(states):
-            np.testing.assert_array_equal(
-                stacked[index], tag.state_table(frequencies, state))
-
     def test_state_indices_match_reflection_series_gather(self, transducer,
                                                           config):
         tag = WiForceTag(transducer, clock_offset_ppm=50.0)
@@ -433,60 +376,3 @@ class TestBatchedTagAPI:
         table = tag.state_table(frequencies, PRESS)
         indices = tag.state_indices(times)
         np.testing.assert_array_equal(series, table[indices])
-
-
-class TestOFDMSoundMany:
-    def test_batched_estimates_match_single_statistically(self, config):
-        modem = OFDMModem(config, rng=np.random.default_rng(2))
-        channel = 1e-2 * np.exp(1j * np.linspace(0.0, 2.0,
-                                                 config.subcarriers))
-        frames = 64
-        batched = modem.sound_many(np.tile(channel, (frames, 1)))
-        assert batched.shape == (frames, config.subcarriers)
-        residual = batched - channel[None, :]
-        measured = np.sqrt(np.mean(np.abs(residual) ** 2))
-        assert measured == pytest.approx(modem.estimate_noise_std(),
-                                         rel=0.15)
-
-    def test_rejects_wrong_shape(self, config):
-        modem = OFDMModem(config, rng=np.random.default_rng(2))
-        with pytest.raises(ReaderError):
-            modem.sound_many(np.zeros((4, 10), dtype=complex))
-
-
-class TestKernelsAndSwitches:
-    def test_accumulate_matches_numpy_reference(self):
-        rng = np.random.default_rng(0)
-        bins = rng.integers(0, 32, 5000)
-        weights = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-        got = _kernels.accumulate_harmonics(bins, weights, 32)
-        ref = _kernels._accumulate_numpy(bins, weights, 32)
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_numba_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMBA", "0")
-        module = importlib.reload(_kernels)
-        try:
-            assert module.HAVE_NUMBA is False
-            bins = np.array([0, 1, 1, 3])
-            weights = np.array([1.0, 2.0, 3.0, 4.0j])
-            out = module.accumulate_harmonics(bins, weights, 4)
-            np.testing.assert_allclose(out,
-                                       [1.0, 5.0, 0.0, 4.0j])
-        finally:
-            monkeypatch.delenv("REPRO_NUMBA")
-            importlib.reload(_kernels)
-
-    def test_resolve_sounder(self):
-        assert resolve_sounder("fast") is FastSounder
-        assert resolve_sounder("oracle") is FrameLevelSounder
-        with pytest.raises(ConfigurationError):
-            resolve_sounder("warp")
-
-    def test_builders_honor_oracle_switch(self):
-        from repro.experiments.scenarios import build_wireless_scenario
-        reader = build_wireless_scenario(seed=1, fast=True,
-                                         sounder="oracle")
-        assert type(reader.sounder) is FrameLevelSounder
-        reader = build_wireless_scenario(seed=1, fast=True)
-        assert type(reader.sounder) is FastSounder

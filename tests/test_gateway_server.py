@@ -83,6 +83,25 @@ _BAD_PAYLOADS = [
 ]
 
 
+#: Requests sent alongside an out-of-span hint; their micro-batch
+#: flushes as soon as it holds all of them (the long deadline keeps a
+#: slow runner from splitting it).
+N_GOOD = 4
+
+
+def _bad_hint(sensor_id):
+    """A touched request whose location hint (5 m) puts its +/-10 mm
+    search window outside the model's 20-60 mm calibrated span."""
+    return dict(_request(sensor_id, 0).to_dict(), location_hint=5.0)
+
+
+def _hint_service(model):
+    # Five failed flushes in a row open the scheduler's breaker; the
+    # bad-hint tests send six to prove none of them reaches a flush.
+    return _service(model, policy=BatchPolicy(max_batch=N_GOOD,
+                                              max_delay_s=1.0))
+
+
 def _internal_errors(gateway):
     return gateway.telemetry.snapshot()["counters"].get(
         "gateway.internal_errors", 0)
@@ -535,6 +554,40 @@ class TestHttpSurface:
         assert follow_up.json()["sequence"] == 1
         assert internal_errors == 0
 
+    def test_out_of_span_hint_400_spares_its_batch(self, model_900):
+        async def scenario():
+            service = _hint_service(model_900)
+            gateway = Gateway(service, tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+
+                def post(payload):
+                    return http_request(host, port, "POST",
+                                        "/v1/estimate", payload=payload,
+                                        token="token-0")
+
+                alone = [await post(_bad_hint(f"bad-{index}"))
+                         for index in range(6)]
+                mixed = await asyncio.gather(
+                    post(_bad_hint("bad-6")),
+                    *(post(_request(f"good-{index}", 0).to_dict())
+                      for index in range(N_GOOD)))
+                return (alone, mixed, service.scheduler.breaker.state,
+                        _internal_errors(gateway))
+
+        alone, mixed, breaker, internal_errors = asyncio.run(scenario())
+        assert [response.status for response in alone] == [400] * 6
+        assert "calibrated span" in alone[0].json()["error"]
+        assert mixed[0].status == 400
+        replies = [response.json() for response in mixed[1:]]
+        assert [response.status for response in mixed[1:]] \
+            == [200] * N_GOOD
+        assert [reply["quality"] for reply in replies] == ["ok"] * N_GOOD
+        assert [reply["batch_size"] for reply in replies] \
+            == [N_GOOD] * N_GOOD
+        assert breaker == "closed"
+        assert internal_errors == 0
+
     def test_stream_without_upgrade_headers_426(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),
@@ -669,6 +722,50 @@ class TestWsProtocolSurface:
         assert error["type"] == "error"
         assert error["code"] == "protocol"
         assert reply["type"] == "estimate"
+        assert internal_errors == 0
+
+    def test_out_of_span_hint_is_a_protocol_error(self, model_900):
+        async def scenario():
+            service = _hint_service(model_900)
+            gateway = Gateway(service, tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                alone = []
+                for index in range(6):
+                    reply, _ = await estimate_over_ws(
+                        client, _bad_hint(f"bad-{index}"), timeout=5.0)
+                    alone.append(reply)
+                # Pipelined on one socket: the good requests share a
+                # micro-batch while the bad one is answered alone.
+                payloads = [_bad_hint("bad-6")] + [
+                    _request(f"good-{index}", 0).to_dict()
+                    for index in range(N_GOOD)]
+                for payload in payloads:
+                    await client.send_json({"type": "estimate",
+                                            "request": payload})
+                mixed = [await client.recv_json(5.0)
+                         for _ in payloads]
+                await client.close()
+                return (alone, mixed, service.scheduler.breaker.state,
+                        _internal_errors(gateway))
+
+        alone, mixed, breaker, internal_errors = asyncio.run(scenario())
+        assert [(reply["type"], reply["code"]) for reply in alone] \
+            == [("error", "protocol")] * 6
+        errors = [reply for reply in mixed if reply["type"] == "error"]
+        assert [(error["sensor_id"], error["code"]) for error in errors] \
+            == [("bad-6", "protocol")]
+        served = [reply["response"] for reply in mixed
+                  if reply["type"] == "estimate"]
+        assert sorted(response["sensor_id"] for response in served) \
+            == [f"good-{index}" for index in range(N_GOOD)]
+        assert [response["quality"] for response in served] \
+            == ["ok"] * N_GOOD
+        assert [response["batch_size"] for response in served] \
+            == [N_GOOD] * N_GOOD
+        assert breaker == "closed"
         assert internal_errors == 0
 
     def test_clean_close_handshake(self, model_900):
