@@ -24,30 +24,21 @@ experiment index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.channel import BackscatterLink, MultipathChannel, indoor_channel
-from repro.core import (
-    ForceLocationEstimate,
-    ForceLocationEstimator,
-    HarmonicExtractor,
-    PressReading,
-    SensorModel,
-    WiForceReader,
-    calibrate_harmonic_observable,
-    calibrate_port_observable,
-)
-from repro.reader import FastSounder, FrameLevelSounder, OFDMSounderConfig
-from repro.sensor import (
-    ForceTransducer,
-    SensorDesign,
-    TagState,
-    WiForceTag,
-    default_sensor_design,
-    wiforce_clocking,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.channel.multipath import MultipathChannel
+    from repro.channel.propagation import BackscatterLink
+    from repro.core.calibration import SensorModel
+    from repro.core.pipeline import WiForceReader
+    from repro.reader.batch import FastSounder
+    from repro.sensor.geometry import SensorDesign
+    from repro.sensor.tag import WiForceTag
+    from repro.sensor.transduction import ForceTransducer
 
 __version__ = "1.0.0"
 
@@ -104,6 +95,16 @@ def build_default_system(carrier_frequency: float = 900e6,
             the expensive part).
         groups_per_capture: Phase groups averaged per reading.
     """
+    from repro.channel.multipath import indoor_channel
+    from repro.channel.propagation import BackscatterLink
+    from repro.core.calibration import calibrate_harmonic_observable
+    from repro.core.pipeline import WiForceReader
+    from repro.reader.batch import FastSounder
+    from repro.reader.waveform import OFDMSounderConfig
+    from repro.sensor.geometry import default_sensor_design
+    from repro.sensor.tag import WiForceTag
+    from repro.sensor.transduction import ForceTransducer
+
     rng = np.random.default_rng(seed)
     design = default_sensor_design()
     if transducer is None:
@@ -132,30 +133,22 @@ def build_default_system(carrier_frequency: float = 900e6,
     )
 
 
-__all__ = [
-    "__version__",
-    "CALIBRATION_LOCATIONS",
-    "FORCE_RANGE",
-    "WiForceSystem",
-    "build_default_system",
-    "BackscatterLink",
-    "MultipathChannel",
-    "indoor_channel",
-    "ForceLocationEstimate",
-    "ForceLocationEstimator",
-    "HarmonicExtractor",
-    "PressReading",
-    "SensorModel",
-    "WiForceReader",
-    "calibrate_harmonic_observable",
-    "calibrate_port_observable",
-    "FrameLevelSounder",
-    "FastSounder",
-    "OFDMSounderConfig",
-    "ForceTransducer",
-    "SensorDesign",
-    "TagState",
-    "WiForceTag",
-    "default_sensor_design",
-    "wiforce_clocking",
-]
+__getattr__, __dir__, _exported = lazy_exports(__name__, {
+    "channel.multipath": ("MultipathChannel", "indoor_channel"),
+    "channel.propagation": ("BackscatterLink",),
+    "core.calibration": ("SensorModel", "calibrate_harmonic_observable",
+                         "calibrate_port_observable"),
+    "core.estimator": ("ForceLocationEstimate", "ForceLocationEstimator"),
+    "core.harmonics": ("HarmonicExtractor",),
+    "core.pipeline": ("PressReading", "WiForceReader"),
+    "reader.batch": ("FastSounder",),
+    "reader.sounder": ("FrameLevelSounder",),
+    "reader.waveform": ("OFDMSounderConfig",),
+    "sensor.clock": ("wiforce_clocking",),
+    "sensor.geometry": ("SensorDesign", "default_sensor_design"),
+    "sensor.tag": ("TagState", "WiForceTag"),
+    "sensor.transduction": ("ForceTransducer",),
+})
+
+__all__ = ["__version__", "CALIBRATION_LOCATIONS", "FORCE_RANGE",
+           "WiForceSystem", "build_default_system", *_exported]

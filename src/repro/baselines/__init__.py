@@ -14,34 +14,14 @@ WiForce on the axis the paper claims:
   its power budget (the architecture Fig. 3 contrasts).
 """
 
-from repro.baselines.rfid_touch import RFIDTouchArray, RFIDTouchReading
-from repro.baselines.strain_rss import (
-    NotchStrainSensor,
-    NotchReader,
-    StrainReading,
-)
-from repro.baselines.ert import ERTReading, ERTStrip
-from repro.baselines.vision_haptics import (
-    VisionHapticsPipeline,
-    WiForceLatency,
-    latency_comparison,
-)
-from repro.baselines.digital_backscatter import (
-    DigitalBackscatterTag,
-    digital_backscatter_power_budget,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RFIDTouchArray",
-    "RFIDTouchReading",
-    "NotchStrainSensor",
-    "NotchReader",
-    "StrainReading",
-    "ERTReading",
-    "ERTStrip",
-    "VisionHapticsPipeline",
-    "WiForceLatency",
-    "latency_comparison",
-    "DigitalBackscatterTag",
-    "digital_backscatter_power_budget",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "digital_backscatter": ("DigitalBackscatterTag",
+                            "digital_backscatter_power_budget"),
+    "ert": ("ERTReading", "ERTStrip"),
+    "rfid_touch": ("RFIDTouchArray", "RFIDTouchReading"),
+    "strain_rss": ("NotchReader", "NotchStrainSensor", "StrainReading"),
+    "vision_haptics": ("VisionHapticsPipeline", "WiForceLatency",
+                       "latency_comparison"),
+})

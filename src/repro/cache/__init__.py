@@ -24,40 +24,13 @@ See DESIGN.md ("Artifact cache") for the key schema and invalidation
 rules.
 """
 
-from repro.cache.decorator import cached_artifact
-from repro.cache.keys import KEY_SCHEMA_VERSION, canonicalize, key_digest
-from repro.cache.store import (
-    CACHE_DIR_ENV,
-    CACHE_ENV,
-    FORMAT_VERSION,
-    ArtifactCache,
-    CacheConfig,
-    CacheStats,
-    clear,
-    config_from_env,
-    directory_stats,
-    get_cache,
-    prune,
-    set_cache,
-    temporary_cache,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "CACHE_DIR_ENV",
-    "CACHE_ENV",
-    "CacheConfig",
-    "CacheStats",
-    "FORMAT_VERSION",
-    "KEY_SCHEMA_VERSION",
-    "cached_artifact",
-    "canonicalize",
-    "clear",
-    "config_from_env",
-    "directory_stats",
-    "get_cache",
-    "key_digest",
-    "prune",
-    "set_cache",
-    "temporary_cache",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "decorator": ("cached_artifact",),
+    "keys": ("KEY_SCHEMA_VERSION", "canonicalize", "key_digest"),
+    "store": ("ArtifactCache", "CACHE_DIR_ENV", "CACHE_ENV", "CacheConfig",
+              "CacheStats", "FORMAT_VERSION", "clear", "config_from_env",
+              "directory_stats", "get_cache", "prune", "set_cache",
+              "temporary_cache"),
+})

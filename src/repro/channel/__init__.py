@@ -6,43 +6,16 @@ harmonic FFT must reject (paper section 3.3), the layered gelatin
 tissue phantom of section 5.2, and receiver noise models.
 """
 
-from repro.channel.propagation import (
-    free_space_path_gain,
-    backscatter_link_gain,
-    BackscatterLink,
-)
-from repro.channel.multipath import Path, MultipathChannel, indoor_channel
-from repro.channel.tissue import TissueLayer, TissuePhantom, body_phantom
-from repro.channel.interference import (
-    BurstyInterferer,
-    corrupt_stream,
-    excise_interference,
-)
-from repro.channel.mobility import (
-    clutter_rejection_db,
-    doppler_shift,
-    equivalent_speed,
-    walking_person_clutter,
-)
-from repro.channel.noise import awgn, channel_estimate_noise_std
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "free_space_path_gain",
-    "backscatter_link_gain",
-    "BackscatterLink",
-    "Path",
-    "MultipathChannel",
-    "indoor_channel",
-    "TissueLayer",
-    "TissuePhantom",
-    "body_phantom",
-    "BurstyInterferer",
-    "corrupt_stream",
-    "excise_interference",
-    "clutter_rejection_db",
-    "doppler_shift",
-    "equivalent_speed",
-    "walking_person_clutter",
-    "awgn",
-    "channel_estimate_noise_std",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "interference": ("BurstyInterferer", "corrupt_stream",
+                     "excise_interference"),
+    "mobility": ("clutter_rejection_db", "doppler_shift", "equivalent_speed",
+                 "walking_person_clutter"),
+    "multipath": ("MultipathChannel", "Path", "indoor_channel"),
+    "noise": ("awgn", "channel_estimate_noise_std"),
+    "propagation": ("BackscatterLink", "backscatter_link_gain",
+                    "free_space_path_gain"),
+    "tissue": ("TissueLayer", "TissuePhantom", "body_phantom"),
+})

@@ -8,84 +8,25 @@ subcarriers for robustness, and invert a calibrated cubic phase-force
 model to recover contact force magnitude and location.
 """
 
-from repro.core.harmonics import (
-    HarmonicExtractor,
-    HarmonicMatrix,
-    integer_period_group_length,
-)
-from repro.core.phase import (
-    differential_phase,
-    per_subcarrier_phases,
-    phase_trajectory,
-    phase_stability_deg,
-)
-from repro.core.adaptive import (
-    GroupLengthChoice,
-    optimal_group_length,
-    predicted_phase_std_deg,
-)
-from repro.core.calibration import (
-    CalibrationCurve,
-    SensorModel,
-    calibrate_port_observable,
-    calibrate_harmonic_observable,
-    calibrate_with_rig,
-)
-from repro.core.estimator import ForceLocationEstimate, ForceLocationEstimator
-from repro.core.pipeline import WiForceReader, PressReading
-from repro.core.diagnostics import (
-    DiscoveredTag,
-    DiscoveredTone,
-    LinkReport,
-    discover_tags,
-    link_report,
-    scan_tones,
-)
-from repro.core.smoothing import SmoothedSample, TrackSmoother
-from repro.core.tracking import StreamingTracker, TouchEvent, TrackedSample
-from repro.core.twodim import TwoDimensionalArray, ArraySensorPlacement
-from repro.core.uncertainty import (
-    ReadingUncertainty,
-    model_jacobian,
-    phase_std_from_snr,
-    reading_uncertainty,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HarmonicExtractor",
-    "HarmonicMatrix",
-    "integer_period_group_length",
-    "differential_phase",
-    "per_subcarrier_phases",
-    "phase_trajectory",
-    "phase_stability_deg",
-    "GroupLengthChoice",
-    "optimal_group_length",
-    "predicted_phase_std_deg",
-    "CalibrationCurve",
-    "SensorModel",
-    "calibrate_port_observable",
-    "calibrate_harmonic_observable",
-    "calibrate_with_rig",
-    "ForceLocationEstimate",
-    "ForceLocationEstimator",
-    "WiForceReader",
-    "PressReading",
-    "DiscoveredTag",
-    "DiscoveredTone",
-    "LinkReport",
-    "discover_tags",
-    "link_report",
-    "scan_tones",
-    "SmoothedSample",
-    "TrackSmoother",
-    "StreamingTracker",
-    "TouchEvent",
-    "TrackedSample",
-    "TwoDimensionalArray",
-    "ArraySensorPlacement",
-    "ReadingUncertainty",
-    "model_jacobian",
-    "phase_std_from_snr",
-    "reading_uncertainty",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "adaptive": ("GroupLengthChoice", "optimal_group_length",
+                 "predicted_phase_std_deg"),
+    "calibration": ("CalibrationCurve", "SensorModel",
+                    "calibrate_harmonic_observable",
+                    "calibrate_port_observable", "calibrate_with_rig"),
+    "diagnostics": ("DiscoveredTag", "DiscoveredTone", "LinkReport",
+                    "discover_tags", "link_report", "scan_tones"),
+    "estimator": ("ForceLocationEstimate", "ForceLocationEstimator"),
+    "harmonics": ("HarmonicExtractor", "HarmonicMatrix",
+                  "integer_period_group_length"),
+    "phase": ("differential_phase", "per_subcarrier_phases",
+              "phase_stability_deg", "phase_trajectory"),
+    "pipeline": ("PressReading", "WiForceReader"),
+    "smoothing": ("SmoothedSample", "TrackSmoother"),
+    "tracking": ("StreamingTracker", "TouchEvent", "TrackedSample"),
+    "twodim": ("ArraySensorPlacement", "TwoDimensionalArray"),
+    "uncertainty": ("ReadingUncertainty", "model_jacobian",
+                    "phase_std_from_snr", "reading_uncertainty"),
+})

@@ -171,8 +171,12 @@ class SensorModel:
         forces = np.asarray(forces, dtype=float)
         locations = np.asarray(locations, dtype=float)
         segment, weight = self._segments(locations)
-        needed = np.unique(segment)
-        needed = np.union1d(needed, needed + 1)
+        # The sorted curves the segments touch, as a presence mask (no
+        # np.unique: it imports numpy.ma on first use, on the serving
+        # event loop).
+        present = np.zeros(self._locations.size, dtype=bool)
+        present[segment] = present[segment + 1] = True
+        needed = np.flatnonzero(present)
         low_slot = np.searchsorted(needed, segment)[:, np.newaxis, :]
         high_slot = np.searchsorted(needed, segment + 1)[:, np.newaxis, :]
         blend = weight[:, np.newaxis, :]

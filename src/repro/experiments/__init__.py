@@ -6,45 +6,18 @@ print and the tests assert on.  See DESIGN.md for the experiment
 index mapping figures/tables to runners.
 """
 
-from repro.experiments.metrics import (
-    batch_absolute_errors,
-    batch_error_summary,
-    empirical_cdf,
-    median_absolute_error,
-    percentile_absolute_error,
-)
-from repro.experiments.parallel import (
-    CampaignExecution,
-    CampaignExecutor,
-    resolve_workers,
-)
-from repro.experiments.scenarios import (
-    default_transducer,
-    fast_transducer,
-    thin_trace_transducer,
-    build_wireless_scenario,
-)
-from repro.experiments.figures import ascii_cdf, ascii_histogram, ascii_plot
-from repro.experiments import montecarlo, parallel, runners, sweeps
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "batch_absolute_errors",
-    "batch_error_summary",
-    "empirical_cdf",
-    "median_absolute_error",
-    "percentile_absolute_error",
-    "CampaignExecution",
-    "CampaignExecutor",
-    "resolve_workers",
-    "default_transducer",
-    "fast_transducer",
-    "thin_trace_transducer",
-    "build_wireless_scenario",
-    "ascii_cdf",
-    "ascii_histogram",
-    "ascii_plot",
-    "montecarlo",
-    "parallel",
-    "runners",
-    "sweeps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "figures": ("ascii_cdf", "ascii_histogram", "ascii_plot"),
+    "metrics": ("batch_absolute_errors", "batch_error_summary",
+                "empirical_cdf", "median_absolute_error",
+                "percentile_absolute_error"),
+    "montecarlo": ("montecarlo",),
+    "parallel": ("parallel", "CampaignExecution", "CampaignExecutor",
+                 "resolve_workers"),
+    "runners": ("runners",),
+    "scenarios": ("build_wireless_scenario", "default_transducer",
+                  "fast_transducer", "thin_trace_transducer"),
+    "sweeps": ("sweeps",),
+})

@@ -19,6 +19,12 @@ lazily — it pulls in the serve stack) and backs the
 ``python -m repro chaos`` CLI.
 """
 
+# The one package that exports eagerly instead of through
+# repro._lazy.lazy_exports: the function ``inject`` has the name of the
+# submodule that defines it, and importing that submodule binds the
+# module object to the name on this package, so a lazy table would
+# hand out the module instead of the function.  The three modules
+# imported here are on the serving path anyway.
 from repro.faults.inject import (
     SITES,
     FaultEvent,

@@ -12,28 +12,12 @@ crashes.  See DESIGN.md ("Network gateway") for the data flow and
 README.md ("Gateway") for the quickstart.
 """
 
-from repro.gateway.auth import Tenant, TenantTable, TokenBucket
-from repro.gateway.client import (
-    ConnectionClosed,
-    HandshakeRejected,
-    WebSocketClient,
-    estimate_over_ws,
-    http_request,
-)
-from repro.gateway.http import GatewayLimits, HttpRequest, HttpResponse
-from repro.gateway.server import Gateway
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConnectionClosed",
-    "Gateway",
-    "GatewayLimits",
-    "HandshakeRejected",
-    "HttpRequest",
-    "HttpResponse",
-    "Tenant",
-    "TenantTable",
-    "TokenBucket",
-    "WebSocketClient",
-    "estimate_over_ws",
-    "http_request",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "auth": ("Tenant", "TenantTable", "TokenBucket"),
+    "client": ("ConnectionClosed", "HandshakeRejected", "WebSocketClient",
+               "estimate_over_ws", "http_request"),
+    "http": ("GatewayLimits", "HttpRequest", "HttpResponse"),
+    "server": ("Gateway",),
+})

@@ -7,6 +7,8 @@ vocabulary that motivates the paper — taps, holds, force-steps and
 slides — turning the sensing stack into an input pipeline.
 """
 
-from repro.hci.gestures import Gesture, GestureClassifier, GestureKind
+from repro._lazy import lazy_exports
 
-__all__ = ["Gesture", "GestureClassifier", "GestureKind"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gestures": ("Gesture", "GestureClassifier", "GestureKind"),
+})

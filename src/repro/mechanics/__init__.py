@@ -7,68 +7,17 @@ whose edges (the *shorting points*) shift outward as force grows — the
 effect the RF half transduces into phase (paper sections 3.1 and 4.2).
 """
 
-from repro.mechanics.materials import (
-    Material,
-    ECOFLEX_0030,
-    ECOFLEX_0050,
-    COPPER,
-    FR4,
-    GELATIN_PHANTOM,
-    material_library,
-)
-from repro.mechanics.beam import (
-    BeamSection,
-    CompositeBeam,
-    simply_supported_deflection,
-    first_contact_force,
-)
-from repro.mechanics.contact import (
-    ContactPatch,
-    PressureKernel,
-    GapContactSolver,
-    ContactMap,
-)
-from repro.mechanics.dynamics import (
-    ModalSummary,
-    modal_summary,
-    natural_frequencies,
-    press_transient,
-    settling_time,
-    stationarity_margin,
-)
-from repro.mechanics.viscoelastic import StandardLinearSolid
-from repro.mechanics.indenter import (
-    Indenter,
-    LoadCell,
-    ActuatedStage,
-    GroundTruthRig,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Material",
-    "ECOFLEX_0030",
-    "ECOFLEX_0050",
-    "COPPER",
-    "FR4",
-    "GELATIN_PHANTOM",
-    "material_library",
-    "BeamSection",
-    "CompositeBeam",
-    "simply_supported_deflection",
-    "first_contact_force",
-    "ContactPatch",
-    "PressureKernel",
-    "GapContactSolver",
-    "ContactMap",
-    "ModalSummary",
-    "modal_summary",
-    "natural_frequencies",
-    "press_transient",
-    "settling_time",
-    "stationarity_margin",
-    "StandardLinearSolid",
-    "Indenter",
-    "LoadCell",
-    "ActuatedStage",
-    "GroundTruthRig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "beam": ("BeamSection", "CompositeBeam", "first_contact_force",
+             "simply_supported_deflection"),
+    "contact": ("ContactMap", "ContactPatch", "GapContactSolver",
+                "PressureKernel"),
+    "dynamics": ("ModalSummary", "modal_summary", "natural_frequencies",
+                 "press_transient", "settling_time", "stationarity_margin"),
+    "indenter": ("ActuatedStage", "GroundTruthRig", "Indenter", "LoadCell"),
+    "materials": ("COPPER", "ECOFLEX_0030", "ECOFLEX_0050", "FR4",
+                  "GELATIN_PHANTOM", "Material", "material_library"),
+    "viscoelastic": ("StandardLinearSolid",),
+})

@@ -28,7 +28,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from repro.cache import get_cache
 from repro.errors import ConfigurationError, ContactSolverError
@@ -329,6 +328,10 @@ class GapContactSolver:
             )
         if force == 0.0:
             return ContactPatch(force, location, None, None, 0.0)
+        # Imported here, not at module level: solves run only when a
+        # contact table misses the artifact cache, so a warm process
+        # never pays for loading scipy.
+        from scipy.linalg import solve_banded
 
         n = self._n
         load = self._kernel.pressure(self._x, location, force)

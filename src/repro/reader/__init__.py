@@ -13,32 +13,16 @@ the front-end model enforces the USRP's dynamic-range limit that
 drives the tissue experiment's metal-plate isolation (section 5.2).
 """
 
-from repro.reader.waveform import OFDMSounderConfig, generate_preamble
-from repro.reader.ofdm import OFDMModem
-from repro.reader.sounder import (ChannelEstimateStream, FrameLevelSounder,
-                                  concatenate_streams)
-from repro.reader.batch import FastSounder
-from repro.reader.fmcw import FMCWSounderConfig, FMCWSounder
-from repro.reader.frontend import SDRFrontEnd, USRP_N210
-from repro.reader.sync import FrameSynchronizer, SyncResult, apply_cfo, correct_cfo
-from repro.reader.uwb import UWBSounder, UWBSounderConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OFDMSounderConfig",
-    "generate_preamble",
-    "OFDMModem",
-    "ChannelEstimateStream",
-    "FrameLevelSounder",
-    "FastSounder",
-    "FMCWSounderConfig",
-    "FMCWSounder",
-    "SDRFrontEnd",
-    "USRP_N210",
-    "concatenate_streams",
-    "FrameSynchronizer",
-    "SyncResult",
-    "apply_cfo",
-    "correct_cfo",
-    "UWBSounder",
-    "UWBSounderConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batch": ("FastSounder",),
+    "fmcw": ("FMCWSounder", "FMCWSounderConfig"),
+    "frontend": ("SDRFrontEnd", "USRP_N210"),
+    "ofdm": ("OFDMModem",),
+    "sounder": ("ChannelEstimateStream", "FrameLevelSounder",
+                "concatenate_streams"),
+    "sync": ("FrameSynchronizer", "SyncResult", "apply_cfo", "correct_cfo"),
+    "uwb": ("UWBSounder", "UWBSounderConfig"),
+    "waveform": ("OFDMSounderConfig", "generate_preamble"),
+})

@@ -8,75 +8,21 @@ measurements (Table 1), and reflective/absorptive RF switch models
 (paper section 4.3).
 """
 
-from repro.rf.microstrip import (
-    air_microstrip_impedance,
-    wide_ground_effective_width,
-    MicrostripLine,
-    synthesize_ratio_for_impedance,
-)
-from repro.rf.twoport import (
-    TwoPort,
-    abcd_line,
-    abcd_series,
-    abcd_shunt,
-    abcd_to_s,
-    s_to_abcd,
-    cascade,
-    input_reflection,
-    mismatch_reflection,
-)
-from repro.rf.elements import (
-    line_twoport,
-    shorted_sensor_twoport,
-    ideal_splitter_reflection,
-)
-from repro.rf.antenna import (
-    Antenna,
-    HALF_WAVE_DIPOLE,
-    ISOTROPIC,
-    PATCH_6DBI,
-    OrientedLinkBudget,
-    polarization_loss_db,
-)
-from repro.rf.connector import (
-    SMAConnector,
-    SMA_EDGE_LAUNCH,
-    SMA_HAND_SOLDERED,
-    connectorized,
-)
-from repro.rf.vna import VNA, VNATrace
-from repro.rf.switch import RFSwitch, SwitchState, HMC544AE
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "air_microstrip_impedance",
-    "wide_ground_effective_width",
-    "MicrostripLine",
-    "synthesize_ratio_for_impedance",
-    "TwoPort",
-    "abcd_line",
-    "abcd_series",
-    "abcd_shunt",
-    "abcd_to_s",
-    "s_to_abcd",
-    "cascade",
-    "input_reflection",
-    "mismatch_reflection",
-    "line_twoport",
-    "shorted_sensor_twoport",
-    "ideal_splitter_reflection",
-    "Antenna",
-    "HALF_WAVE_DIPOLE",
-    "ISOTROPIC",
-    "PATCH_6DBI",
-    "OrientedLinkBudget",
-    "polarization_loss_db",
-    "SMAConnector",
-    "SMA_EDGE_LAUNCH",
-    "SMA_HAND_SOLDERED",
-    "connectorized",
-    "VNA",
-    "VNATrace",
-    "RFSwitch",
-    "SwitchState",
-    "HMC544AE",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "antenna": ("Antenna", "HALF_WAVE_DIPOLE", "ISOTROPIC", "PATCH_6DBI",
+                "OrientedLinkBudget", "polarization_loss_db"),
+    "connector": ("SMAConnector", "SMA_EDGE_LAUNCH", "SMA_HAND_SOLDERED",
+                  "connectorized"),
+    "elements": ("ideal_splitter_reflection", "line_twoport",
+                 "shorted_sensor_twoport"),
+    "microstrip": ("MicrostripLine", "air_microstrip_impedance",
+                   "synthesize_ratio_for_impedance",
+                   "wide_ground_effective_width"),
+    "switch": ("HMC544AE", "RFSwitch", "SwitchState"),
+    "twoport": ("TwoPort", "abcd_line", "abcd_series", "abcd_shunt",
+                "abcd_to_s", "cascade", "input_reflection",
+                "mismatch_reflection", "s_to_abcd"),
+    "vna": ("VNA", "VNATrace"),
+})

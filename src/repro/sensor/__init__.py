@@ -6,58 +6,19 @@ backscatter tag of paper section 4: microstrip sensor, two duty-cycled
 reflective switches, splitter and antenna.
 """
 
-from repro.sensor.geometry import SensorDesign, default_sensor_design
-from repro.sensor.clock import (
-    DutyCycleClock,
-    ClockingScheme,
-    wiforce_clocking,
-    naive_clocking,
-)
-from repro.sensor.transduction import ForceTransducer, PortPhases
-from repro.sensor.tag import WiForceTag, TagState
-from repro.sensor.fabrication import (
-    FabricationTolerances,
-    perturbed_design,
-    scaled_design,
-    tolerance_report,
-)
-from repro.sensor.harvester import (
-    EnergyHarvester,
-    HarvestingReport,
-    Rectifier,
-)
-from repro.sensor.power import PowerBudget, wiforce_power_budget
-from repro.sensor.multitouch import (
-    AmbiguityReport,
-    TwoPressState,
-    ambiguity_report,
-    two_press_phases,
-)
-from repro.sensor.viscoelastic import CreepingTransducer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SensorDesign",
-    "default_sensor_design",
-    "DutyCycleClock",
-    "ClockingScheme",
-    "wiforce_clocking",
-    "naive_clocking",
-    "ForceTransducer",
-    "PortPhases",
-    "WiForceTag",
-    "TagState",
-    "FabricationTolerances",
-    "perturbed_design",
-    "scaled_design",
-    "tolerance_report",
-    "EnergyHarvester",
-    "HarvestingReport",
-    "Rectifier",
-    "PowerBudget",
-    "wiforce_power_budget",
-    "AmbiguityReport",
-    "TwoPressState",
-    "ambiguity_report",
-    "two_press_phases",
-    "CreepingTransducer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clock": ("ClockingScheme", "DutyCycleClock", "naive_clocking",
+              "wiforce_clocking"),
+    "fabrication": ("FabricationTolerances", "perturbed_design",
+                    "scaled_design", "tolerance_report"),
+    "geometry": ("SensorDesign", "default_sensor_design"),
+    "harvester": ("EnergyHarvester", "HarvestingReport", "Rectifier"),
+    "multitouch": ("AmbiguityReport", "TwoPressState", "ambiguity_report",
+                   "two_press_phases"),
+    "power": ("PowerBudget", "wiforce_power_budget"),
+    "tag": ("TagState", "WiForceTag"),
+    "transduction": ("ForceTransducer", "PortPhases"),
+    "viscoelastic": ("CreepingTransducer",),
+})

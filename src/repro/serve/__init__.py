@@ -7,38 +7,13 @@ telemetry.  See DESIGN.md ("Serving architecture") for the data flow
 and README.md ("Serving") for the quickstart.
 """
 
-from repro.serve.loadgen import (
-    LoadProfile,
-    generate_requests,
-    write_report,
-)
-from repro.serve.protocol import (
-    EstimateRequest,
-    EstimateResponse,
-    SensorConfig,
-)
-from repro.serve.scheduler import (
-    BatchPolicy,
-    MicroBatchScheduler,
-    ScheduledEstimate,
-)
-from repro.serve.service import InferenceService
-from repro.serve.session import SensorSession, SessionManager
-from repro.serve.shard import HashRing, ShardedInferenceService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchPolicy",
-    "EstimateRequest",
-    "EstimateResponse",
-    "HashRing",
-    "InferenceService",
-    "LoadProfile",
-    "MicroBatchScheduler",
-    "ScheduledEstimate",
-    "SensorConfig",
-    "SensorSession",
-    "SessionManager",
-    "ShardedInferenceService",
-    "generate_requests",
-    "write_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "loadgen": ("LoadProfile", "generate_requests", "write_report"),
+    "protocol": ("EstimateRequest", "EstimateResponse", "SensorConfig"),
+    "scheduler": ("BatchPolicy", "MicroBatchScheduler", "ScheduledEstimate"),
+    "service": ("InferenceService",),
+    "session": ("SensorSession", "SessionManager"),
+    "shard": ("HashRing", "ShardedInferenceService"),
+})
