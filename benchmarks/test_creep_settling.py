@@ -10,9 +10,8 @@ reader would see while holding a press.
 import numpy as np
 
 from repro.mechanics.dynamics import modal_summary
-from repro.mechanics.viscoelastic import StandardLinearSolid
 from repro.sensor.geometry import default_sensor_design
-from repro.sensor.viscoelastic import CreepingTransducer
+from repro.sensor.viscoelastic import CreepingTransducer, StandardLinearSolid
 
 
 def test_creep_and_settling(benchmark, report):

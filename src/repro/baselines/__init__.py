@@ -19,7 +19,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "digital_backscatter": ("DigitalBackscatterTag",
                             "digital_backscatter_power_budget"),
-    "ert": ("ERTReading", "ERTStrip"),
     "rfid_touch": ("RFIDTouchArray", "RFIDTouchReading"),
     "strain_rss": ("NotchReader", "NotchStrainSensor", "StrainReading"),
     "vision_haptics": ("VisionHapticsPipeline", "WiForceLatency",

@@ -27,7 +27,6 @@ rules.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "decorator": ("cached_artifact",),
     "keys": ("KEY_SCHEMA_VERSION", "canonicalize", "key_digest"),
     "store": ("ArtifactCache", "CACHE_DIR_ENV", "CACHE_ENV", "CacheConfig",
               "CacheStats", "FORMAT_VERSION", "clear", "config_from_env",

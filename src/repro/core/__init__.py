@@ -11,8 +11,6 @@ model to recover contact force magnitude and location.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "adaptive": ("GroupLengthChoice", "optimal_group_length",
-                 "predicted_phase_std_deg"),
     "calibration": ("CalibrationCurve", "SensorModel",
                     "calibrate_harmonic_observable",
                     "calibrate_port_observable", "calibrate_with_rig"),

@@ -111,15 +111,6 @@ class AuthError(GatewayError):
     """The request carried no valid tenant credential (HTTP 401)."""
 
 
-class QuotaError(GatewayError):
-    """A tenant exceeded its rate or connection quota (HTTP 429).
-
-    Backpressure signal like :class:`QueueFullError`, but enforced at
-    the gateway per tenant *before* the request reaches the scheduler:
-    shedding here protects every other tenant's latency budget.
-    """
-
-
 class FaultError(WiForceError):
     """Fault-injection misuse (unknown site/kind, malformed plan).
 

@@ -10,9 +10,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "figures": ("ascii_cdf", "ascii_histogram", "ascii_plot"),
-    "metrics": ("batch_absolute_errors", "batch_error_summary",
-                "empirical_cdf", "median_absolute_error",
-                "percentile_absolute_error"),
+    "metrics": ("batch_absolute_errors", "empirical_cdf",
+                "median_absolute_error", "percentile_absolute_error"),
     "montecarlo": ("montecarlo",),
     "parallel": ("parallel", "CampaignExecution", "CampaignExecutor",
                  "resolve_workers"),

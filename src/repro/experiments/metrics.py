@@ -7,7 +7,7 @@ medians.  These helpers keep that arithmetic in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,23 +77,3 @@ def batch_absolute_errors(
         )
     return (np.abs(estimates.force - true_forces),
             np.abs(estimates.location - true_locations))
-
-
-def batch_error_summary(
-    estimates: BatchForceLocationEstimate,
-    true_forces: Sequence[float],
-    true_locations: Sequence[float],
-) -> Dict[str, float]:
-    """Median and 90th-percentile errors of a batched inversion.
-
-    The paper's headline accuracy numbers (median / tail of the error
-    CDF) computed straight from a :meth:`invert_batch` result.
-    """
-    force_errors, location_errors = batch_absolute_errors(
-        estimates, true_forces, true_locations)
-    return {
-        "force_median_n": median_absolute_error(force_errors),
-        "force_p90_n": percentile_absolute_error(force_errors, 90.0),
-        "location_median_m": median_absolute_error(location_errors),
-        "location_p90_m": percentile_absolute_error(location_errors, 90.0),
-    }

@@ -19,5 +19,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "indenter": ("ActuatedStage", "GroundTruthRig", "Indenter", "LoadCell"),
     "materials": ("COPPER", "ECOFLEX_0030", "ECOFLEX_0050", "FR4",
                   "GELATIN_PHANTOM", "Material", "material_library"),
-    "viscoelastic": ("StandardLinearSolid",),
 })

@@ -24,7 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "instruments": ("BATCH_BUCKETS", "LATENCY_BUCKETS", "Counter", "Gauge",
                     "Histogram", "JsonlSink", "MemorySink", "NullSink", "Span",
                     "TelemetrySink"),
-    "logconfig": ("configure_logging", "get_logger"),
+    "logconfig": ("configure_logging",),
     "manifest": ("SCHEMA_VERSION", "config_hash", "git_sha", "run_manifest",
                  "stamp_report"),
     "recorder": ("FlightRecorder", "flight_recorder", "recording",
@@ -34,6 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                  "set_registry"),
     "slo": ("Slo", "SloMonitor", "default_slos", "evaluate_snapshot"),
     "trace": ("TraceContext", "current_context", "current_traceparent",
-              "encode_traceparent", "new_trace_id", "parse_traceparent",
-              "trace_sampled", "use_context"),
+              "new_trace_id", "parse_traceparent", "trace_sampled",
+              "use_context"),
 })

@@ -12,21 +12,12 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional, Union
+from typing import Union
 
 #: Root of the library's logger hierarchy.
 ROOT_LOGGER = "repro"
 
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
-
-
-def get_logger(name: Optional[str] = None) -> logging.Logger:
-    """A logger under the ``repro`` hierarchy (the root when unnamed)."""
-    if name is None or name == ROOT_LOGGER:
-        return logging.getLogger(ROOT_LOGGER)
-    if name.startswith(f"{ROOT_LOGGER}."):
-        return logging.getLogger(name)
-    return logging.getLogger(f"{ROOT_LOGGER}.{name}")
 
 
 def configure_logging(level: Union[int, str] = "warning",

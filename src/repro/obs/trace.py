@@ -165,11 +165,6 @@ class TraceContext:
 UNSAMPLED = TraceContext(_ZERO_TRACE_ID, _ZERO_SPAN_ID, sampled=False)
 
 
-def encode_traceparent(context: TraceContext) -> str:
-    """Alias for :meth:`TraceContext.to_traceparent`."""
-    return context.to_traceparent()
-
-
 def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
     """Decode a ``traceparent`` header; ``None`` on any malformation.
 

@@ -11,20 +11,12 @@ ablated.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.units import from_db_amplitude
-
-
-class SwitchState(enum.Enum):
-    """Switch control state."""
-
-    ON = "on"
-    OFF = "off"
 
 
 @dataclass(frozen=True)

@@ -20,5 +20,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "power": ("PowerBudget", "wiforce_power_budget"),
     "tag": ("TagState", "WiForceTag"),
     "transduction": ("ForceTransducer", "PortPhases"),
-    "viscoelastic": ("CreepingTransducer",),
+    "viscoelastic": ("CreepingTransducer", "StandardLinearSolid"),
 })

@@ -1,24 +1,72 @@
-"""Hold-time-dependent transduction: creep at the sensor level.
+"""Elastomer viscoelasticity: creep under a held press.
 
-Wraps the contact mechanics with the elastomer's viscoelastic
-relaxation (see :mod:`repro.mechanics.viscoelastic`): a held press
-keeps spreading the contact region for a fraction of a second, so the
-reflected phase creeps before settling — the reason readings are
-trusted only after the paper's 0.5-1 s settling window.
+Silicone elastomers are not perfectly elastic — under a sustained load
+the effective modulus relaxes (standard-linear-solid behaviour), the
+contact region keeps spreading for a fraction of a second, and the
+reflected phase creeps before settling.  This is the physical origin of
+the paper's "0.5-1 s to stabilize" remark (section 3.3) and it bounds
+how soon after touch onset a reading should be trusted.
+
+Two layers: the material law, a Prony-series standard linear solid,
+and the sensor-level transducer that evaluates the contact problem at
+its relaxed moduli.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mechanics.materials import Material
-from repro.mechanics.viscoelastic import StandardLinearSolid
 from repro.sensor.geometry import SensorDesign, default_sensor_design
 from repro.sensor.transduction import ForceTransducer
+
+
+@dataclass(frozen=True)
+class StandardLinearSolid:
+    """One-branch Prony series (standard linear solid).
+
+    ``E(t) = E_inf + (E_0 - E_inf) exp(-t / tau)``
+
+    Attributes:
+        instantaneous_modulus: E_0 [Pa] (t = 0 response).
+        equilibrium_modulus: E_inf [Pa] (fully relaxed).
+        relaxation_time: tau [s].
+    """
+
+    instantaneous_modulus: float = 125e3
+    equilibrium_modulus: float = 95e3
+    relaxation_time: float = 0.35
+
+    def __post_init__(self) -> None:
+        if self.equilibrium_modulus <= 0.0:
+            raise ConfigurationError("equilibrium modulus must be positive")
+        if self.instantaneous_modulus < self.equilibrium_modulus:
+            raise ConfigurationError(
+                "instantaneous modulus must be >= equilibrium modulus"
+            )
+        if self.relaxation_time <= 0.0:
+            raise ConfigurationError("relaxation time must be positive")
+
+    def modulus(self, hold_time: float) -> float:
+        """Relaxed modulus E(t) [Pa] after holding for ``hold_time``."""
+        if hold_time < 0.0:
+            raise ConfigurationError(
+                f"hold time must be >= 0, got {hold_time}"
+            )
+        decay = np.exp(-hold_time / self.relaxation_time)
+        return float(self.equilibrium_modulus
+                     + (self.instantaneous_modulus
+                        - self.equilibrium_modulus) * decay)
+
+    def settling_time(self, band: float = 0.05) -> float:
+        """Time [s] until the modulus is within ``band`` of equilibrium."""
+        if not 0.0 < band < 1.0:
+            raise ConfigurationError(f"band must be in (0, 1), got {band}")
+        return float(-self.relaxation_time * np.log(band))
 
 
 class CreepingTransducer:

@@ -15,5 +15,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "scheduler": ("BatchPolicy", "MicroBatchScheduler", "ScheduledEstimate"),
     "service": ("InferenceService",),
     "session": ("SensorSession", "SessionManager"),
-    "shard": ("HashRing", "ShardedInferenceService"),
 })

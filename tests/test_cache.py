@@ -26,7 +26,6 @@ from repro.cache import (
     CACHE_DIR_ENV,
     CACHE_ENV,
     FORMAT_VERSION,
-    cached_artifact,
     canonicalize,
     clear,
     config_from_env,
@@ -34,7 +33,6 @@ from repro.cache import (
     get_cache,
     key_digest,
     prune,
-    set_cache,
     temporary_cache,
 )
 from repro.errors import CacheError
@@ -128,24 +126,6 @@ class TestTiers:
                                       encode=list, decode=list)
         assert first == second
         assert first is not second  # callers may mutate freely
-
-    def test_decorator_keys_on_qualname_and_args(self, cache):
-        set_cache(cache)
-        try:
-            calls = []
-
-            @cached_artifact()
-            def square(x):
-                calls.append(x)
-                return x * x
-
-            assert square(3.0) == 9.0
-            assert square(3.0) == 9.0
-            assert square(4.0) == 16.0
-            assert calls == [3.0, 4.0]
-            assert square.cache_namespace.endswith("square")
-        finally:
-            set_cache(None)
 
     def test_version_bump_invalidates(self, cache):
         cache.get_or_compute("ns", 1, {"k": 1}, lambda: "v1")

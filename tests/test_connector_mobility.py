@@ -1,6 +1,5 @@
-"""SMA connector parasitics and moving-clutter model tests."""
+"""Moving-clutter model tests."""
 
-import numpy as np
 import pytest
 
 from repro.channel.mobility import (
@@ -9,58 +8,8 @@ from repro.channel.mobility import (
     equivalent_speed,
     walking_person_clutter,
 )
-from repro.errors import ChannelError, ConfigurationError
-from repro.rf.connector import (
-    SMA_EDGE_LAUNCH,
-    SMA_HAND_SOLDERED,
-    SMAConnector,
-    connectorized,
-)
-from repro.rf.elements import line_twoport
+from repro.errors import ChannelError
 from repro.units import SPEED_OF_LIGHT
-
-
-class TestSMAConnector:
-    def test_ideal_connector_is_identity(self, line):
-        connector = SMAConnector(series_inductance=0.0,
-                                 shunt_capacitance=0.0)
-        frequency = np.linspace(0.1e9, 3e9, 31)
-        bare = line_twoport(line, frequency)
-        wrapped = connectorized(bare, connector)
-        np.testing.assert_allclose(wrapped.s, bare.s, atol=1e-12)
-
-    def test_parasitics_degrade_s11(self, line):
-        frequency = np.linspace(0.1e9, 3e9, 61)
-        bare = line_twoport(line, frequency)
-        wrapped = connectorized(bare, SMA_EDGE_LAUNCH)
-        assert (np.abs(wrapped.s11).max()
-                > np.abs(bare.s11).max())
-
-    def test_still_meets_paper_spec(self, line):
-        """Even connectorized, the sensor keeps S11 < -10 dB to 3 GHz
-        (the Fig. 10 requirement)."""
-        frequency = np.linspace(0.1e9, 3e9, 61)
-        wrapped = connectorized(line_twoport(line, frequency),
-                                SMA_EDGE_LAUNCH)
-        worst = 20 * np.log10(np.abs(wrapped.s11).max())
-        assert worst < -10.0
-
-    def test_sloppy_connector_worse(self, line):
-        frequency = np.linspace(0.1e9, 3e9, 61)
-        bare = line_twoport(line, frequency)
-        good = connectorized(bare, SMA_EDGE_LAUNCH)
-        bad = connectorized(bare, SMA_HAND_SOLDERED)
-        assert np.abs(bad.s11).max() > np.abs(good.s11).max()
-
-    def test_degradation_grows_with_frequency(self, line):
-        frequency = np.array([0.5e9, 2.9e9])
-        wrapped = connectorized(line_twoport(line, frequency),
-                                SMA_EDGE_LAUNCH)
-        assert abs(wrapped.s11[1]) > abs(wrapped.s11[0])
-
-    def test_rejects_negative_parasitics(self):
-        with pytest.raises(ConfigurationError):
-            SMAConnector(series_inductance=-1e-9)
 
 
 class TestDopplerEquivalence:

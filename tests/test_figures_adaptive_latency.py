@@ -1,4 +1,4 @@
-"""ASCII figures, adaptive group sizing and latency-baseline tests."""
+"""ASCII figures and latency-baseline tests."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,8 @@ from repro.baselines.vision_haptics import (
     WiForceLatency,
     latency_comparison,
 )
-from repro.core.adaptive import (
-    optimal_group_length,
-    predicted_phase_std_deg,
-)
 from repro.errors import ConfigurationError
 from repro.experiments.figures import ascii_cdf, ascii_histogram, ascii_plot
-
-T = 57.6e-6
 
 
 class TestAsciiPlot:
@@ -77,50 +71,6 @@ class TestAsciiCdfHistogram:
     def test_histogram_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             ascii_histogram([], np.array([0.0, 1.0]))
-
-
-class TestAdaptiveGroupLength:
-    def test_error_model_components(self):
-        pure_noise = predicted_phase_std_deg(100, T, 1.0, 0.0)
-        assert pure_noise == pytest.approx(0.1)
-        pure_wander = predicted_phase_std_deg(100, T, 0.0, 1.0)
-        assert pure_wander == pytest.approx(np.sqrt(100 * T))
-
-    def test_choice_is_integer_period_multiple(self):
-        choice = optimal_group_length(T, 1e3, 2.0, 0.5)
-        assert choice.group_length % 625 == 0
-
-    def test_noisy_link_wants_longer_groups(self):
-        quiet = optimal_group_length(T, 1e3, 0.5, 1.0)
-        noisy = optimal_group_length(T, 1e3, 20.0, 1.0)
-        assert noisy.group_length >= quiet.group_length
-
-    def test_jittery_clock_wants_short_groups(self):
-        stable = optimal_group_length(T, 1e3, 5.0, 0.05)
-        jittery = optimal_group_length(T, 1e3, 5.0, 5.0)
-        assert jittery.group_length <= stable.group_length
-
-    def test_duration_cap_respected(self):
-        choice = optimal_group_length(T, 1e3, 50.0, 0.0,
-                                      max_duration=0.08)
-        assert choice.group_duration <= 0.08 + 1e-9
-
-    def test_default_deployment_matches_paper_choice(self):
-        """At the prototype's SNR and oscillator quality the optimum is
-        a small multiple of the base 36 ms group — the paper's regime."""
-        choice = optimal_group_length(T, 1e3, 1.0, 0.5)
-        assert choice.group_duration <= 0.15
-
-    def test_predicted_error_at_choice(self):
-        choice = optimal_group_length(T, 1e3, 1.0, 0.5)
-        direct = predicted_phase_std_deg(choice.group_length, T, 1.0, 0.5)
-        assert choice.predicted_phase_std_deg == pytest.approx(direct)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            predicted_phase_std_deg(0, T, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            optimal_group_length(T, 1e3, 1.0, 1.0, max_duration=0.0)
 
 
 class TestVisionLatencyBaseline:

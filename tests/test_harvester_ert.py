@@ -1,9 +1,7 @@
-"""Energy-harvesting budget and ERT baseline tests."""
+"""Energy-harvesting budget tests."""
 
-import numpy as np
 import pytest
 
-from repro.baselines.ert import ERTStrip
 from repro.errors import ConfigurationError
 from repro.sensor.harvester import EnergyHarvester, Rectifier
 from repro.sensor.power import wiforce_power_budget
@@ -69,52 +67,3 @@ class TestEnergyHarvester:
         low = harvester.break_even_range(budget, 10.0, 6.0, 900e6)
         high = harvester.break_even_range(budget, 20.0, 6.0, 900e6)
         assert high > low
-
-
-class TestERTStrip:
-    def test_wire_count_is_electrode_count(self, rng):
-        strip = ERTStrip(electrode_count=8, rng=rng)
-        assert strip.wire_count == 8
-
-    def test_reconstructs_location(self, rng):
-        strip = ERTStrip(rng=rng)
-        reading = strip.read(4.0, 0.040)
-        assert reading.location == pytest.approx(0.040, abs=4e-3)
-
-    def test_reconstructs_force(self, rng):
-        strip = ERTStrip(rng=rng)
-        reading = strip.read(4.0, 0.040)
-        assert reading.force == pytest.approx(4.0, abs=1.0)
-
-    def test_press_lowers_resistance_locally(self, rng):
-        strip = ERTStrip(rng=rng)
-        unpressed = strip._segment_resistances(0.0, 0.0)
-        pressed = strip._segment_resistances(5.0, 0.040)
-        centre = np.argmin(np.abs(strip._x - 0.040))
-        assert pressed[centre] < unpressed[centre]
-        assert pressed[0] == pytest.approx(unpressed[0], rel=1e-3)
-
-    def test_localization_coarser_than_wiforce(self, rng):
-        """ERT with 8 electrodes localizes at ~mm but needs 8 wires;
-        WiForce needs zero. The accuracy gap is modest, the wiring gap
-        is the point (paper section 2)."""
-        strip = ERTStrip(rng=rng)
-        errors = []
-        for location in np.linspace(0.015, 0.065, 9):
-            reading = strip.read(3.0, float(location))
-            errors.append(abs(reading.location - location))
-        assert np.median(errors) < 5e-3
-        assert strip.wire_count >= 3
-
-    def test_rejects_too_few_electrodes(self, rng):
-        with pytest.raises(ConfigurationError):
-            ERTStrip(electrode_count=2, rng=rng)
-
-    def test_rejects_negative_force(self, rng):
-        with pytest.raises(ConfigurationError):
-            ERTStrip(rng=rng).measure(-1.0, 0.04)
-
-    def test_rejects_bad_potentials_shape(self, rng):
-        strip = ERTStrip(rng=rng)
-        with pytest.raises(ConfigurationError):
-            strip.reconstruct(np.zeros(3))

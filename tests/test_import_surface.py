@@ -6,7 +6,9 @@ importing a package loads none of its submodules and a process loads
 only the modules it uses.  scipy backs only the contact solve that runs
 on an artifact-cache miss, so the serving path must not import it.
 The surface checks run in a fresh interpreter and assert on
-``sys.modules``, never on wall time.
+``sys.modules``, never on wall time.  A static import graph checks
+that ``src/`` holds only code a program runs: a module that only
+tests reach belongs under ``tests/``.
 """
 
 import ast
@@ -23,6 +25,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
+ROOT = SRC.parent
 
 PACKAGES = ["repro"] + sorted(
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
@@ -39,6 +42,13 @@ OFFLINE = ("scipy", "repro.baselines", "repro.experiments.runners",
            "repro.experiments.montecarlo", "repro.experiments.sweeps",
            "repro.reader.fmcw", "repro.reader.uwb")
 
+#: Where a program enters the package: the CLI behind ``python -m
+#: repro``, the gateway server, and every script of these directories
+#: (the examples, the end-to-end benchmark, the paper-figure and perf
+#: benchmarks).
+ENTRY_MODULES = ("repro.__main__", "repro.cli", "repro.gateway.server")
+ENTRY_DIRS = ("examples", "e2e_bench", "benchmarks")
+
 
 def _modules_after(statements: str) -> list:
     """``sys.modules`` of a fresh interpreter after ``statements``."""
@@ -51,11 +61,23 @@ def _modules_after(statements: str) -> list:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+def _source(module: str):
+    """The file of a ``repro`` module or package; ``None`` for a name
+    that is no such module."""
+    if module.partition(".")[0] != "repro":
+        return None
+    base = SRC.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
 def _export_table(package: str) -> dict:
     """``{name: (defining module, is the module itself)}`` from the
     package ``__init__``: its ``lazy_exports`` table, or its
     ``from ... import`` lines for the eager :mod:`repro.faults`."""
-    source = Path(importlib.import_module(package).__file__).read_text()
+    source = _source(package).read_text()
     table = {}
     for node in ast.parse(source).body:
         if (isinstance(node, ast.ImportFrom) and node.module != "repro._lazy"
@@ -71,6 +93,50 @@ def _export_table(package: str) -> dict:
     return table
 
 
+def _imports(path: Path, module: str = ""):
+    """The modules the ``import`` and ``from`` statements of ``path``
+    name, function bodies included; ``module`` is its dotted name, for
+    relative imports.  ``from pkg import Name`` names the submodule
+    ``pkg.Name`` or, through pkg's export table, Name's defining one."""
+    package = (module if path.name == "__init__.py"
+               else module.rpartition(".")[0]).split(".")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module
+            if node.level:
+                parts = package[:len(package) + 1 - node.level]
+                source = ".".join(parts + [source] if source else parts)
+            yield source
+            found = _source(source)
+            table = (_export_table(source)
+                     if found is not None and found.name == "__init__.py"
+                     else {})
+            for alias in node.names:
+                yield (table[alias.name][0] if alias.name in table
+                       else f"{source}.{alias.name}")
+
+
+def _reached() -> set:
+    """Every ``repro`` module the entry points import, directly or
+    through others, with the packages whose ``__init__`` runs first."""
+    pending = list(ENTRY_MODULES)
+    for directory in ENTRY_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            pending.extend(_imports(path))
+    reached = set()
+    while pending:
+        module = pending.pop()
+        path = _source(module)
+        if path is None or module in reached:
+            continue
+        reached.add(module)
+        pending.append(module.rpartition(".")[0])
+        pending.extend(_imports(path, module))
+    return reached
+
+
 class TestImportSurface:
     def test_import_repro_loads_no_subpackage(self):
         subpackages = set(PACKAGES) - {"repro"}
@@ -83,6 +149,15 @@ class TestImportSurface:
         assert [name for name in loaded
                 if any(name == offline or name.startswith(offline + ".")
                        for offline in OFFLINE)] == []
+
+    def test_every_module_is_reached_from_an_entry_point(self):
+        """A module only tests import is a test oracle or dead code."""
+        reached = _reached()
+        modules = {".".join(path.relative_to(SRC).with_suffix("").parts)
+                   .removesuffix(".__init__")
+                   for path in (SRC / "repro").rglob("*.py")}
+        unreached = sorted(modules - reached)
+        assert not unreached, f"only tests import {', '.join(unreached)}"
 
 
 class TestExportTables:

@@ -12,7 +12,6 @@ from repro.channel.propagation import BackscatterLink
 from repro.errors import ConfigurationError, DynamicRangeError, ReaderError
 from repro.reader.fmcw import FMCWSounder, FMCWSounderConfig
 from repro.reader.frontend import SDRFrontEnd, USRP_N210
-from repro.reader.ofdm import OFDMModem
 from repro.reader.sounder import ChannelEstimateStream, FrameLevelSounder
 from repro.reader.waveform import (
     OFDMSounderConfig,
@@ -20,6 +19,7 @@ from repro.reader.waveform import (
     preamble_tones,
 )
 from repro.sensor.tag import TagState, WiForceTag
+from tests.oracles.ofdm import OFDMModem
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,11 @@ from repro.core.calibration import harmonic_differential_phases
 from repro.core.harmonics import HarmonicExtractor, integer_period_group_length
 from repro.core.phase import differential_phase
 from repro.experiments.scenarios import fast_transducer
-from repro.reader.ofdm import OFDMModem
 from repro.reader.sounder import ChannelEstimateStream
-from repro.reader.sync import FrameSynchronizer, apply_cfo, correct_cfo
 from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.tag import TagState, WiForceTag
+from tests.oracles.ofdm import OFDMModem
+from tests.oracles.sync import FrameSynchronizer, apply_cfo, correct_cfo
 
 #: Shortened padding: 625-sample frames (50 us), so a 1 kHz-integer
 #: phase group is only 20 frames and the sample-level test stays fast.

@@ -11,8 +11,7 @@ from repro.core.tracking import TrackedSample
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import fast_transducer
 from repro.hci.gestures import GestureClassifier, GestureKind
-from repro.mechanics.viscoelastic import StandardLinearSolid
-from repro.sensor.viscoelastic import CreepingTransducer
+from repro.sensor.viscoelastic import CreepingTransducer, StandardLinearSolid
 from repro.reader.uwb import UWBSounder, UWBSounderConfig
 from repro.sensor.tag import TagState, WiForceTag
 

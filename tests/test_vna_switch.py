@@ -1,81 +1,9 @@
-"""VNA simulator and RF switch model tests."""
+"""RF switch model tests."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rf.elements import line_twoport
 from repro.rf.switch import ABSORPTIVE_SWITCH, HMC544AE, RFSwitch
-from repro.rf.vna import VNA
-
-
-def line_dut(line):
-    def device(frequency):
-        return line_twoport(line, frequency).s
-    return device
-
-
-class TestVNA:
-    def test_sweep_grid(self):
-        vna = VNA(start_frequency=1e8, stop_frequency=1e9, points=10)
-        assert vna.frequency[0] == 1e8
-        assert vna.frequency[-1] == 1e9
-        assert vna.frequency.size == 10
-
-    def test_measure_shape(self, line, rng):
-        vna = VNA(points=51, rng=rng)
-        s = vna.measure(line_dut(line))
-        assert s.shape == (51, 2, 2)
-
-    def test_noiseless_measurement_exact(self, line):
-        vna = VNA(points=21, trace_noise_std=0.0)
-        s = vna.measure(line_dut(line))
-        expected = line_twoport(line, vna.frequency).s
-        np.testing.assert_allclose(s, expected)
-
-    def test_noise_level(self, line, rng):
-        vna = VNA(points=401, trace_noise_std=1e-3, rng=rng)
-        s = vna.measure(line_dut(line))
-        clean = line_twoport(line, vna.frequency).s
-        residual = (s - clean).ravel()
-        assert np.std(residual.real) == pytest.approx(1e-3, rel=0.2)
-
-    def test_cable_adds_linear_phase(self, line):
-        bare = VNA(points=11, trace_noise_std=0.0)
-        cabled = VNA(points=11, trace_noise_std=0.0, cable_length=0.1)
-        s_bare = bare.measure(line_dut(line))
-        s_cabled = cabled.measure(line_dut(line))
-        ratio = s_cabled[:, 1, 0] / s_bare[:, 1, 0]
-        phases = np.unwrap(np.angle(ratio))
-        slopes = np.diff(phases)
-        np.testing.assert_allclose(slopes, slopes[0], atol=1e-9)
-
-    def test_trace_selection(self, line, rng):
-        vna = VNA(points=21, rng=rng)
-        trace = vna.trace(line_dut(line), "s21")
-        assert trace.values.shape == (21,)
-        assert np.all(trace.magnitude_db < 0.1)
-
-    def test_trace_rejects_unknown_parameter(self, line, rng):
-        vna = VNA(points=21, rng=rng)
-        with pytest.raises(ConfigurationError):
-            vna.trace(line_dut(line), "s31")
-
-    def test_group_delay_matches_length(self, line):
-        vna = VNA(start_frequency=5e8, stop_frequency=3e9, points=201,
-                  trace_noise_std=0.0)
-        trace = vna.trace(line_dut(line), "s21")
-        delay = trace.group_delay().mean()
-        assert delay == pytest.approx(line.length / 3e8, rel=0.02)
-
-    def test_rejects_bad_sweep(self):
-        with pytest.raises(ConfigurationError):
-            VNA(start_frequency=2e9, stop_frequency=1e9)
-
-    def test_rejects_bad_dut_shape(self, rng):
-        vna = VNA(points=5, rng=rng)
-        with pytest.raises(ConfigurationError):
-            vna.measure(lambda f: np.zeros((3, 2, 2)))
 
 
 class TestRFSwitch:
