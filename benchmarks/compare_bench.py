@@ -8,12 +8,11 @@ or when one side tracks a metric the other lacks: a fresh report that
 lost a metric stopped measuring it, and a baseline that lacks one
 (say, regenerated from part of a suite) would silently stop gating it.
 
-By default only **machine-normalized ratio metrics** are gated — the
+Only **machine-normalized ratio metrics** are gated — the
 batch-vs-scalar speedup, the campaign/cache/reader speedups and the
 chaos survival rate — because a CI runner is not the machine that
 produced the committed baseline, so absolute throughputs would gate on
-hardware, not code.  Pass ``--absolute`` to also gate raw throughputs
-(useful when baseline and fresh report come from the same machine).
+hardware, not code.
 
 The script understands every committed report schema
 (``BENCH_estimator``, ``BENCH_cache``, ``BENCH_reader``,
@@ -30,19 +29,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 
-def extract_metrics(report: dict, absolute: bool = False
-                    ) -> Dict[str, float]:
+def extract_metrics(report: dict) -> Dict[str, float]:
     """Higher-is-better metrics from any committed report schema."""
     metrics: Dict[str, float] = {}
     # BENCH_estimator.json shape.
     if "batch_speedup" in report:
         metrics["batch_speedup"] = float(report["batch_speedup"])
-    if absolute and report.get("batch_seconds") and "n_samples" in report:
-        metrics["batch_inversions_per_s"] = (
-            report["n_samples"] / report["batch_seconds"])
-    if absolute and report.get("scalar_seconds") and "n_samples" in report:
-        metrics["scalar_inversions_per_s"] = (
-            report["n_samples"] / report["scalar_seconds"])
     # BENCH_estimator.json campaign block: warm- and cold-pool
     # speedups over the acquisition-paced serial campaign.  Both are
     # machine-normalized ratios (and the workload is paced by sleeps,
@@ -63,11 +55,6 @@ def extract_metrics(report: dict, absolute: bool = False
     # BENCH_reader.json shape: the fused-vs-oracle cold speedup.
     if "cold_speedup" in report:
         metrics["cold_speedup"] = float(report["cold_speedup"])
-    if absolute and report.get("fast_frames_per_s"):
-        metrics["fast_frames_per_s"] = float(report["fast_frames_per_s"])
-    if absolute and report.get("oracle_frames_per_s"):
-        metrics["oracle_frames_per_s"] = float(
-            report["oracle_frames_per_s"])
     # BENCH_chaos.json shape: the survival rate is a ratio in [0, 1]
     # and machine-independent, so it is always gated.
     if "survival" in report:
@@ -76,12 +63,11 @@ def extract_metrics(report: dict, absolute: bool = False
     return metrics
 
 
-def compare(baseline: dict, fresh: dict, max_regression: float = 0.20,
-            absolute: bool = False
+def compare(baseline: dict, fresh: dict, max_regression: float = 0.20
             ) -> Tuple[List[str], List[str]]:
     """Compare two reports; returns (table lines, failure messages)."""
-    base_metrics = extract_metrics(baseline, absolute=absolute)
-    fresh_metrics = extract_metrics(fresh, absolute=absolute)
+    base_metrics = extract_metrics(baseline)
+    fresh_metrics = extract_metrics(fresh)
     if not base_metrics:
         return [], ["baseline report carries no tracked metrics"]
     lines = [f"{'metric':<26}  {'baseline':>12}  {'fresh':>12}  "
@@ -130,17 +116,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="freshly produced BENCH_*.json")
     parser.add_argument("--max-regression", type=float, default=0.20,
                         help="tolerated fractional drop (default 0.20)")
-    parser.add_argument("--absolute", action="store_true",
-                        help="also gate raw throughputs, not just "
-                             "machine-normalized speedups")
     args = parser.parse_args(argv)
     if not 0.0 <= args.max_regression < 1.0:
         parser.error("--max-regression must be in [0, 1)")
     baseline = json.loads(Path(args.baseline).read_text())
     fresh = json.loads(Path(args.fresh).read_text())
     lines, failures = compare(baseline, fresh,
-                              max_regression=args.max_regression,
-                              absolute=args.absolute)
+                              max_regression=args.max_regression)
     print(f"perf gate: {args.fresh} vs baseline {args.baseline} "
           f"(max regression {args.max_regression:.0%})")
     for line in lines:

@@ -136,8 +136,7 @@ def build_default_system(carrier_frequency: float = 900e6,
 __getattr__, __dir__, _exported = lazy_exports(__name__, {
     "channel.multipath": ("MultipathChannel", "indoor_channel"),
     "channel.propagation": ("BackscatterLink",),
-    "core.calibration": ("SensorModel", "calibrate_harmonic_observable",
-                         "calibrate_port_observable"),
+    "core.calibration": ("SensorModel", "calibrate_harmonic_observable"),
     "core.estimator": ("ForceLocationEstimate", "ForceLocationEstimator"),
     "core.harmonics": ("HarmonicExtractor",),
     "core.pipeline": ("PressReading", "WiForceReader"),

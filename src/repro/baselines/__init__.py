@@ -9,16 +9,15 @@ WiForce on the axis the paper claims:
 * :mod:`repro.baselines.strain_rss` — resonance-notch RSS strain
   sensing, which breaks under static multipath (related-work claim,
   section 8).
-* :mod:`repro.baselines.digital_backscatter` — the conventional
-  sensor + ADC + MCU + codeword-translation backscatter pipeline and
-  its power budget (the architecture Fig. 3 contrasts).
+* :mod:`repro.baselines.digital_backscatter` — the power budget of
+  the conventional sensor + ADC + MCU + codeword-translation
+  backscatter pipeline (the architecture Fig. 3 contrasts).
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "digital_backscatter": ("DigitalBackscatterTag",
-                            "digital_backscatter_power_budget"),
+    "digital_backscatter": ("digital_backscatter_power_budget",),
     "rfid_touch": ("RFIDTouchArray", "RFIDTouchReading"),
     "strain_rss": ("NotchReader", "NotchStrainSensor", "StrainReading"),
     "vision_haptics": ("VisionHapticsPipeline", "WiForceLatency",

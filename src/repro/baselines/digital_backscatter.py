@@ -6,19 +6,15 @@ bits are backscattered by codeword translation (HitchHike [5] /
 FreeRider [9] style).  Functionally it delivers the same readings, but
 the ADC + MCU chain dominates the power budget — this module computes
 that budget so the paper's "direct transduction saves the electronics
-in the middle" argument becomes a measured factor, and models the
-quantisation the digital path adds.
+in the middle" argument becomes a measured factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sensor.power import PowerBudget, cmos_switching_power
+from repro.sensor.power import cmos_switching_power
 
 
 @dataclass(frozen=True)
@@ -83,73 +79,3 @@ def digital_backscatter_power_budget(
                          leakage=leakage)
 
 
-class DigitalBackscatterTag:
-    """Functional model of the digital pipeline's measurement path.
-
-    Delivers force readings like WiForce would, but through an ADC:
-    the load-cell-style analog front end is sampled, quantised to
-    ``adc_bits`` over ``full_scale`` newtons, and (lossleslly) reported.
-    Used to compare measurement fidelity and power against the direct
-    analog transduction.
-
-    Args:
-        adc_bits: Quantiser resolution.
-        full_scale: Force full scale [N].
-        frontend_noise_std: Analog front-end noise [N].
-        sample_rate: Sensor sampling rate [Hz].
-        rng: Random source.
-    """
-
-    def __init__(self, adc_bits: int = 10, full_scale: float = 10.0,
-                 frontend_noise_std: float = 0.02,
-                 sample_rate: float = 100.0,
-                 rng: Optional[np.random.Generator] = None):
-        if adc_bits < 1 or adc_bits > 24:
-            raise ConfigurationError(
-                f"ADC bits must be in [1, 24], got {adc_bits}"
-            )
-        if full_scale <= 0.0:
-            raise ConfigurationError(
-                f"full scale must be positive, got {full_scale}"
-            )
-        if frontend_noise_std < 0.0:
-            raise ConfigurationError(
-                f"front-end noise must be >= 0, got {frontend_noise_std}"
-            )
-        self.adc_bits = int(adc_bits)
-        self.full_scale = float(full_scale)
-        self.frontend_noise_std = float(frontend_noise_std)
-        self.sample_rate = float(sample_rate)
-        self._rng = rng or np.random.default_rng()
-
-    @property
-    def lsb(self) -> float:
-        """Quantisation step [N]."""
-        return self.full_scale / (2 ** self.adc_bits)
-
-    def sample(self, force: float) -> float:
-        """One quantised force sample [N]."""
-        if force < 0.0:
-            raise ConfigurationError(f"force must be >= 0, got {force}")
-        noisy = force + self._rng.normal(0.0, self.frontend_noise_std)
-        clipped = float(np.clip(noisy, 0.0, self.full_scale))
-        return round(clipped / self.lsb) * self.lsb
-
-    def power_budget(self) -> DigitalBudget:
-        """The tag's power budget at its configured sample rate."""
-        return digital_backscatter_power_budget(
-            sample_rate=self.sample_rate, adc_bits=self.adc_bits)
-
-    def latency_bound(self, payload_bits: int = 32,
-                      link_rate: float = 50e3) -> float:
-        """Reading latency [s]: sample + frame + backscatter a payload."""
-        if payload_bits < 1 or link_rate <= 0.0:
-            raise ConfigurationError("payload bits and link rate must be positive")
-        return 1.0 / self.sample_rate + payload_bits / link_rate
-
-
-def compare_power(wiforce: PowerBudget,
-                  digital: DigitalBudget) -> Tuple[float, float, float]:
-    """(wiforce uW, digital uW, digital/wiforce factor)."""
-    ratio = digital.total / wiforce.total if wiforce.total > 0 else float("inf")
-    return wiforce.total_uw, digital.total_uw, ratio

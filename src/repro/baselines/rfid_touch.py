@@ -68,16 +68,6 @@ class RFIDTouchArray:
         count = max(2, int(round(length / tag_pitch)) + 1)
         self._centres = np.linspace(0.0, length, count)
 
-    @property
-    def tag_centres(self) -> np.ndarray:
-        """Tag centre positions [m] (copy)."""
-        return self._centres.copy()
-
-    @property
-    def tag_count(self) -> int:
-        """Number of tags on the strip."""
-        return self._centres.size
-
     def _perturbations(self, location: float, force: float) -> np.ndarray:
         """Per-tag perturbation amplitudes for a touch.
 

@@ -30,6 +30,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "keys": ("KEY_SCHEMA_VERSION", "canonicalize", "key_digest"),
     "store": ("ArtifactCache", "CACHE_DIR_ENV", "CACHE_ENV", "CacheConfig",
               "CacheStats", "FORMAT_VERSION", "clear", "config_from_env",
-              "directory_stats", "get_cache", "prune", "set_cache",
-              "temporary_cache"),
+              "directory_stats", "get_cache", "prune"),
 })

@@ -34,10 +34,9 @@ import pickle
 import time
 import uuid
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache.keys import KEY_SCHEMA_VERSION, key_digest
 from repro.errors import CacheError
@@ -82,12 +81,6 @@ class CacheStats:
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (stable key order)."""
         return asdict(self)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from either tier (0 if idle)."""
-        return self.hits / self.requests if self.requests else 0.0
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -192,18 +185,6 @@ class ArtifactCache:
         payload = encode(value) if encode is not None else value
         self._store(namespace, digest, payload)
         return decode(payload) if decode is not None else value
-
-    def contains(self, namespace: str, version: int, key: Any) -> bool:
-        """Whether the artifact exists in either tier (no decode)."""
-        if not self.enabled:
-            return False
-        digest = key_digest(namespace, version, key)
-        return (digest in self._memory
-                or self._artifact_path(namespace, digest).exists())
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (the disk tier is untouched)."""
-        self._memory.clear()
 
     # -- memory tier ----------------------------------------------------
 
@@ -427,7 +408,6 @@ def clear(directory) -> dict:
 
 _cache: Optional[ArtifactCache] = None
 _cache_config: Optional[CacheConfig] = None
-_explicit = False
 
 
 def get_cache() -> ArtifactCache:
@@ -435,42 +415,12 @@ def get_cache() -> ArtifactCache:
 
     Re-reads ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` on every call (two
     dict lookups) so tests and operators can flip the kill switch or
-    redirect the directory without touching module state; an explicit
-    :func:`set_cache` override wins until cleared.
+    redirect the directory without touching module state.
     """
     global _cache, _cache_config
-    if _explicit and _cache is not None:
-        return _cache
     config = config_from_env()
     if _cache is None or config != _cache_config:
         _cache = ArtifactCache(config.directory, enabled=config.enabled,
                                memory_entries=config.memory_entries)
         _cache_config = config
     return _cache
-
-
-def set_cache(cache: Optional[ArtifactCache]) -> Optional[ArtifactCache]:
-    """Install an explicit default cache (``None`` reverts to env).
-
-    Returns the previous explicit cache, if any.
-    """
-    global _cache, _cache_config, _explicit
-    previous = _cache if _explicit else None
-    _cache = cache
-    _cache_config = None
-    _explicit = cache is not None
-    return previous
-
-
-@contextmanager
-def temporary_cache(directory, enabled: bool = True,
-                    memory_entries: int = 128
-                    ) -> Iterator[ArtifactCache]:
-    """Scope a fresh cache as the process default (tests, benches)."""
-    cache = ArtifactCache(directory, enabled=enabled,
-                          memory_entries=memory_entries)
-    previous = set_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_cache(previous)

@@ -64,11 +64,6 @@ class MultipathChannel:
         """The path list (copy)."""
         return list(self._paths)
 
-    @property
-    def is_static(self) -> bool:
-        """True when no path carries Doppler."""
-        return all(path.doppler == 0.0 for path in self._paths)
-
     def frequency_response(self, frequency: np.ndarray,
                            time: float = 0.0) -> np.ndarray:
         """Complex response over ``frequency`` [Hz] at time ``time`` [s]."""
@@ -79,23 +74,6 @@ class MultipathChannel:
                          * np.exp(-2j * np.pi * frequency * path.delay)
                          * np.exp(2j * np.pi * path.doppler * time))
         return response
-
-    def response_series(self, frequency: np.ndarray,
-                        times: np.ndarray) -> np.ndarray:
-        """Response for every (time, frequency) pair, shape (N, K)."""
-        frequency = np.asarray(frequency, dtype=float)
-        times = np.asarray(times, dtype=float)
-        static = np.zeros(frequency.shape, dtype=complex)
-        moving = np.zeros((times.size, frequency.size), dtype=complex)
-        for path in self._paths:
-            tone = path.gain * np.exp(-2j * np.pi * frequency * path.delay)
-            if path.doppler == 0.0:
-                static += tone
-            else:
-                rotation = np.exp(2j * np.pi * path.doppler * times)
-                moving += rotation[:, None] * tone[None, :]
-        return static[None, :] + moving
-
 
 def indoor_channel(frequency_hz: float, path_count: int = 6,
                    max_excess_delay: float = 80e-9,

@@ -106,13 +106,3 @@ class BackscatterLink:
         gain = free_space_path_gain(frequency, self.tx_to_rx,
                                     self.gain_tx_dbi, self.gain_rx_dbi)
         return gain * from_db(-self.direct_blockage_db) ** 0.5
-
-    def two_way_loss_db(self, frequency: float) -> float:
-        """Two-way tag path loss [dB] (positive number)."""
-        gain = np.abs(self.tag_path_gain(frequency)) ** 2
-        return float(-10.0 * np.log10(gain))
-
-    def direct_loss_db(self, frequency: float) -> float:
-        """Direct path loss [dB] (positive number)."""
-        gain = np.abs(self.direct_path_gain(frequency)) ** 2
-        return float(-10.0 * np.log10(gain))

@@ -111,11 +111,6 @@ class TissuePhantom:
         """The layer stack, TX side first."""
         return tuple(self._layers)
 
-    @property
-    def total_thickness(self) -> float:
-        """Stack thickness [m]."""
-        return sum(layer.thickness for layer in self._layers)
-
     def transmission_coefficient(self, frequency: FloatOrArray) -> np.ndarray:
         """Complex field transmission air -> stack -> air.
 
@@ -156,11 +151,6 @@ class TissuePhantom:
         if magnitude <= 0.0:
             return float("inf")
         return -20.0 * math.log10(magnitude)
-
-    def two_way_loss_db(self, frequency: float) -> float:
-        """Round-trip power loss through the stack [dB]."""
-        return 2.0 * self.one_way_loss_db(frequency)
-
 
 def body_phantom() -> TissuePhantom:
     """The paper's 3-layer phantom: 25 mm muscle, 10 mm fat, 2 mm skin."""

@@ -12,19 +12,18 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "calibration": ("CalibrationCurve", "SensorModel",
-                    "calibrate_harmonic_observable",
-                    "calibrate_port_observable", "calibrate_with_rig"),
+                    "calibrate_harmonic_observable", "calibrate_with_rig"),
     "diagnostics": ("DiscoveredTag", "DiscoveredTone", "LinkReport",
                     "discover_tags", "link_report", "scan_tones"),
     "estimator": ("ForceLocationEstimate", "ForceLocationEstimator"),
     "harmonics": ("HarmonicExtractor", "HarmonicMatrix",
                   "integer_period_group_length"),
-    "phase": ("differential_phase", "per_subcarrier_phases",
-              "phase_stability_deg", "phase_trajectory"),
+    "phase": ("differential_phase", "phase_stability_deg",
+              "phase_trajectory"),
     "pipeline": ("PressReading", "WiForceReader"),
     "smoothing": ("SmoothedSample", "TrackSmoother"),
     "tracking": ("StreamingTracker", "TouchEvent", "TrackedSample"),
     "twodim": ("ArraySensorPlacement", "TwoDimensionalArray"),
     "uncertainty": ("ReadingUncertainty", "model_jacobian",
-                    "phase_std_from_snr", "reading_uncertainty"),
+                    "reading_uncertainty"),
 })

@@ -46,12 +46,6 @@ def differential_phase(reference: np.ndarray, observed: np.ndarray) -> float:
     return float(np.angle(total))
 
 
-def per_subcarrier_phases(reference: np.ndarray,
-                          observed: np.ndarray) -> np.ndarray:
-    """Phase change per subcarrier [rad] (no averaging; for ablations)."""
-    return np.angle(_conjugate_product(reference, observed))
-
-
 def phase_trajectory(matrix: HarmonicMatrix,
                      reference_group: int = 0) -> np.ndarray:
     """Phase of every group relative to a reference group [rad].

@@ -18,7 +18,7 @@ immediately before the press (the paper's before/after differential).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class WiForceReader:
         self._clock = 0.0
         self._baseline: Optional[Dict[float, np.ndarray]] = None
         self._drift: Dict[float, float] = {}
-        self._phase_noise: Dict[float, float] = {}
         self._reference_time = 0.0
 
     @property
@@ -232,7 +231,6 @@ class WiForceReader:
                 noise[tone] = float(np.std(residual))
                 reference_time = float(matrix.group_times.mean())
             self._drift = drift
-            self._phase_noise = noise
             self._reference_time = reference_time
             self._baseline = {
                 tone: self._derotated_vector(matrix, tone)
@@ -245,11 +243,6 @@ class WiForceReader:
                 obs.histogram("reader.baseline_phase_noise_rad",
                               (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
                                1e-1, 3e-1, 1.0)).observe(tone_noise)
-
-    @property
-    def has_baseline(self) -> bool:
-        """Whether a baseline has been captured."""
-        return self._baseline is not None
 
     @property
     def drift_rates(self) -> Dict[float, float]:
@@ -300,59 +293,3 @@ class WiForceReader:
             phi2 = differential_phase(self._baseline[tone2],
                                       harmonics[tone2])
         return phi1, phi2
-
-    @property
-    def baseline_phase_noise(self) -> Dict[float, float]:
-        """Per-tone group-phase noise [rad] measured during baseline."""
-        return dict(self._phase_noise)
-
-    def measured_phase_std(self) -> float:
-        """Per-reading phase noise [rad] for error-bar propagation.
-
-        The baseline's per-group scatter, averaged across tones and
-        reduced by the groups averaged per reading.
-        """
-        if not self._phase_noise:
-            raise ReaderError("capture_baseline() must run first")
-        per_group = float(np.mean(list(self._phase_noise.values())))
-        return per_group / np.sqrt(self.groups_per_capture)
-
-    def read_with_uncertainty(self, state: TagState,
-                              location_hint: Optional[float] = None,
-                              rebaseline: bool = False):
-        """Read the sensor and attach propagated error bars.
-
-        Returns:
-            (PressReading, ReadingUncertainty or None) — the
-            uncertainty is ``None`` for no-touch readings.
-        """
-        from repro.core.uncertainty import reading_uncertainty
-
-        reading = self.read(state, location_hint=location_hint,
-                            rebaseline=rebaseline)
-        if not reading.estimate.touched:
-            return reading, None
-        bars = reading_uncertainty(self.model, reading.estimate,
-                                   self.measured_phase_std())
-        return reading, bars
-
-    def read_sequence(self, states: List[TagState]) -> List[PressReading]:
-        """Read a timeline of press states (e.g. a fingertip profile).
-
-        The baseline is captured once up front; drift correction keeps
-        the reference valid across the sequence.  Captures run
-        sequentially (the sounder clock is stateful) but the model
-        inversions run as one batched grid search.
-        """
-        if self._baseline is None:
-            self.capture_baseline()
-        phases = [self._measure_phases(state) for state in states]
-        if not phases:
-            return []
-        phi1 = np.array([pair[0] for pair in phases])
-        phi2 = np.array([pair[1] for pair in phases])
-        estimates = self.estimator.invert_batch(phi1, phi2)
-        return [
-            PressReading(phi1=pair[0], phi2=pair[1], estimate=estimate)
-            for pair, estimate in zip(phases, estimates)
-        ]

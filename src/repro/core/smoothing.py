@@ -138,13 +138,3 @@ class TrackSmoother:
                 touched=True))
             previous_time = sample.time
         return output
-
-    @staticmethod
-    def track_noise(samples: List[SmoothedSample]) -> float:
-        """RMS group-to-group force jitter of a touched track [N]."""
-        forces = [s.force for s in samples if s.touched]
-        if len(forces) < 3:
-            raise ConfigurationError(
-                "need at least 3 touched samples to measure jitter"
-            )
-        return float(np.std(np.diff(forces)))

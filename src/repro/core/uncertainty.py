@@ -11,8 +11,8 @@ model Jacobian ``J = d(phi1, phi2)/d(F, x)`` at the estimate,
 
     cov(F, x) = sigma_phi^2 (J^T J)^{-1}
 
-The phase noise itself can be supplied directly or derived from the
-harmonic SNR of the capture (`repro.core.phase.harmonic_snr_db`).
+The caller supplies the phase noise, e.g. from a repeatability
+measurement.
 """
 
 from __future__ import annotations
@@ -40,27 +40,6 @@ class ReadingUncertainty:
     force_std: float
     location_std: float
     conditioning: float
-
-    def force_interval(self, estimate: ForceLocationEstimate,
-                       sigmas: float = 2.0) -> tuple:
-        """(low, high) force interval [N] at ``sigmas`` significance."""
-        half = sigmas * self.force_std
-        return (max(0.0, estimate.force - half), estimate.force + half)
-
-
-def phase_std_from_snr(snr_db: float) -> float:
-    """Phase standard deviation [rad] of a tone at the given SNR.
-
-    High-SNR approximation ``sigma_phi = 1 / sqrt(2 SNR)`` (the phase
-    CRLB for a complex tone in white noise).
-    """
-    if not np.isfinite(snr_db):
-        return 0.0
-    snr = 10.0 ** (snr_db / 10.0)
-    if snr <= 0.0:
-        raise EstimationError(f"SNR must be positive, got {snr_db} dB")
-    return float(1.0 / np.sqrt(2.0 * snr))
-
 
 def model_jacobian(model: SensorModel, force: float, location: float,
                    force_step: float = 0.05,
@@ -106,8 +85,8 @@ def reading_uncertainty(model: SensorModel,
     Args:
         model: The calibrated model the estimate came from.
         estimate: The inversion result (must be a touched reading).
-        phase_std_rad: Per-tone phase noise [rad] (from
-            :func:`phase_std_from_snr` or a repeatability measurement).
+        phase_std_rad: Per-tone phase noise [rad] (a repeatability
+            measurement).
 
     Raises:
         EstimationError: Untouched reading or degenerate Jacobian.

@@ -9,9 +9,9 @@ index mapping figures/tables to runners.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "figures": ("ascii_cdf", "ascii_histogram", "ascii_plot"),
-    "metrics": ("batch_absolute_errors", "empirical_cdf",
-                "median_absolute_error", "percentile_absolute_error"),
+    "figures": ("ascii_cdf", "ascii_plot"),
+    "metrics": ("empirical_cdf", "median_absolute_error",
+                "percentile_absolute_error"),
     "montecarlo": ("montecarlo",),
     "parallel": ("parallel", "CampaignExecution", "CampaignExecutor",
                  "resolve_workers"),

@@ -114,17 +114,3 @@ def ascii_cdf(samples_by_label: Sequence[Tuple[str, Sequence[float]]],
         series.append((label, values, probabilities))
     return ascii_plot(series, width=width, height=height,
                       x_label=x_label, y_label="CDF")
-
-
-def ascii_histogram(values: Sequence[float], bins: np.ndarray,
-                    width: int = 40, label: str = "") -> str:
-    """Render a histogram as horizontal bars (the Fig. 17a view)."""
-    values = np.asarray(list(values), dtype=float)
-    counts, edges = np.histogram(values, bins=bins)
-    if counts.max() == 0:
-        raise ConfigurationError("histogram is empty")
-    lines = [f"histogram{': ' + label if label else ''}"]
-    for count, low, high in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(count / counts.max() * width))
-        lines.append(f"  [{low:8.3g}, {high:8.3g})  {count:4d}  {bar}")
-    return "\n".join(lines)

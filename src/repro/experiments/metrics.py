@@ -11,7 +11,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import BatchForceLocationEstimate
 from repro.errors import ConfigurationError
 
 
@@ -46,34 +45,3 @@ def percentile_absolute_error(errors: Sequence[float],
     if values.size == 0:
         raise ConfigurationError("cannot take a percentile of an empty sample")
     return float(np.percentile(values, percentile))
-
-
-def cdf_at(errors: Sequence[float], threshold: float) -> float:
-    """Fraction of absolute errors at or below ``threshold``."""
-    values = np.abs(np.asarray(list(errors), dtype=float))
-    if values.size == 0:
-        raise ConfigurationError("empty sample")
-    return float(np.mean(values <= threshold))
-
-
-def batch_absolute_errors(
-    estimates: BatchForceLocationEstimate,
-    true_forces: Sequence[float],
-    true_locations: Sequence[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample |force| and |location| errors of a batched inversion.
-
-    Shapes must agree with the batch; returns (force_errors [N],
-    location_errors [m]).
-    """
-    true_forces = np.asarray(list(true_forces), dtype=float)
-    true_locations = np.asarray(list(true_locations), dtype=float)
-    if true_forces.shape != estimates.force.shape \
-            or true_locations.shape != estimates.location.shape:
-        raise ConfigurationError(
-            f"ground truth shapes {true_forces.shape}/"
-            f"{true_locations.shape} disagree with the batch "
-            f"{estimates.force.shape}"
-        )
-    return (np.abs(estimates.force - true_forces),
-            np.abs(estimates.location - true_locations))

@@ -110,7 +110,6 @@ WarmupSpec = Tuple[Tuple[float, bool], ...]
 # ---------------------------------------------------------------------------
 
 _pools: Dict[Tuple[int, WarmupSpec], ProcessPoolExecutor] = {}
-_pool_counts = {"spawns": 0, "reuses": 0}
 
 
 def _warm_worker(warmup: WarmupSpec) -> None:
@@ -154,7 +153,6 @@ def get_pool(workers: int,
     pool = _pools.get(key)
     obs = active()
     if pool is not None:
-        _pool_counts["reuses"] += 1
         if obs is not None:
             obs.counter("campaign.pool_reuses").increment()
         return pool
@@ -162,7 +160,6 @@ def get_pool(workers: int,
                                initializer=_warm_worker,
                                initargs=(tuple(warmup),))
     _pools[key] = pool
-    _pool_counts["spawns"] += 1
     if obs is not None:
         obs.counter("campaign.pool_spawns").increment()
     logger.debug("spawned persistent campaign pool (%d workers)", workers)
@@ -194,13 +191,6 @@ def shutdown_pools(wait: bool = True) -> int:
         _, pool = _pools.popitem()
         pool.shutdown(wait=wait)
     return count
-
-
-def pool_stats() -> Dict[str, int]:
-    """Pool lifecycle counters: live pools, spawns, reuses."""
-    return {"live": len(_pools),
-            "spawns": _pool_counts["spawns"],
-            "reuses": _pool_counts["reuses"]}
 
 
 atexit.register(shutdown_pools, wait=False)

@@ -14,19 +14,16 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.channel.multipath import indoor_channel
 from repro.channel.propagation import BackscatterLink
 from repro.core.calibration import calibrate_harmonic_observable
 from repro.core.pipeline import WiForceReader
 from repro.experiments.metrics import median_absolute_error
 from repro.experiments.scenarios import (
-    calibrated_model,
+    build_wireless_scenario,
     default_transducer,
     fast_transducer,
 )
 from repro.mechanics.indenter import GroundTruthRig
-from repro.reader.batch import FastSounder
-from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.tag import TagState, WiForceTag
 
 
@@ -66,27 +63,6 @@ def _measure(reader: WiForceReader, rng: np.random.Generator,
             median_absolute_error(location_errors))
 
 
-def _build_reader(carrier: float, fast: bool, seed: int,
-                  tx_power_dbm: float = 10.0,
-                  groups_per_capture: int = 2,
-                  clutter_to_direct_db: float = 10.0,
-                  link: BackscatterLink = None) -> WiForceReader:
-    rng = np.random.default_rng(seed)
-    transducer = fast_transducer() if fast else default_transducer()
-    tag = WiForceTag(transducer, clock_offset_ppm=20.0)
-    link = link or BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5,
-                                   tx_to_rx=1.0)
-    clutter = indoor_channel(carrier,
-                             clutter_to_direct_db=clutter_to_direct_db,
-                             rng=rng)
-    config = OFDMSounderConfig(carrier_frequency=carrier,
-                               tx_power_dbm=tx_power_dbm)
-    sounder = FastSounder(config, tag, link, clutter, rng=rng)
-    model = calibrated_model(carrier, fast=fast)
-    return WiForceReader(sounder, model,
-                         groups_per_capture=groups_per_capture)
-
-
 def sweep_tx_power(carrier: float = 900e6, fast: bool = True,
                    powers_dbm: Sequence[float] = (-10.0, 0.0, 10.0),
                    seed: int = 41) -> SweepResult:
@@ -94,8 +70,8 @@ def sweep_tx_power(carrier: float = 900e6, fast: bool = True,
     points = []
     for index, power in enumerate(powers_dbm):
         rng = np.random.default_rng(seed + index)
-        reader = _build_reader(carrier, fast, seed + index,
-                               tx_power_dbm=float(power))
+        reader = build_wireless_scenario(carrier, seed=seed + index,
+                                         fast=fast, tx_power_dbm=float(power))
         force, location = _measure(reader, rng)
         points.append((float(power), force, location))
     return SweepResult(knob="tx_power_dbm", points=tuple(points))
@@ -108,8 +84,9 @@ def sweep_integration(carrier: float = 900e6, fast: bool = True,
     points = []
     for index, count in enumerate(groups):
         rng = np.random.default_rng(seed + index)
-        reader = _build_reader(carrier, fast, seed + index,
-                               groups_per_capture=int(count))
+        reader = build_wireless_scenario(carrier, seed=seed + index,
+                                         fast=fast,
+                                         groups_per_capture=int(count))
         force, location = _measure(reader, rng)
         points.append((float(count), force, location))
     return SweepResult(knob="groups_per_capture", points=tuple(points))
@@ -125,7 +102,8 @@ def sweep_range(carrier: float = 900e6, fast: bool = True,
         link = BackscatterLink(tx_to_tag=separation / 2.0,
                                tag_to_rx=separation / 2.0,
                                tx_to_rx=separation)
-        reader = _build_reader(carrier, fast, seed + index, link=link)
+        reader = build_wireless_scenario(carrier, link=link,
+                                         seed=seed + index, fast=fast)
         force, location = _measure(reader, rng)
         points.append((float(separation), force, location))
     return SweepResult(knob="tx_rx_separation_m", points=tuple(points))
@@ -144,9 +122,9 @@ def sweep_calibration_density(carrier: float = 900e6, fast: bool = True,
         model = calibrate_harmonic_observable(tag, carrier, locations,
                                               forces)
         rng = np.random.default_rng(seed + index)
-        reader = _build_reader(carrier, fast, seed + index)
+        reader = build_wireless_scenario(carrier, seed=seed + index,
+                                         fast=fast)
         reader.model = model
-        reader.estimator.model = model
         # Rebuild the estimator against the new model cleanly.
         from repro.core.estimator import ForceLocationEstimator
         reader.estimator = ForceLocationEstimator(model)

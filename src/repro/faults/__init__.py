@@ -11,8 +11,8 @@ degradation"):
   armed :class:`FaultInjector`; unarmed, every hook is a one-call
   no-op and results are bit-identical to an uninstrumented build.
 * :mod:`repro.faults.retry` — the degradation vocabulary the
-  consumers share: bounded :func:`retry_async`/:func:`retry_sync`
-  with seeded exponential backoff, and a :class:`CircuitBreaker`.
+  consumers share: bounded :func:`retry_async` with seeded
+  exponential backoff, and a :class:`CircuitBreaker`.
 
 The chaos harness lives in :mod:`repro.faults.chaos` (imported
 lazily — it pulls in the serve stack) and backs the
@@ -35,12 +35,7 @@ from repro.faults.inject import (
     validate_plan,
 )
 from repro.faults.plan import FaultPlan, FaultSpec, unit_draw
-from repro.faults.retry import (
-    CircuitBreaker,
-    RetryPolicy,
-    retry_async,
-    retry_sync,
-)
+from repro.faults.retry import CircuitBreaker, RetryPolicy, retry_async
 
 __all__ = [
     "SITES",
@@ -54,7 +49,6 @@ __all__ = [
     "disarm",
     "inject",
     "retry_async",
-    "retry_sync",
     "unit_draw",
     "validate_plan",
 ]

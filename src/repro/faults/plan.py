@@ -207,13 +207,9 @@ class FaultPlan:
         except (KeyError, TypeError, ValueError) as exc:
             raise FaultError(f"malformed fault plan: {exc}") from exc
 
-    def to_json(self) -> str:
-        """Compact JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """Inverse of :meth:`to_json`."""
+        """Parse a plan from JSON text (what :meth:`save` writes)."""
         try:
             payload = json.loads(text)
         except ValueError as exc:

@@ -116,30 +116,6 @@ async def retry_async(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def retry_sync(
-    operation: Callable[[], T],
-    policy: Optional[RetryPolicy] = None,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-    name: str = "operation",
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
-    """Blocking variant of :func:`retry_async` (same contract)."""
-    policy = policy if policy is not None else RetryPolicy()
-    delays = policy.delays()
-    for attempt in range(1, policy.attempts + 1):
-        try:
-            return operation()
-        except retry_on as exc:
-            if attempt >= policy.attempts:
-                raise
-            _observe_retry(name)
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(next(delays))
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 class CircuitBreaker:
     """Classic three-state breaker for a repeatedly failing dependency.
 
@@ -185,11 +161,6 @@ class CircuitBreaker:
                 >= self.recovery_timeout_s):
             return "half_open"
         return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        """Failures seen since the last success."""
-        return self._failures
 
     def allow(self) -> bool:
         """Whether the protected call should be attempted now.

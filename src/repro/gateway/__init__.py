@@ -16,8 +16,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "auth": ("Tenant", "TenantTable", "TokenBucket"),
-    "client": ("ConnectionClosed", "HandshakeRejected", "WebSocketClient",
-               "estimate_over_ws", "http_request"),
+    "client": ("ConnectionClosed", "HandshakeRejected", "WebSocketClient"),
     "http": ("GatewayLimits", "HttpRequest", "HttpResponse"),
     "server": ("Gateway",),
 })

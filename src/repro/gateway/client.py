@@ -1,15 +1,11 @@
-"""Minimal asyncio clients for the gateway (chaos campaign + tests).
+"""Minimal asyncio client for the gateway (chaos campaign + tests).
 
-Two transports, both stdlib-only:
+:class:`WebSocketClient` is the streaming session, stdlib-only: RFC
+6455 handshake, masked client frames, JSON message send/receive with
+transparent ping/pong handling.
 
-* :func:`http_request` — one request/response exchange on a fresh
-  connection (what a ``curl`` user does).
-* :class:`WebSocketClient` — the streaming session: RFC 6455
-  handshake, masked client frames, JSON message send/receive with
-  transparent ping/pong handling.
-
-These are deliberately *honest* clients — they mask frames, validate
-the accept key, and speak well-formed HTTP — because the hostile-peer
+It is a deliberately *honest* client — it masks frames, validates
+the accept key, and speaks well-formed HTTP — because the hostile-peer
 side of the contract is exercised by the fuzz suite with raw sockets
 instead.
 """
@@ -20,7 +16,7 @@ import asyncio
 import base64
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import GatewayError, ProtocolError
 from repro.gateway import http, websocket
@@ -45,50 +41,6 @@ def _auth_headers(token: Optional[str]) -> Dict[str, str]:
     if token:
         headers["authorization"] = f"Bearer {token}"
     return headers
-
-
-async def http_request(host: str, port: int, method: str, target: str,
-                       payload: Optional[dict] = None,
-                       token: Optional[str] = None,
-                       limits: Optional[GatewayLimits] = None,
-                       timeout: float = 30.0) -> HttpResponse:
-    """One HTTP exchange on a fresh connection.
-
-    Args:
-        payload: Optional JSON body (sent with ``Content-Length``).
-        token: Bearer token for the ``Authorization`` header.
-        limits: Client-side parse caps; server defaults when omitted.
-        timeout: Overall deadline for the exchange [s].
-
-    Raises:
-        ProtocolError: The server's response could not be parsed.
-        asyncio.TimeoutError: The deadline elapsed.
-    """
-    limits = limits if limits is not None else GatewayLimits()
-
-    async def exchange() -> HttpResponse:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            headers = _auth_headers(token)
-            headers["connection"] = "close"
-            body = b""
-            if payload is not None:
-                body = json.dumps(payload,
-                                  sort_keys=True).encode("utf-8")
-                headers["content-type"] = "application/json"
-            writer.write(http.render_request(method, target,
-                                             headers=headers,
-                                             body=body))
-            await writer.drain()
-            return await http.read_response(reader, limits)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    return await asyncio.wait_for(exchange(), timeout)
 
 
 class ConnectionClosed(GatewayError):
@@ -254,25 +206,3 @@ class WebSocketClient:
                 await self._writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
-
-
-async def estimate_over_ws(client: WebSocketClient,
-                           request_payload: dict,
-                           timeout: float = 30.0
-                           ) -> Tuple[dict, list]:
-    """Send one estimate and collect its reply.
-
-    Returns ``(reply, pushed)`` where ``pushed`` is any
-    ``touch_event`` messages that arrived before the reply (event
-    pushes for *other* requests on the same connection can interleave
-    with a response when estimates are pipelined).
-    """
-    await client.send_json({"type": "estimate",
-                            "request": request_payload})
-    pushed = []
-    while True:
-        message = await client.recv_json(timeout)
-        if message.get("type") == "touch_event":
-            pushed.append(message)
-            continue
-        return message, pushed

@@ -384,12 +384,14 @@ class Gateway:
             try:
                 min_groups = int(request.query.get(
                     "min_groups", self.touch_min_groups))
+                if min_groups < 1:
+                    raise ValueError(min_groups)
                 events = self.service.touch_events(
                     sensor_id, min_groups=min_groups)
             except ValueError:
                 self._respond(writer, 400,
                               {"error": "min_groups must be an "
-                                        "integer"},
+                                        "integer >= 1"},
                               context, close=wants_close)
                 return
             except ServeError as exc:
@@ -684,10 +686,8 @@ class Gateway:
                 # Compute + send under the write lock so concurrent
                 # estimates for the same sensor cannot interleave
                 # event pushes out of order on one connection.
-                events = session.touch_events(
+                events = session.closed_touch_events(
                     min_groups=subscription.min_groups)
-                if session.samples and session.samples[-1].touched:
-                    events = events[:-1]  # last press still open
                 fresh = events[subscription.emitted:]
                 if not fresh:
                     continue

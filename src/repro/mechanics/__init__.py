@@ -10,13 +10,12 @@ effect the RF half transduces into phase (paper sections 3.1 and 4.2).
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "beam": ("BeamSection", "CompositeBeam", "first_contact_force",
-             "simply_supported_deflection"),
+    "beam": ("BeamSection", "CompositeBeam"),
     "contact": ("ContactMap", "ContactPatch", "GapContactSolver",
                 "PressureKernel"),
     "dynamics": ("ModalSummary", "modal_summary", "natural_frequencies",
-                 "press_transient", "settling_time", "stationarity_margin"),
+                 "settling_time"),
     "indenter": ("ActuatedStage", "GroundTruthRig", "Indenter", "LoadCell"),
     "materials": ("COPPER", "ECOFLEX_0030", "ECOFLEX_0050", "FR4",
-                  "GELATIN_PHANTOM", "Material", "material_library"),
+                  "GELATIN_PHANTOM", "Material"),
 })

@@ -3,18 +3,15 @@
 The sensor's top structure is a composite beam: a thin copper signal
 trace bonded under a thick soft elastomer beam.  The composite bends
 under a contact force and its underside (the trace) closes the air gap
-to the ground trace.  This module provides section properties, the
-classical simply-supported point-load solution (used as an analytic
-cross-check of the finite-difference contact solver) and the force at
-which the trace first touches the ground.
+to the ground trace.  This module provides the section properties and
+the composite's bending stiffness; the finite-difference contact
+solver (:mod:`repro.mechanics.contact`) computes the deflection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.mechanics.materials import Material
@@ -68,10 +65,10 @@ class CompositeBeam:
         if length <= 0.0:
             raise ConfigurationError(f"beam length must be positive, got {length}")
         self._length = float(length)
-        self._bending_stiffness, self._neutral_axis = self._transformed_section()
+        self._bending_stiffness = self._transformed_section()
 
-    def _transformed_section(self) -> Tuple[float, float]:
-        """Return (EI [N m^2], neutral axis height from the bottom [m])."""
+    def _transformed_section(self) -> float:
+        """EI [N m^2] about the modulus-weighted neutral axis."""
         heights = []
         z = 0.0
         for layer in self._layers:
@@ -88,7 +85,7 @@ class CompositeBeam:
             stiffness += layer.material.youngs_modulus * (
                 layer.self_inertia + layer.area * (centroid - neutral) ** 2
             )
-        return stiffness, neutral
+        return stiffness
 
     @property
     def layers(self) -> Tuple[BeamSection, ...]:
@@ -106,81 +103,6 @@ class CompositeBeam:
         return self._bending_stiffness
 
     @property
-    def neutral_axis(self) -> float:
-        """Neutral-axis height from the bottom face [m]."""
-        return self._neutral_axis
-
-    @property
-    def total_thickness(self) -> float:
-        """Total laminate thickness [m]."""
-        return sum(layer.thickness for layer in self._layers)
-
-    @property
     def mass_per_length(self) -> float:
         """Mass per unit length [kg/m]."""
         return sum(layer.material.density * layer.area for layer in self._layers)
-
-
-def simply_supported_deflection(
-    x: np.ndarray, load_position: float, force: float, length: float,
-    bending_stiffness: float,
-) -> np.ndarray:
-    """Deflection of a simply supported beam under a point load.
-
-    Classical Euler-Bernoulli solution; downward load gives positive
-    deflection values here (deflection towards the ground trace).
-
-    Args:
-        x: Positions along the beam [m], each in [0, length].
-        load_position: Point-load position a [m].
-        force: Load magnitude F [N] (positive = pressing down).
-        length: Beam span L [m].
-        bending_stiffness: EI [N m^2].
-
-    Returns:
-        Deflection w(x) [m], positive towards the gap.
-    """
-    if not 0.0 <= load_position <= length:
-        raise ConfigurationError(
-            f"load position {load_position} outside beam [0, {length}]"
-        )
-    if bending_stiffness <= 0.0:
-        raise ConfigurationError("bending stiffness must be positive")
-    x = np.asarray(x, dtype=float)
-    a = load_position
-    b = length - a
-    w = np.empty_like(x)
-    left = x <= a
-    xl = x[left]
-    w[left] = (
-        force * b * xl * (length ** 2 - b ** 2 - xl ** 2)
-        / (6.0 * length * bending_stiffness)
-    )
-    xr = x[~left]
-    # Mirror the standard solution for points right of the load.
-    xr_m = length - xr
-    w[~left] = (
-        force * a * xr_m * (length ** 2 - a ** 2 - xr_m ** 2)
-        / (6.0 * length * bending_stiffness)
-    )
-    return w
-
-
-def first_contact_force(
-    load_position: float, length: float, bending_stiffness: float, gap: float,
-) -> float:
-    """Force [N] at which the trace first touches the ground trace.
-
-    For a simply supported beam pressed at ``load_position`` the maximum
-    deflection occurs near the load; contact begins when it reaches the
-    air gap.  Solved from the analytic deflection profile.
-    """
-    if gap <= 0.0:
-        raise ConfigurationError(f"gap must be positive, got {gap}")
-    x = np.linspace(0.0, length, 2001)
-    unit = simply_supported_deflection(x, load_position, 1.0, length,
-                                       bending_stiffness)
-    peak = float(unit.max())
-    if peak <= 0.0:
-        raise ConfigurationError("degenerate beam: no deflection under load")
-    return gap / peak

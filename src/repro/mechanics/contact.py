@@ -112,11 +112,6 @@ class PressureKernel:
         return cls(base_half_width=0.9 * thickness,
                    hertz_coefficient=0.25 * thickness)
 
-    @classmethod
-    def point_like(cls) -> "PressureKernel":
-        """Nearly-point kernel modelling a bare thin trace (Fig. 4a)."""
-        return cls(base_half_width=0.2e-3, hertz_coefficient=0.0)
-
     def half_width(self, force: float) -> float:
         """Pressure-patch half-width [m] at the given force [N]."""
         if force < 0.0:
@@ -277,16 +272,6 @@ class GapContactSolver:
     def foundation_stiffness(self) -> float:
         """Winkler foundation stiffness k_f [N/m^2]."""
         return self._foundation
-
-    @property
-    def decay_length(self) -> float:
-        """Characteristic deflection decay length (4 EI / k_f)^(1/4) [m].
-
-        Infinite when no foundation is configured (pure beam bending).
-        """
-        if self._foundation == 0.0:
-            return float("inf")
-        return (4.0 * self._beam.bending_stiffness / self._foundation) ** 0.25
 
     def cache_spec(self) -> dict:
         """Everything a solve's result depends on, as key material.
@@ -520,11 +505,6 @@ class ContactMap:
     def max_force(self) -> float:
         """Largest tabulated force [N]."""
         return float(self._forces[-1])
-
-    @property
-    def location_range(self) -> Tuple[float, float]:
-        """Tabulated location span [m]."""
-        return float(self._locations[0]), float(self._locations[-1])
 
     def edges(self, force: float, location: float) -> ContactPatch:
         """Interpolated shorting edges for a (force, location) query.

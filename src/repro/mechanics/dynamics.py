@@ -6,7 +6,7 @@ Paper section 3.3 assumes the contact force — hence the shorting points
 stabilize)" than the wireless sampling.  This module makes that claim
 computable: modal frequencies of the composite beam (Euler-Bernoulli,
 simply supported), elastomer damping, and the resulting settling time,
-which the reader compares against its group duration.
+to compare against the 36 ms phase group.
 """
 
 from __future__ import annotations
@@ -99,43 +99,3 @@ def modal_summary(beam: CompositeBeam, damping_ratio: float = 0.12,
     return ModalSummary(natural_frequencies=frequencies,
                         damping_ratio=damping_ratio,
                         settling_time=settle)
-
-
-def stationarity_margin(beam: CompositeBeam, group_duration: float,
-                        damping_ratio: float = 0.12,
-                        foundation_stiffness: float = 0.0) -> float:
-    """How many phase groups fit inside one mechanical settling time.
-
-    The paper's assumption needs this to be >> 1: the force evolves on
-    the settling-time scale, so consecutive groups see an essentially
-    static contact state.  For the prototype (36 ms groups, ~0.1-1 s
-    settling) the margin is around an order of magnitude.
-    """
-    if group_duration <= 0.0:
-        raise ConfigurationError(
-            f"group duration must be positive, got {group_duration}"
-        )
-    summary = modal_summary(beam, damping_ratio, foundation_stiffness)
-    return summary.settling_time / group_duration
-
-
-def press_transient(beam: CompositeBeam, times: np.ndarray,
-                    damping_ratio: float = 0.12,
-                    foundation_stiffness: float = 0.0) -> np.ndarray:
-    """Normalised step response of the fundamental mode.
-
-    Models how the contact state approaches steady state after a step
-    press: ``1 - exp(-zeta w t) (cos(w_d t) + (zeta w / w_d) sin(w_d t))``.
-    Used by the experiments to emulate force ramps realistically.
-    """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ConfigurationError("times must be non-negative")
-    frequencies = natural_frequencies(beam, 1, foundation_stiffness)
-    omega = 2.0 * np.pi * frequencies[0]
-    zeta = damping_ratio
-    damped = omega * np.sqrt(1.0 - zeta ** 2)
-    envelope = np.exp(-zeta * omega * times)
-    return 1.0 - envelope * (np.cos(damped * times)
-                             + (zeta * omega / damped)
-                             * np.sin(damped * times))

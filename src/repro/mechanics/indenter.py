@@ -10,7 +10,7 @@ that is itself imperfect, exactly as in the physical experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -164,8 +164,3 @@ class GroundTruthRig:
             commanded_location=location,
             applied_location=position,
         )
-
-    def force_sweep(self, forces: Sequence[float],
-                    location: float) -> List[Press]:
-        """Press with each force in ``forces`` at a fixed location."""
-        return [self.press(float(f), location) for f in forces]

@@ -9,7 +9,6 @@ description is sufficient for the force range of the paper (0-8 N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -45,18 +44,6 @@ class Material:
             raise ConfigurationError(
                 f"{self.name}: density must be positive, got {self.density}"
             )
-
-    @property
-    def shear_modulus(self) -> float:
-        """Shear modulus G = E / (2 (1 + nu)) [Pa]."""
-        return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
-
-    @property
-    def plane_strain_modulus(self) -> float:
-        """Plane-strain modulus E' = E / (1 - nu^2) [Pa], used by the
-        contact-patch (Hertz-like) spreading model."""
-        return self.youngs_modulus / (1.0 - self.poisson_ratio ** 2)
-
 
 #: Smooth-On Ecoflex 00-30, the soft beam material of the prototype.
 ECOFLEX_0030 = Material(
@@ -98,13 +85,3 @@ GELATIN_PHANTOM = Material(
     poisson_ratio=0.45,
     density=1030.0,
 )
-
-_LIBRARY: Dict[str, Material] = {
-    mat.name: mat
-    for mat in (ECOFLEX_0030, ECOFLEX_0050, COPPER, FR4, GELATIN_PHANTOM)
-}
-
-
-def material_library() -> Dict[str, Material]:
-    """Return a copy of the built-in material library keyed by name."""
-    return dict(_LIBRARY)

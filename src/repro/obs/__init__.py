@@ -19,8 +19,7 @@ benchmarking") for the data flow and a quickstart.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "exporters": ("registry_from_snapshot", "to_prometheus",
-                  "write_snapshot"),
+    "exporters": ("to_prometheus",),
     "instruments": ("BATCH_BUCKETS", "LATENCY_BUCKETS", "Counter", "Gauge",
                     "Histogram", "JsonlSink", "MemorySink", "NullSink", "Span",
                     "TelemetrySink"),
@@ -30,10 +29,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "recorder": ("FlightRecorder", "flight_recorder", "recording",
                  "set_flight_recorder"),
     "registry": ("Registry", "active", "disable", "enable", "enable_from_env",
-                 "get_registry", "is_enabled", "maybe_span", "observed",
-                 "set_registry"),
-    "slo": ("Slo", "SloMonitor", "default_slos", "evaluate_snapshot"),
+                 "is_enabled", "maybe_span", "observed", "set_registry"),
+    "slo": ("Slo", "SloMonitor", "default_slos"),
     "trace": ("TraceContext", "current_context", "current_traceparent",
-              "new_trace_id", "parse_traceparent", "trace_sampled",
-              "use_context"),
+              "new_trace_id", "parse_traceparent", "trace_sampled"),
 })

@@ -1,24 +1,14 @@
-"""Exporters: Prometheus text format and JSON snapshot round-trips.
+"""Exporter: a registry snapshot in the Prometheus text format.
 
-Two consumption paths for a :class:`~repro.obs.registry.Registry`:
-
-* :func:`to_prometheus` renders a snapshot in the Prometheus text
-  exposition format (counters, gauges, and histograms with cumulative
-  ``le`` buckets), so a scrape endpoint or pushgateway hook needs no
-  extra dependencies.
-* :func:`write_snapshot` / :func:`registry_from_snapshot` persist the
-  JSON snapshot and rebuild a live registry from it — what the
-  ``repro obs-report`` CLI and the benchmark manifests use.
+:func:`to_prometheus` renders counters, gauges, and histograms (with
+cumulative ``le`` buckets), so a scrape endpoint or pushgateway hook
+needs no extra dependencies.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from pathlib import Path
-from typing import Union
 
-from repro.obs.instruments import Histogram
 from repro.obs.registry import Registry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
@@ -74,34 +64,3 @@ def to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
         lines.append(f"{metric}_sum {_format_value(payload['sum'])}")
         lines.append(f"{metric}_count {payload['count']}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_snapshot(registry: Union[Registry, dict], path) -> Path:
-    """Persist a registry snapshot as pretty JSON; returns the path."""
-    snapshot = (registry.snapshot() if isinstance(registry, Registry)
-                else registry)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def registry_from_snapshot(snapshot: Union[dict, str, Path]) -> Registry:
-    """Rebuild a live registry from a snapshot dict or JSON file.
-
-    The inverse of :meth:`Registry.snapshot` up to span-sink events
-    (which are not retained): counters, gauges, and histograms come
-    back with their full recorded state, so quantiles and exports work
-    on reloaded data exactly as on the original.
-    """
-    if not isinstance(snapshot, dict):
-        snapshot = json.loads(Path(snapshot).read_text())
-    registry = Registry()
-    for name, value in snapshot.get("counters", {}).items():
-        registry.counter(name).increment(int(value))
-    for name, value in snapshot.get("gauges", {}).items():
-        registry.gauge(name).set(float(value))
-    for name, payload in snapshot.get("histograms", {}).items():
-        histogram = Histogram.from_dict(dict(payload, name=name))
-        registry._histograms[name] = histogram
-    return registry

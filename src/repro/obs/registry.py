@@ -19,7 +19,6 @@ state on exit (what tests and the benchmark harnesses use).
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence
@@ -160,18 +159,8 @@ class Registry:
                            in sorted(self._histograms.items())},
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The snapshot as JSON text."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
 _registry = Registry()
 _enabled = False
-
-
-def get_registry() -> Registry:
-    """The process-wide default registry (always exists)."""
-    return _registry
 
 
 def set_registry(registry: Registry) -> Registry:

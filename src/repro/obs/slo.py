@@ -9,15 +9,15 @@ An :class:`Slo` names an objective in one of two shapes:
   reads "p99 <= 300 ms").  Evaluated from bucket counts, which is why
   thresholds should sit on a bucket bound.
 
-:func:`evaluate_snapshot` is a pure function returning one status
-dict per objective (compliance, target, error-budget remaining, ok
-flag).  :class:`SloMonitor` adds
-time: it keeps a bounded deque of (timestamp, snapshot) samples and
-computes **multi-window burn rates** — the rate at which the error
-budget is being consumed over a short and a long trailing window.  An
-objective *alerts* only when every window with data burns above its
-factor, the standard fast-burn/slow-burn pairing that ignores both
-ancient history and single-sample blips.
+:func:`evaluate_slo` is a pure function returning one objective's
+status dict (compliance, target, error-budget remaining, ok flag).
+:class:`SloMonitor` adds time: it keeps a bounded deque of
+(timestamp, snapshot) samples and computes **multi-window burn
+rates** — the rate at which the error budget is being consumed over a
+short and a long trailing window.  An objective *alerts* only when
+every window with data burns above its factor, the standard
+fast-burn/slow-burn pairing that ignores both ancient history and
+single-sample blips.
 
 Surface: the ``GET /healthz`` detail on the gateway.
 """
@@ -126,12 +126,6 @@ def evaluate_slo(slo: Slo, snapshot: dict) -> dict:
     return status
 
 
-def evaluate_snapshot(slos: Sequence[Slo], snapshot: dict
-                      ) -> List[dict]:
-    """Statuses of every objective in ``slos``."""
-    return [evaluate_slo(slo, snapshot) for slo in slos]
-
-
 class SloMonitor:
     """Burn-rate evaluation over a rolling window of snapshots.
 
@@ -220,4 +214,3 @@ def default_slos() -> Tuple[Slo, ...]:
             histogram="serve.latency_seconds", threshold_s=0.3,
             description="end-to-end estimates under 300 ms (p99)"),
     )
-

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Environment variable holding the head-sampling rate in [0, 1].
 #: Unset / unparsable means 1.0 (record every trace when obs is on).
@@ -250,25 +249,6 @@ def set_context(context: Optional[TraceContext]):
 def reset_context(token) -> None:
     """Undo a :func:`set_context` (restores the previous context)."""
     _current.reset(token)
-
-
-@contextmanager
-def use_context(context: Optional[TraceContext]
-                ) -> Iterator[Optional[TraceContext]]:
-    """Scope ``context`` as the ambient parent for a ``with`` body.
-
-    ``None`` is a no-op scope, so deserialized maybe-absent contexts
-    (``parse_traceparent`` results) thread through without a branch
-    at the call site.
-    """
-    if context is None:
-        yield None
-        return
-    token = _current.set(context)
-    try:
-        yield context
-    finally:
-        _current.reset(token)
 
 
 def current_traceparent() -> str:

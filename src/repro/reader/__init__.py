@@ -22,5 +22,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "sounder": ("ChannelEstimateStream", "FrameLevelSounder",
                 "concatenate_streams"),
     "uwb": ("UWBSounder", "UWBSounderConfig"),
-    "waveform": ("OFDMSounderConfig", "generate_preamble"),
+    "waveform": ("OFDMSounderConfig",),
 })

@@ -66,11 +66,6 @@ class FMCWSounderConfig:
         """Dwell time on each step [s] (80% duty; 20% retrace)."""
         return 0.8 * self.sweep_period / self.steps
 
-    @property
-    def max_harmonic_frequency(self) -> float:
-        """Nyquist limit on observable switching tones [Hz]."""
-        return 0.5 / self.sweep_period
-
     def step_frequencies(self) -> np.ndarray:
         """Absolute frequency of each sweep step [Hz]."""
         k = np.arange(self.steps) - self.steps // 2

@@ -4,7 +4,7 @@ Captures the receive-chain properties the paper's evaluation leans on:
 finite dynamic range (≈60 dB for the USRP's ADC chain), which buries
 the backscatter under quantization noise when the direct path is too
 strong (the tissue experiment's reason for the metal plate, section
-5.2), plus transmit power limits.
+5.2).
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ class SDRFrontEnd:
         name: Device identifier.
         dynamic_range_db: Usable ratio between the strongest signal the
             ADC is scaled to and the quantization floor [dB].
-        max_tx_power_dbm: Transmit power ceiling [dBm].
         synchronized_tx_rx: Whether TX and RX share a clock (true for
             the paper's single-USRP reader, so no CFO between them).
     """
 
     name: str = "generic-sdr"
     dynamic_range_db: float = 60.0
-    max_tx_power_dbm: float = 20.0
     synchronized_tx_rx: bool = True
 
     def __post_init__(self) -> None:
@@ -59,20 +57,10 @@ class SDRFrontEnd:
         floor_power = scaled_power * 10.0 ** (-self.dynamic_range_db / 10.0)
         return float(np.sqrt(floor_power))
 
-    def check_tx_power(self, tx_power_dbm: float) -> None:
-        """Raise when the requested transmit power exceeds the chain."""
-        if tx_power_dbm > self.max_tx_power_dbm:
-            raise ConfigurationError(
-                f"{self.name} cannot transmit {tx_power_dbm} dBm "
-                f"(max {self.max_tx_power_dbm} dBm)"
-            )
-
-
 #: The paper's reader: USRP N210, ~60 dB usable dynamic range,
 #: synchronized TX/RX chains on one device (section 4.4).
 USRP_N210 = SDRFrontEnd(
     name="USRP-N210",
     dynamic_range_db=60.0,
-    max_tx_power_dbm=20.0,
     synchronized_tx_rx=True,
 )

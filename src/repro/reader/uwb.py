@@ -68,11 +68,6 @@ class UWBSounderConfig:
         """Channel-estimate repetition period [s]."""
         return self.pulse_repetition_interval * self.pulses_per_estimate
 
-    @property
-    def max_harmonic_frequency(self) -> float:
-        """Nyquist limit on observable switching tones [Hz]."""
-        return 0.5 / self.estimate_period
-
     def bin_frequencies(self) -> np.ndarray:
         """Absolute frequency of each response bin [Hz]."""
         k = np.arange(self.bins) - self.bins // 2

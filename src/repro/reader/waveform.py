@@ -81,11 +81,6 @@ class OFDMSounderConfig:
         return self.frame_samples / self.bandwidth
 
     @property
-    def max_harmonic_frequency(self) -> float:
-        """Nyquist limit 1/(2T) on observable switching tones [Hz]."""
-        return 0.5 / self.frame_period
-
-    @property
     def tx_amplitude(self) -> float:
         """RMS transmit amplitude [sqrt(W)]."""
         return float(np.sqrt(10.0 ** (self.tx_power_dbm / 10.0) * 1e-3))
@@ -115,26 +110,3 @@ class OFDMSounderConfig:
         if start_time != 0.0:
             times = start_time + times
         return times
-
-
-def generate_preamble(config: OFDMSounderConfig,
-                      seed: int = 7) -> np.ndarray:
-    """Deterministic QPSK preamble, time domain, unit average power.
-
-    One 64-sample OFDM symbol built from a fixed pseudo-random QPSK
-    sequence, repeated ``symbol_repeats`` times.  The receiver knows
-    the same sequence (seeded), as with a standards preamble.
-    """
-    rng = np.random.default_rng(seed)
-    phases = rng.integers(0, 4, config.subcarriers)
-    tones = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * phases))
-    symbol = np.fft.ifft(tones) * np.sqrt(config.subcarriers)
-    preamble = np.tile(symbol, config.symbol_repeats)
-    return preamble * config.tx_amplitude
-
-
-def preamble_tones(config: OFDMSounderConfig, seed: int = 7) -> np.ndarray:
-    """The frequency-domain QPSK tones the preamble was built from."""
-    rng = np.random.default_rng(seed)
-    phases = rng.integers(0, 4, config.subcarriers)
-    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * phases))

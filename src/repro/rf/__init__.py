@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                    "synthesize_ratio_for_impedance",
                    "wide_ground_effective_width"),
     "switch": ("HMC544AE", "RFSwitch"),
-    "twoport": ("TwoPort", "abcd_line", "abcd_series", "abcd_shunt",
-                "abcd_to_s", "cascade", "input_reflection",
-                "mismatch_reflection", "s_to_abcd"),
+    "twoport": ("TwoPort", "abcd_line", "abcd_shunt", "abcd_to_s",
+                "cascade", "input_reflection"),
 })

@@ -181,13 +181,3 @@ class MicrostripLine:
         """Complex propagation constant gamma = alpha + j beta [1/m]."""
         return (np.asarray(self.attenuation_constant(frequency))
                 + 1j * np.asarray(self.phase_constant(frequency)))
-
-    def round_trip_phase(self, frequency: FloatOrArray,
-                         distance: FloatOrArray) -> FloatOrArray:
-        """Phase [rad] accumulated travelling ``distance`` [m] and back."""
-        return 2.0 * np.asarray(self.phase_constant(frequency)) * np.asarray(
-            distance, dtype=float)
-
-    def electrical_length(self, frequency: float) -> float:
-        """One-way electrical length [rad] of the full line."""
-        return float(self.phase_constant(frequency)) * self.length

@@ -39,7 +39,6 @@ class RFSwitch:
         off_reflection_phase: Phase [rad] of that off-state reflection.
         branch_off_return_loss_db: Return loss [dB] the antenna branch
             sees when the switch is off (large = well matched).
-        switching_time: Transition time [s] (limits usable clock rates).
     """
 
     name: str = "ideal"
@@ -47,7 +46,6 @@ class RFSwitch:
     off_reflection_magnitude: float = 1.0
     off_reflection_phase: float = 0.0
     branch_off_return_loss_db: float = 20.0
-    switching_time: float = 10e-9
 
     def __post_init__(self) -> None:
         if self.insertion_loss_db < 0.0:
@@ -59,10 +57,6 @@ class RFSwitch:
             raise ConfigurationError(
                 f"off-state |Gamma| must be in [0, 1], got "
                 f"{self.off_reflection_magnitude}"
-            )
-        if self.switching_time <= 0.0:
-            raise ConfigurationError(
-                f"switching time must be positive, got {self.switching_time}"
             )
 
     @property
@@ -86,18 +80,6 @@ class RFSwitch:
         """Off-state reflection the *antenna branch* sees."""
         return complex(from_db_amplitude(-self.branch_off_return_loss_db))
 
-    def max_toggle_frequency(self, settle_fraction: float = 0.01) -> float:
-        """Highest square-wave frequency [Hz] the switch can follow while
-        spending at most ``settle_fraction`` of each half period in
-        transition."""
-        if not 0.0 < settle_fraction < 1.0:
-            raise ConfigurationError(
-                f"settle fraction must be in (0, 1), got {settle_fraction}"
-            )
-        half_period = self.switching_time / settle_fraction
-        return 1.0 / (2.0 * half_period)
-
-
 #: Analog Devices HMC544AE, the prototype's reflective switch: ~0.35 dB
 #: insertion loss, reflective-open off state.
 HMC544AE = RFSwitch(
@@ -108,7 +90,6 @@ HMC544AE = RFSwitch(
     # Composite of the deselected throw's return loss and the Wilkinson
     # splitter's isolation-resistor absorption.
     branch_off_return_loss_db=30.0,
-    switching_time=120e-9,
 )
 
 #: An absorptive counterpart used to ablate the reflective-switch
@@ -118,5 +99,4 @@ ABSORPTIVE_SWITCH = RFSwitch(
     insertion_loss_db=0.5,
     off_reflection_magnitude=0.05,
     off_reflection_phase=0.0,
-    switching_time=120e-9,
 )

@@ -36,13 +36,6 @@ def _as_matrix_stack(values_a: FloatOrArray, values_b: FloatOrArray,
     return matrix
 
 
-def abcd_series(impedance: FloatOrArray) -> np.ndarray:
-    """ABCD matrix of a series impedance Z."""
-    z = np.asarray(impedance, dtype=complex)
-    return _as_matrix_stack(np.ones_like(z), z, np.zeros_like(z),
-                            np.ones_like(z))
-
-
 def abcd_shunt(impedance: FloatOrArray) -> np.ndarray:
     """ABCD matrix of a shunt impedance Z to ground."""
     z = np.asarray(impedance, dtype=complex)
@@ -105,27 +98,6 @@ def abcd_to_s(abcd: np.ndarray, reference_impedance: float = 50.0) -> np.ndarray
     return _as_matrix_stack(s11, s12, s21, s22)
 
 
-def s_to_abcd(s: np.ndarray, reference_impedance: float = 50.0) -> np.ndarray:
-    """Convert S-parameter matrices (..., 2, 2) to ABCD."""
-    if reference_impedance <= 0.0:
-        raise RFError(
-            f"reference impedance must be positive, got {reference_impedance}"
-        )
-    s11 = s[..., 0, 0]
-    s12 = s[..., 0, 1]
-    s21 = s[..., 1, 0]
-    s22 = s[..., 1, 1]
-    z0 = reference_impedance
-    if np.any(s21 == 0):
-        raise RFError("S21 of zero: network has no through path, ABCD "
-                      "representation is singular")
-    a = ((1.0 + s11) * (1.0 - s22) + s12 * s21) / (2.0 * s21)
-    b = z0 * ((1.0 + s11) * (1.0 + s22) - s12 * s21) / (2.0 * s21)
-    c = ((1.0 - s11) * (1.0 - s22) - s12 * s21) / (2.0 * s21 * z0)
-    d = ((1.0 - s11) * (1.0 + s22) + s12 * s21) / (2.0 * s21)
-    return _as_matrix_stack(a, b, c, d)
-
-
 def input_reflection(s: np.ndarray, load_reflection: FloatOrArray) -> np.ndarray:
     """Reflection seen at port 1 when port 2 is terminated.
 
@@ -142,13 +114,6 @@ def input_reflection(s: np.ndarray, load_reflection: FloatOrArray) -> np.ndarray
     if np.any(np.abs(denominator) < 1e-15):
         raise RFError("resonant termination: input reflection is singular")
     return s11 + s12 * s21 * gamma_l / denominator
-
-
-def mismatch_reflection(line_impedance: FloatOrArray,
-                        reference_impedance: float = 50.0) -> np.ndarray:
-    """Reflection coefficient of a line impedance in a reference system."""
-    z = np.asarray(line_impedance, dtype=complex)
-    return (z - reference_impedance) / (z + reference_impedance)
 
 
 @dataclass(frozen=True)
@@ -195,18 +160,6 @@ class TwoPort:
     def s22(self) -> np.ndarray:
         """Port-2 reflection over frequency."""
         return self.s[..., 1, 1]
-
-    def cascade_with(self, other: "TwoPort") -> "TwoPort":
-        """Cascade this block with another defined on the same grid."""
-        if not np.array_equal(self.frequency, other.frequency):
-            raise RFError("cannot cascade two-ports on different frequency grids")
-        if self.reference_impedance != other.reference_impedance:
-            raise RFError("cannot cascade two-ports with different references")
-        combined = cascade(s_to_abcd(self.s, self.reference_impedance),
-                           s_to_abcd(other.s, other.reference_impedance))
-        return TwoPort(self.frequency,
-                       abcd_to_s(combined, self.reference_impedance),
-                       self.reference_impedance)
 
     def terminated_reflection(self, load_reflection: FloatOrArray) -> np.ndarray:
         """Gamma at port 1 for the given port-2 termination."""

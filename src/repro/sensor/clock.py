@@ -14,7 +14,7 @@ clean per-end readout tones (Fig. 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -80,13 +80,6 @@ class DutyCycleClock:
         magnitude = self.duty * np.sinc(k * self.duty)
         return magnitude * np.exp(-1j * np.pi * k * (2.0 * self.phase + self.duty))
 
-    def harmonic_frequencies(self, count: int) -> np.ndarray:
-        """The first ``count`` positive harmonic frequencies [Hz]."""
-        if count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {count}")
-        return self.frequency * np.arange(1, count + 1)
-
-
 @dataclass(frozen=True)
 class ClockingScheme:
     """A pair of switch on-window clocks plus their readout tones.
@@ -146,23 +139,6 @@ class ClockingScheme:
                     f"port {port} readout harmonic {harmonic} is nulled "
                     f"by the clock's duty cycle {clock.duty}"
                 )
-
-    def collision_tones(self, max_harmonic: int = 12) -> List[float]:
-        """Frequencies [Hz] where both clocks emit energy (e.g. 2 fs)."""
-        tones1 = {
-            round(float(f), 6)
-            for k, f in enumerate(
-                self.clock_port1.harmonic_frequencies(max_harmonic), start=1)
-            if abs(self.clock_port1.fourier_coefficient(k)) > 1e-12
-        }
-        tones2 = {
-            round(float(f), 6)
-            for k, f in enumerate(
-                self.clock_port2.harmonic_frequencies(max_harmonic), start=1)
-            if abs(self.clock_port2.fourier_coefficient(k)) > 1e-12
-        }
-        return sorted(tones1 & tones2)
-
 
 def wiforce_clocking(base_frequency: float = 1e3) -> ClockingScheme:
     """The paper's interference-free scheme (section 3.2 / Fig. 8).

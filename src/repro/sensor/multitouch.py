@@ -125,27 +125,12 @@ class AmbiguityReport:
         inferred_force: The single-press force the estimator reports [N].
         inferred_location: Its location [m].
         total_true_force: F_a + F_b [N].
-        force_misattribution: |inferred - total| / total.
     """
 
     residual_deg: float
     inferred_force: float
     inferred_location: float
     total_true_force: float
-
-    @property
-    def force_misattribution(self) -> float:
-        """Relative error of reading the pair as one press."""
-        if self.total_true_force <= 0.0:
-            return float("inf")
-        return abs(self.inferred_force
-                   - self.total_true_force) / self.total_true_force
-
-    @property
-    def looks_like_single_press(self) -> bool:
-        """True when the fit residual is within normal noise levels."""
-        return self.residual_deg < 3.0
-
 
 def ambiguity_report(tag: WiForceTag, estimator: "ForceLocationEstimator",
                      frequency: float,

@@ -35,11 +35,6 @@ class PortPhases:
     port2: float
     in_contact: bool
 
-    def as_degrees(self) -> Tuple[float, float]:
-        """Both phases in degrees."""
-        return float(np.degrees(self.port1)), float(np.degrees(self.port2))
-
-
 class ForceTransducer:
     """Maps (force, location) presses to shorting points and phases.
 

@@ -144,11 +144,3 @@ class CreepingTransducer:
             self.phases_at_hold(frequency, force, location, float(t))[0]
             for t in times
         ])
-
-    def creep_magnitude_deg(self, frequency: float, force: float,
-                            location: float) -> float:
-        """Total phase creep [deg] from touch onset to equilibrium."""
-        onset = self.phases_at_hold(frequency, force, location, 0.0)[0]
-        settled = self.phases_at_hold(frequency, force, location,
-                                      10.0 * self.sls.relaxation_time)[0]
-        return float(np.degrees(abs(settled - onset)))

@@ -5,7 +5,7 @@ with a ``to_dict`` / ``from_dict`` JSON codec, mirroring the codecs on
 the core dataclasses (:class:`repro.core.estimator.ForceLocationEstimate`,
 ``PressReading.to_dict``, ``TrackedSample.to_dict``).  The dict forms
 contain only plain python scalars, so ``json.dumps`` round-trips them
-losslessly; ``to_json`` / ``from_json`` are provided for convenience.
+losslessly; ``from_json`` decodes the JSON text a transport reads.
 
 Decoders are hardened against hostile wire input: any malformed,
 truncated, or type-confused payload raises
@@ -198,13 +198,9 @@ class EstimateRequest:
             raise ProtocolError(
                 f"malformed estimate request: {exc}") from exc
 
-    def to_json(self) -> str:
-        """Compact JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "EstimateRequest":
-        """Inverse of :meth:`to_json`."""
+        """Decode one request from JSON text."""
         return cls.from_dict(_decode_json(text, "estimate request"))
 
 
@@ -288,11 +284,7 @@ class EstimateResponse:
             raise ProtocolError(
                 f"malformed estimate response: {exc}") from exc
 
-    def to_json(self) -> str:
-        """Compact JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "EstimateResponse":
-        """Inverse of :meth:`to_json`."""
+        """Decode one response from JSON text."""
         return cls.from_dict(_decode_json(text, "estimate response"))

@@ -13,17 +13,16 @@ together.  Per request it
    telemetry.
 
 The service is transport-agnostic: ``estimate`` takes and returns the
-protocol dataclasses, ``estimate_dict`` speaks their JSON dict forms
-(what a websocket/HTTP adapter would call).  Telemetry covers the full
-request path — admission counters, end-to-end latency histograms, and
-the scheduler's batch/queue instruments share one registry, exported
-by :meth:`telemetry_snapshot`.
+protocol dataclasses, and a transport adapter owns the wire codec.
+Telemetry covers the full request path — admission counters,
+end-to-end latency histograms, and the scheduler's batch/queue
+instruments share one registry, exported by :meth:`telemetry_snapshot`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.tracking import TouchEvent, TrackedSample
 from repro.errors import (EstimationError, ProtocolError, QueueFullError,
@@ -47,9 +46,10 @@ class InferenceService:
         sink: Telemetry sink for trace spans (ignored when
             ``registry`` is given — the registry owns its sink).
         registry: Share an existing :class:`repro.obs.Registry` (e.g.
-            ``repro.obs.get_registry()``) so the service's instruments
-            land next to the reader/estimator/campaign ones; default
-            is a private registry, keeping services isolated.
+            the one ``repro.obs.enable()`` returns) so the service's
+            instruments land next to the reader/estimator/campaign
+            ones; default is a private registry, keeping services
+            isolated.
         retry_policy: Bounded retry budget applied when the scheduler
             answers :class:`QueueFullError` — transient backpressure
             (a momentarily full queue, an injected rejection) is
@@ -143,19 +143,6 @@ class InferenceService:
             time=request.time, estimate=estimate,
             batch_size=scheduled.batch_size, latency_s=latency,
             quality=quality)
-
-    async def estimate_dict(self, payload: dict) -> dict:
-        """JSON-boundary variant of :meth:`estimate` (dict in/out)."""
-        request = EstimateRequest.from_dict(payload)
-        response = await self.estimate(request)
-        return response.to_dict()
-
-    async def estimate_many(
-        self, requests: Sequence[EstimateRequest],
-    ) -> List[EstimateResponse]:
-        """Serve a burst of requests concurrently, in request order."""
-        return list(await asyncio.gather(
-            *(self.estimate(request) for request in requests)))
 
     def touch_events(self, sensor_id: str,
                      min_groups: int = 1) -> List[TouchEvent]:

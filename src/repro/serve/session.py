@@ -191,6 +191,23 @@ class SensorSession:
         return StreamingTracker.touch_events(self.samples,
                                              min_groups=min_groups)
 
+    def closed_touch_events(self, min_groups: int = 1) -> List[TouchEvent]:
+        """The events of released presses only.
+
+        :meth:`touch_events` also lists the press still held at the end
+        of the history, once it has ``min_groups`` touched groups; that
+        event is left out here.
+        """
+        events = self.touch_events(min_groups=min_groups)
+        held = 0
+        for sample in reversed(self.samples):
+            if not sample.touched:
+                break
+            held += 1
+        if held and held >= min_groups:
+            return events[:-1]
+        return events
+
 
 class SessionManager:
     """Routes sensor ids to sessions; caches models per config.

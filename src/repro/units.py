@@ -34,31 +34,6 @@ def mm(value: float) -> float:
     return value * 1e-3
 
 
-def to_mm(value: float) -> float:
-    """Convert metres to millimetres."""
-    return value * 1e3
-
-
-def um(value: float) -> float:
-    """Convert micrometres to metres."""
-    return value * 1e-6
-
-
-def ghz(value: float) -> float:
-    """Convert gigahertz to hertz."""
-    return value * 1e9
-
-
-def mhz(value: float) -> float:
-    """Convert megahertz to hertz."""
-    return value * 1e6
-
-
-def khz(value: float) -> float:
-    """Convert kilohertz to hertz."""
-    return value * 1e3
-
-
 def us(value: float) -> float:
     """Convert microseconds to seconds."""
     return value * 1e-6
@@ -74,13 +49,6 @@ def db(power_ratio: float) -> float:
 def from_db(decibels: float) -> float:
     """Convert decibels to a power ratio."""
     return 10.0 ** (decibels / 10.0)
-
-
-def db_amplitude(amplitude_ratio: float) -> float:
-    """Convert an amplitude (voltage) ratio to decibels."""
-    if amplitude_ratio <= 0.0:
-        return -math.inf
-    return 20.0 * math.log10(amplitude_ratio)
 
 
 def from_db_amplitude(decibels: float) -> float:
@@ -105,11 +73,6 @@ def deg(radians: float) -> float:
     return math.degrees(radians)
 
 
-def rad(degrees: float) -> float:
-    """Convert degrees to radians."""
-    return math.radians(degrees)
-
-
 def wavelength(frequency_hz: float, relative_permittivity: float = 1.0) -> float:
     """Wavelength [m] at ``frequency_hz`` in a medium with the given
     relative permittivity (1.0 = vacuum/air)."""
@@ -120,14 +83,6 @@ def wavelength(frequency_hz: float, relative_permittivity: float = 1.0) -> float
             f"relative permittivity must be positive, got {relative_permittivity}"
         )
     return SPEED_OF_LIGHT / (frequency_hz * math.sqrt(relative_permittivity))
-
-
-def wrap_phase(angle_rad: float) -> float:
-    """Wrap a phase angle to the interval (-pi, pi]."""
-    wrapped = math.fmod(angle_rad + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
 
 
 def thermal_noise_power(bandwidth_hz: float, noise_figure_db: float = 0.0,

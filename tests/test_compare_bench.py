@@ -39,13 +39,6 @@ class TestExtractMetrics:
         metrics = compare_bench.extract_metrics(ESTIMATOR_BASELINE)
         assert metrics == {"batch_speedup": 6.0}
 
-    def test_estimator_schema_absolute(self):
-        metrics = compare_bench.extract_metrics(ESTIMATOR_BASELINE,
-                                                absolute=True)
-        assert metrics["batch_inversions_per_s"] == pytest.approx(10000.0)
-        assert metrics["scalar_inversions_per_s"] == pytest.approx(
-            1000 / 0.60)
-
     def test_cache_schema(self):
         report = {"warm_speedup": 3.8, "cold_seconds": 7.0,
                   "warm_seconds": 1.85}
@@ -58,9 +51,6 @@ class TestExtractMetrics:
                   "stream_batch_speedup": 0.96}
         assert compare_bench.extract_metrics(report) == {
             "cold_speedup": 24.8}
-        absolute = compare_bench.extract_metrics(report, absolute=True)
-        assert absolute["fast_frames_per_s"] == 5.9e6
-        assert absolute["oracle_frames_per_s"] == 2.4e5
 
     def test_chaos_schema(self):
         report = {"survival": {"survival_rate": 0.98, "crashes": 0},
@@ -158,18 +148,6 @@ class TestMain:
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.err
         assert "FAIL" in captured.out
-
-    def test_absolute_flag_gates_throughput(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, "base.json", ESTIMATOR_BASELINE)
-        slow = dict(ESTIMATOR_BASELINE,  # ratio unchanged,
-                    scalar_seconds=2.4,  # -75% absolute throughput
-                    batch_seconds=0.40)
-        fresh = self._write(tmp_path, "fresh.json", slow)
-        assert compare_bench.main(["--baseline", baseline,
-                                   "--fresh", fresh]) == 0
-        assert compare_bench.main(["--baseline", baseline,
-                                   "--fresh", fresh, "--absolute"]) == 1
-        capsys.readouterr()
 
     def test_rejects_bad_threshold(self, tmp_path):
         baseline = self._write(tmp_path, "base.json", ESTIMATOR_BASELINE)

@@ -119,7 +119,7 @@ class TestRigCalibration:
         locations = (0.020, 0.040, 0.060)
         noisy = calibrate_with_rig(transducer, 900e6, locations, forces,
                                    rig, phase_noise_std_deg=2.0, rng=rng)
-        from repro.core.calibration import calibrate_port_observable
+        from tests.oracles.calibration import calibrate_port_observable
         clean = calibrate_port_observable(transducer, 900e6, locations,
                                           forces)
         assert noisy.predict(4.0, 0.04) != clean.predict(4.0, 0.04)

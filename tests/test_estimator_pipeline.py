@@ -95,12 +95,6 @@ class TestWiForceReader:
         wireless_reader.read(TagState(2.0, 0.04))
         assert wireless_reader.elapsed > before
 
-    def test_read_sequence(self, wireless_reader):
-        states = [TagState(2.0, 0.040), TagState(4.0, 0.040)]
-        readings = wireless_reader.read_sequence(states)
-        assert len(readings) == 2
-        assert readings[1].force > readings[0].force
-
     def test_frames_per_capture(self, wireless_reader):
         assert wireless_reader.frames_per_capture == (
             wireless_reader.extractor.group_length
@@ -115,44 +109,3 @@ class TestWiForceReader:
         with pytest.raises(ReaderError):
             WiForceReader(wireless_reader.sounder, model_900,
                           baseline_groups=1)
-
-
-class TestReadWithUncertainty:
-    def test_returns_bars_for_touch(self, wireless_reader):
-        reading, bars = wireless_reader.read_with_uncertainty(
-            TagState(3.0, 0.040), rebaseline=True)
-        assert reading.estimate.touched
-        assert bars is not None
-        assert 0.0 < bars.force_std < 2.0
-        assert 0.0 < bars.location_std < 3e-3
-
-    def test_no_touch_no_bars(self, wireless_reader):
-        reading, bars = wireless_reader.read_with_uncertainty(
-            TagState(), rebaseline=True)
-        assert not reading.estimate.touched
-        assert bars is None
-
-    def test_bars_cover_truth_mostly(self, wireless_reader):
-        """3-sigma intervals should contain the true force."""
-        hits = 0
-        for force in (2.0, 4.0, 6.0):
-            reading, bars = wireless_reader.read_with_uncertainty(
-                TagState(force, 0.040), rebaseline=True)
-            low, high = bars.force_interval(reading.estimate, sigmas=3.0)
-            # Allow for the cubic model's own bias at high force.
-            if low - 0.3 <= force <= high + 0.3:
-                hits += 1
-        assert hits >= 2
-
-    def test_phase_noise_measured(self, wireless_reader):
-        wireless_reader.capture_baseline()
-        noise = wireless_reader.baseline_phase_noise
-        assert set(noise) == {1e3, 4e3}
-        assert all(0.0 <= v < np.radians(5.0) for v in noise.values())
-        assert wireless_reader.measured_phase_std() >= 0.0
-
-    def test_measured_phase_std_requires_baseline(self, model_900):
-        from repro.experiments.scenarios import build_wireless_scenario
-        fresh = build_wireless_scenario(900e6, seed=123, fast=True)
-        with pytest.raises(ReaderError):
-            fresh.measured_phase_std()

@@ -20,7 +20,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    retry_sync,
+    retry_async,
 )
 from repro.obs import to_prometheus
 from repro.obs.registry import observed
@@ -43,15 +43,15 @@ def _fault_registry():
         # Retry counter: one transient failure, then success.
         state = {"calls": 0}
 
-        def flaky():
+        async def flaky():
             state["calls"] += 1
             if state["calls"] < 2:
                 raise QueueFullError("full")
             return None
 
-        retry_sync(flaky, RetryPolicy(attempts=2),
-                   retry_on=(QueueFullError,), name="serve.submit",
-                   sleep=lambda _: None)
+        asyncio.run(retry_async(flaky, RetryPolicy(attempts=2),
+                                retry_on=(QueueFullError,),
+                                name="serve.submit"))
 
         # Breaker lifecycle: open -> short-circuit -> probe -> close.
         clock = {"t": 0.0}

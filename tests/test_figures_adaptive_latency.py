@@ -10,7 +10,7 @@ from repro.baselines.vision_haptics import (
     latency_comparison,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.figures import ascii_cdf, ascii_histogram, ascii_plot
+from repro.experiments.figures import ascii_cdf, ascii_plot
 
 
 class TestAsciiPlot:
@@ -61,16 +61,6 @@ class TestAsciiCdfHistogram:
     def test_cdf_rejects_single_sample(self):
         with pytest.raises(ConfigurationError):
             ascii_cdf([("one", [0.5])])
-
-    def test_histogram_bars(self):
-        plot = ascii_histogram([1.0, 1.1, 2.5], np.array([0.0, 2.0, 4.0]),
-                               label="loc")
-        assert "#" in plot
-        assert "loc" in plot
-
-    def test_histogram_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            ascii_histogram([], np.array([0.0, 1.0]))
 
 
 class TestVisionLatencyBaseline:

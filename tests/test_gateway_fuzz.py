@@ -29,7 +29,6 @@ from repro.gateway import (
     GatewayLimits,
     TenantTable,
     WebSocketClient,
-    estimate_over_ws,
     http,
     websocket,
 )
@@ -39,6 +38,7 @@ from repro.serve import (
     InferenceService,
     SensorConfig,
 )
+from tests.clients import estimate_over_ws
 
 _DATA_OPCODES = st.sampled_from((websocket.OP_TEXT,
                                  websocket.OP_BINARY))

@@ -8,7 +8,8 @@ and the touch events pushed over a streaming subscription must be
 bit-identical to a post-hoc ``touch_events`` query.
 
 Every test here binds an ephemeral loopback port and drives it with
-the honest clients from :mod:`repro.gateway.client`; hostile bytes
+the honest clients of :mod:`repro.gateway.client` and
+:mod:`tests.clients`; hostile bytes
 live in ``tests/test_gateway_fuzz.py``.
 """
 
@@ -28,8 +29,6 @@ from repro.gateway import (
     Tenant,
     TenantTable,
     WebSocketClient,
-    estimate_over_ws,
-    http_request,
 )
 from repro.serve import (
     BatchPolicy,
@@ -39,6 +38,7 @@ from repro.serve import (
     SensorConfig,
     generate_requests,
 )
+from tests.clients import estimate_over_ws, http_request
 
 #: Concurrent tenants for the e2e stream test (acceptance bar: >= 8).
 N_TENANTS = 8
@@ -191,10 +191,7 @@ class TestStreamingParity:
             # Pushed touch events == the post-hoc query, bit-exact.
             # The direct session history may end mid-press; the push
             # contract only emits closed events.
-            session = direct.sessions.get(sensor_id)
-            events = session.touch_events()
-            if session.samples and session.samples[-1].touched:
-                events = events[:-1]
+            events = direct.sessions.get(sensor_id).closed_touch_events()
             assert [push["event"] for push in pushed] \
                 == [event.to_dict() for event in events]
             assert [push["index"] for push in pushed] \
@@ -284,6 +281,48 @@ class TestStreamingParity:
         catchup, queried = asyncio.run(scenario())
         events = queried.json()["events"]
         assert len(events) == 2  # both presses closed by (0, 0)
+        assert [push["event"] for push in catchup] == events
+
+    def test_debounced_subscriber_gets_closed_events_mid_press(
+            self, model_900):
+        """A held press shorter than ``min_groups`` is no event yet, so
+        it must not hold back the closed press before it."""
+        pattern = [(0.0, 0.0), (0.5, 0.4), (0.6, 0.5), (0.5, 0.4),
+                   (0.0, 0.0), (0.4, 0.3)]
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                for sequence, (phi1, phi2) in enumerate(pattern):
+                    await estimate_over_ws(client, _request(
+                        "s", sequence, phi1, phi2).to_dict())
+                await client.send_json({"type": "subscribe",
+                                        "sensor_id": "s",
+                                        "min_groups": 2})
+                assert (await client.recv_json())["type"] \
+                    == "subscribed"
+                # The catch-up pushes precede the answer to a ping.
+                await client.send_json({"type": "ping"})
+                catchup = []
+                while True:
+                    message = await client.recv_json(timeout=5.0)
+                    if message["type"] == "pong":
+                        break
+                    catchup.append(message)
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET",
+                    "/v1/touch_events?sensor_id=s&min_groups=2",
+                    token="token-0")
+                return catchup, queried
+
+        catchup, queried = asyncio.run(scenario())
+        events = queried.json()["events"]
+        assert len(events) == 1  # the held press has one group
         assert [push["event"] for push in catchup] == events
 
     def test_touch_events_unknown_sensor_404(self, model_900):
@@ -476,6 +515,23 @@ class TestAuthAndQuotas:
 
 
 class TestHttpSurface:
+    def test_touch_events_min_groups_below_one_400(self, model_900):
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                await http_request(host, port, "POST", "/v1/estimate",
+                                   payload=_request("s", 0).to_dict(),
+                                   token="token-0")
+                return [await http_request(
+                    host, port, "GET",
+                    f"/v1/touch_events?sensor_id=s&min_groups={value}",
+                    token="token-0") for value in ("0", "-3", "x", "1")]
+
+        statuses = [response.status for response in asyncio.run(scenario())]
+        assert statuses == [400, 400, 400, 200]
+
     def test_healthz_and_metrics_are_unauthenticated(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),

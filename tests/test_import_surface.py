@@ -16,6 +16,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,62 @@ def _reached() -> set:
     return reached
 
 
+def _uses(tree: ast.Module, module: str = "") -> set:
+    """Every name ``tree`` uses: names, attributes, keyword arguments,
+    imported names and the identifier-shaped tokens of its strings
+    other than docstrings.  Export tables are not uses: a
+    ``lazy_exports`` table literal, an ``__all__`` list and the
+    re-export imports of a package ``__init__``."""
+    ignored = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            ignored.add(node.body[0])
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", "") == "lazy_exports"):
+            ignored.add(node.args[1])
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, (ast.List, ast.Tuple))
+              and [getattr(t, "id", "") for t in node.targets] == ["__all__"]):
+            ignored.add(node.value)
+        elif (isinstance(node, ast.ImportFrom) and module
+              and (node.module or "").startswith(module + ".")):
+            ignored.add(node)
+    names = set()
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if node in ignored:
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """``(qualified name, name)`` of each public top-level function or
+    class of ``tree`` and each public method of those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if (isinstance(method, kinds[:2])
+                        and not method.name.startswith("_")):
+                    yield f"{node.name}.{method.name}", method.name
+
+
 class TestImportSurface:
     def test_import_repro_loads_no_subpackage(self):
         subpackages = set(PACKAGES) - {"repro"}
@@ -158,6 +215,25 @@ class TestImportSurface:
                    for path in (SRC / "repro").rglob("*.py")}
         unreached = sorted(modules - reached)
         assert not unreached, f"only tests import {', '.join(unreached)}"
+
+    def test_every_public_definition_is_reached(self):
+        """A public definition whose name no program code mentions is a
+        test helper or dead code, even inside a reached module."""
+        trees = {module: ast.parse(_source(module).read_text())
+                 for module in _reached()}
+        used = set()
+        for module, tree in trees.items():
+            used |= _uses(tree, module if _source(module).name
+                          == "__init__.py" else "")
+        for directory in ENTRY_DIRS:
+            for path in (ROOT / directory).rglob("*.py"):
+                used |= _uses(ast.parse(path.read_text()))
+        unused = sorted(f"{module}.{qualified}"
+                        for module, tree in trees.items()
+                        for qualified, name in _definitions(tree)
+                        if name not in used)
+        assert not unused, (f"{len(unused)} definitions only tests use: "
+                            + ", ".join(unused))
 
 
 class TestExportTables:

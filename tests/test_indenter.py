@@ -93,11 +93,6 @@ class TestGroundTruthRig:
                                                      abs=0.1)
         assert press.applied_location == pytest.approx(0.04, abs=0.5e-3)
 
-    def test_force_sweep_length(self, rng):
-        rig = GroundTruthRig(rng=rng)
-        presses = rig.force_sweep([1.0, 2.0, 3.0], 0.04)
-        assert [p.commanded_force for p in presses] == [1.0, 2.0, 3.0]
-
     def test_load_cell_tracks_applied_not_commanded(self, rng):
         rig = GroundTruthRig(
             indenter=Indenter(force_noise_std=0.5, rng=rng),

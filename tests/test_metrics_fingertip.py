@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.fingertip import FingertipProfile
 from repro.experiments.metrics import (
-    cdf_at,
     empirical_cdf,
     median_absolute_error,
     percentile_absolute_error,
@@ -29,9 +28,6 @@ class TestMetrics:
     def test_percentile(self):
         errors = np.arange(1, 101, dtype=float)
         assert percentile_absolute_error(errors, 90.0) == pytest.approx(90.1)
-
-    def test_cdf_at(self):
-        assert cdf_at([1.0, 2.0, 3.0, 4.0], 2.5) == pytest.approx(0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

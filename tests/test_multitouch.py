@@ -80,7 +80,10 @@ class TestAmbiguity:
         # The inferred single press sits between the two true presses
         # and misattributes the summed force.
         assert 0.035 < result.inferred_location < 0.045
-        assert result.force_misattribution > 0.2
+        misattribution = (abs(result.inferred_force
+                                  - result.total_true_force)
+                              / result.total_true_force)
+        assert misattribution > 0.2
 
     def test_far_presses_are_detectable(self, tag, estimator):
         """Widely separated presses imply an edge spread no single
@@ -89,7 +92,6 @@ class TestAmbiguity:
         state = TwoPressState(3.0, 0.020, 3.0, 0.060)
         result = ambiguity_report(tag, estimator, 900e6, state)
         assert result.residual_deg > 15.0
-        assert not result.looks_like_single_press
 
     def test_residual_grows_with_separation(self, tag, estimator):
         separations = [(0.035, 0.045), (0.030, 0.050), (0.025, 0.055)]

@@ -1,18 +1,10 @@
-"""Exporters: Prometheus text rendering and JSON snapshot round-trips."""
+"""Exporter: Prometheus text rendering."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.obs import (
-    Registry,
-    registry_from_snapshot,
-    to_prometheus,
-    write_snapshot,
-)
+from repro.obs import Registry, to_prometheus
 
 GOLDEN = Path(__file__).parent / "data" / "obs_prometheus.golden.txt"
 
@@ -59,46 +51,3 @@ class TestPrometheus:
         counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
         assert counts == sorted(counts)
         assert counts[-1] == 3  # +Inf bucket equals the total count
-
-
-class TestSnapshotRoundTrip:
-    def test_registry_round_trips_through_dict(self):
-        registry = _example_registry()
-        rebuilt = registry_from_snapshot(registry.snapshot())
-        assert rebuilt.snapshot() == registry.snapshot()
-
-    def test_registry_round_trips_through_file(self, tmp_path):
-        registry = _example_registry()
-        path = write_snapshot(registry, tmp_path / "obs" / "snap.json")
-        assert path.exists()
-        assert json.loads(path.read_text())["counters"] == {
-            "estimator.inversions": 3}
-        rebuilt = registry_from_snapshot(path)
-        assert rebuilt.snapshot() == registry.snapshot()
-
-    def test_reloaded_quantiles_match(self):
-        registry = _example_registry()
-        original = registry.histogram("reader.capture_seconds")
-        rebuilt = registry_from_snapshot(registry.snapshot())
-        reloaded = rebuilt.histogram("reader.capture_seconds")
-        for q in (0.0, 0.5, 0.9, 1.0):
-            assert reloaded.quantile(q) == original.quantile(q)
-        assert reloaded.minimum == original.minimum
-        assert reloaded.maximum == original.maximum
-
-    def test_write_snapshot_accepts_plain_dict(self, tmp_path):
-        snapshot = _example_registry().snapshot()
-        path = write_snapshot(snapshot, tmp_path / "snap.json")
-        assert registry_from_snapshot(path).snapshot() == snapshot
-
-    def test_rebuilt_histogram_keeps_observing(self):
-        rebuilt = registry_from_snapshot(_example_registry().snapshot())
-        histogram = rebuilt.histogram("reader.capture_seconds")
-        histogram.observe(0.25)
-        assert histogram.count == 4
-        assert histogram.minimum == 0.25
-
-
-def test_snapshot_load_rejects_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        registry_from_snapshot(tmp_path / "absent.json")

@@ -13,7 +13,6 @@ from repro.obs import (
     disable,
     enable,
     enable_from_env,
-    get_registry,
     is_enabled,
     maybe_span,
     observed,
@@ -25,8 +24,8 @@ from repro.obs.registry import _NULL_SPAN
 @pytest.fixture(autouse=True)
 def _restore_obs_state():
     """Snapshot and restore the process-wide obs state per test."""
-    previous_registry = get_registry()
     previous_enabled = is_enabled()
+    previous_registry = set_registry(Registry())
     yield
     set_registry(previous_registry)
     if previous_enabled:
@@ -59,19 +58,18 @@ class TestGating:
         registry = enable()
         assert is_enabled()
         assert active() is registry
-        assert registry is get_registry()
 
     def test_enable_installs_given_registry(self):
         mine = Registry()
         assert enable(mine) is mine
-        assert get_registry() is mine
+        assert active() is mine
 
     def test_disable_keeps_instruments(self):
         registry = enable()
         registry.counter("kept").increment()
         disable()
         assert active() is None
-        assert get_registry().counter("kept").value == 1
+        assert enable().counter("kept").value == 1
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("yes", True), ("on", True),
@@ -113,7 +111,7 @@ class TestObserved:
             assert active() is registry
             registry.counter("inside").increment()
         assert not is_enabled()
-        assert "inside" not in get_registry().snapshot()["counters"]
+        assert "inside" not in enable().snapshot()["counters"]
 
     def test_restores_previous_enabled_state(self):
         outer = enable()

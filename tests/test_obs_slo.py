@@ -11,7 +11,6 @@ from repro.obs.slo import (
     SloMonitor,
     default_slos,
     evaluate_slo,
-    evaluate_snapshot,
 )
 
 _AVAIL = Slo(name="avail", kind="availability", target=0.99,
@@ -71,11 +70,6 @@ class TestPointInTime:
         failing = evaluate_slo(_LATENCY, _snapshot(latency=(80, 20)))
         assert not failing["ok"]
 
-    def test_evaluate_snapshot_covers_every_objective(self):
-        snapshot = _snapshot(requests=1000, errors=15, latency=(95, 5))
-        statuses = evaluate_snapshot((_AVAIL, _LATENCY), snapshot)
-        assert statuses == [evaluate_slo(_AVAIL, snapshot),
-                            evaluate_slo(_LATENCY, snapshot)]
 
 class TestBurnRates:
     def _monitor(self, windows=DEFAULT_WINDOWS):

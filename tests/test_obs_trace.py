@@ -26,6 +26,7 @@ from repro.obs.trace import (
     trace_sampled,
 )
 from repro.serve import BatchPolicy, EstimateRequest, InferenceService, SensorConfig
+from tests.clients import estimate_many
 
 _HEX = "0123456789abcdef"
 _TRACE_IDS = st.text(_HEX, min_size=32, max_size=32).filter(
@@ -129,23 +130,6 @@ class TestTraceparentCodec:
         assert parse_traceparent(base + "-03").sampled
 
 
-class TestAmbientContext:
-    def test_use_context_scopes_and_restores(self):
-        context = request_context()
-        assert trace.current_context() is None
-        with trace.use_context(context):
-            assert trace.current_context() == context
-            assert trace.current_traceparent() \
-                == context.to_traceparent()
-        assert trace.current_context() is None
-        assert trace.current_traceparent() == ""
-
-    def test_use_context_none_is_noop(self):
-        with trace.use_context(None) as scoped:
-            assert scoped is None
-            assert trace.current_context() is None
-
-
 def _by_name(events):
     spans = {}
     for event in events:
@@ -167,8 +151,11 @@ class TestStitchedServeTrace:
                 phi1=0.5, phi2=0.4, config=SensorConfig())
 
             async def go():
-                with trace.use_context(context):
+                token = trace.set_context(context)
+                try:
                     return await service.estimate(request)
+                finally:
+                    trace.reset_context(token)
 
             asyncio.run(go())
             events = registry.sink.events
@@ -201,7 +188,7 @@ class TestStitchedServeTrace:
                                 phi1=0.5, phi2=0.4, config=config)
                 for i in range(3)
             ]
-            asyncio.run(service.estimate_many(requests))
+            asyncio.run(estimate_many(service, requests))
             events = registry.sink.events
         spans = _by_name(events)
         linked = {link["span_id"]

@@ -115,12 +115,12 @@ class TestEstimateRequest:
         request = EstimateRequest(sensor_id="s-1", sequence=12,
                                   time=0.12, phi1=0.4, phi2=-0.2,
                                   location_hint=0.04)
-        assert EstimateRequest.from_json(request.to_json()) == request
+        assert EstimateRequest.from_json(json.dumps(request.to_dict())) == request
 
     def test_json_roundtrip_without_hint(self):
         request = EstimateRequest(sensor_id="s-2", sequence=0,
                                   time=0.0, phi1=0.0, phi2=0.0)
-        restored = EstimateRequest.from_json(request.to_json())
+        restored = EstimateRequest.from_json(json.dumps(request.to_dict()))
         assert restored == request
         assert restored.location_hint is None
 
@@ -147,7 +147,7 @@ class TestEstimateResponse:
             estimate=ForceLocationEstimate(force=1.5, location=0.025,
                                            residual=0.01, touched=True),
             batch_size=16, latency_s=0.0021)
-        assert EstimateResponse.from_json(response.to_json()) == response
+        assert EstimateResponse.from_json(json.dumps(response.to_dict())) == response
 
     def test_convenience_properties(self):
         response = EstimateResponse(

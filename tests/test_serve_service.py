@@ -23,6 +23,7 @@ from repro.serve import (
     InferenceService,
     SensorConfig,
 )
+from tests.clients import estimate_many
 
 #: Phases seen in practice live well inside one wrap.
 _PHASE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
@@ -57,14 +58,6 @@ class TestServiceBasics:
         assert response.batch_size >= 1
         assert response.latency_s >= 0.0
 
-    def test_dict_boundary_roundtrip(self, model_900):
-        service = _service(model_900)
-        payload = _requests([(0.6, 0.5)])[0].to_dict()
-        response = asyncio.run(service.estimate_dict(payload))
-        assert response["sensor_id"] == payload["sensor_id"]
-        assert set(response["estimate"]) == {"force", "location",
-                                             "residual", "touched"}
-
     def test_untouched_sample_is_classified_untouched(self, model_900):
         service = _service(model_900)
         response = asyncio.run(service.estimate(
@@ -75,7 +68,7 @@ class TestServiceBasics:
     def test_telemetry_snapshot_counts_requests(self, model_900):
         service = _service(model_900)
         requests = _requests([(0.5, 0.4), (0.7, 0.6), (0.0, 0.0)])
-        asyncio.run(service.estimate_many(requests))
+        asyncio.run(estimate_many(service, requests))
         snapshot = service.telemetry_snapshot()
         assert snapshot["counters"]["serve.requests"] == 3
         assert snapshot["counters"]["serve.responses"] == 3
@@ -97,7 +90,7 @@ class TestServiceBasics:
             EstimateRequest(sensor_id="s-0", sequence=3, time=0.03,
                             phi1=0.0, phi2=0.0),
         ]
-        asyncio.run(service.estimate_many(requests))
+        asyncio.run(estimate_many(service, requests))
         events = service.touch_events("s-0")
         assert len(events) == 1
         assert events[0].onset == 0.01
@@ -125,7 +118,7 @@ class TestServiceParity:
             model_900,
             policy=BatchPolicy(max_batch=max_batch, max_delay_s=0.001))
         requests = _requests(phases, sensors=sensors)
-        responses = asyncio.run(service.estimate_many(requests))
+        responses = asyncio.run(estimate_many(service, requests))
         for request, response in zip(requests, responses):
             expected = reference.invert(request.phi1, request.phi2)
             assert response.estimate == expected

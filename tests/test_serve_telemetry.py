@@ -118,7 +118,7 @@ class TestSnapshot:
         telemetry = Registry()
         telemetry.counter("requests").increment(3)
         telemetry.histogram("batch_size", BATCH_BUCKETS).observe(4)
-        snapshot = json.loads(telemetry.to_json())
+        snapshot = json.loads(json.dumps(telemetry.snapshot()))
         assert snapshot["counters"]["requests"] == 3
         assert snapshot["histograms"]["batch_size"]["count"] == 1
         assert snapshot["histograms"]["batch_size"]["mean"] == 4.0

@@ -11,8 +11,9 @@ from repro.core.tracking import StreamingTracker
 from repro.errors import ReaderError
 from repro.experiments.scenarios import calibrated_model, fast_transducer
 from repro.reader.sounder import FrameLevelSounder, concatenate_streams
-from repro.reader.waveform import OFDMSounderConfig, generate_preamble
+from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.tag import TagState, WiForceTag
+from tests.oracles.ofdm import generate_preamble
 from tests.oracles.sync import FrameSynchronizer, apply_cfo, correct_cfo
 
 

@@ -86,12 +86,6 @@ class TestDifferentialPhases:
                 for f in (2.0, 6.0)]
         assert abs(high[1] - high[0]) > 1.5 * abs(low[1] - low[0])
 
-    def test_as_degrees(self, transducer):
-        phases = transducer.differential_phases(900e6, 3.0, 0.04)
-        deg1, deg2 = phases.as_degrees()
-        assert deg1 == pytest.approx(np.degrees(phases.port1))
-        assert deg2 == pytest.approx(np.degrees(phases.port2))
-
     def test_rejects_negative_force(self, transducer):
         with pytest.raises(SensorError):
             transducer.differential_phases(900e6, -1.0, 0.04)

@@ -5,29 +5,13 @@ import pytest
 
 from repro.core.calibration import harmonic_differential_phases
 from repro.core.estimator import ForceLocationEstimate, ForceLocationEstimator
-from repro.core.uncertainty import (
-    model_jacobian,
-    phase_std_from_snr,
-    reading_uncertainty,
-)
+from repro.core.uncertainty import model_jacobian, reading_uncertainty
 from repro.errors import EstimationError
 
 
 def touched(force, location):
     return ForceLocationEstimate(force=force, location=location,
                                  residual=0.0, touched=True)
-
-
-class TestPhaseStdFromSnr:
-    def test_high_snr_small_std(self):
-        assert phase_std_from_snr(40.0) < 0.01
-
-    def test_formula(self):
-        assert phase_std_from_snr(20.0) == pytest.approx(
-            1.0 / np.sqrt(200.0))
-
-    def test_infinite_snr(self):
-        assert phase_std_from_snr(float("inf")) == 0.0
 
 
 class TestJacobian:
@@ -78,13 +62,6 @@ class TestReadingUncertainty:
         high = reading_uncertainty(model_900, touched(7.5, 0.040),
                                    np.radians(0.5))
         assert high.force_std > mid.force_std
-
-    def test_interval_clipped_at_zero(self, model_900):
-        result = reading_uncertainty(model_900, touched(0.8, 0.040),
-                                     np.radians(2.0))
-        low, high = result.force_interval(touched(0.8, 0.040), sigmas=3.0)
-        assert low >= 0.0
-        assert high > 0.8
 
     def test_untouched_rejected(self, model_900):
         estimate = ForceLocationEstimate(0.0, 0.0, 0.0, touched=False)

@@ -22,10 +22,6 @@ class TestUWBConfig:
                                   pulses_per_estimate=57)
         assert config.estimate_period == pytest.approx(57e-6)
 
-    def test_nyquist_covers_tones(self):
-        config = UWBSounderConfig()
-        assert config.max_harmonic_frequency > 4e3
-
     def test_bin_frequencies_span_band(self):
         config = UWBSounderConfig(carrier_frequency=4e9, bandwidth=500e6,
                                   bins=256)
@@ -122,10 +118,6 @@ class TestCreepingTransducer:
         late = abs(trace[-1] - trace[-2])
         assert late < early or early == 0.0
         assert trace[-1] == pytest.approx(trace[-2], abs=np.radians(0.5))
-
-    def test_creep_magnitude_small_but_nonzero(self, creeping):
-        creep = creeping.creep_magnitude_deg(900e6, 4.0, 0.040)
-        assert 0.0 < creep < 20.0
 
     def test_rejects_single_level(self):
         with pytest.raises(ConfigurationError):

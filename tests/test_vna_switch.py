@@ -24,14 +24,6 @@ class TestRFSwitch:
         switch = RFSwitch(insertion_loss_db=6.0)
         assert switch.through_gain == pytest.approx(0.501, rel=1e-3)
 
-    def test_max_toggle_frequency(self):
-        switch = RFSwitch(switching_time=100e-9)
-        assert switch.max_toggle_frequency(0.01) == pytest.approx(50e3)
-
-    def test_kilohertz_clocks_feasible(self):
-        """The paper's 1-2 kHz clocks are far below the switch limit."""
-        assert HMC544AE.max_toggle_frequency() > 10e3
-
     def test_rejects_negative_insertion_loss(self):
         with pytest.raises(ConfigurationError):
             RFSwitch(insertion_loss_db=-1.0)
@@ -39,7 +31,3 @@ class TestRFSwitch:
     def test_rejects_bad_off_magnitude(self):
         with pytest.raises(ConfigurationError):
             RFSwitch(off_reflection_magnitude=1.5)
-
-    def test_rejects_bad_settle_fraction(self):
-        with pytest.raises(ConfigurationError):
-            RFSwitch().max_toggle_frequency(settle_fraction=2.0)
