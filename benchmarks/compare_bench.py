@@ -35,12 +35,13 @@ def extract_metrics(report: dict) -> Dict[str, float]:
     # BENCH_estimator.json shape.
     if "batch_speedup" in report:
         metrics["batch_speedup"] = float(report["batch_speedup"])
-    # BENCH_estimator.json campaign block: warm- and cold-pool
-    # speedups over the acquisition-paced serial campaign.  Both are
-    # machine-normalized ratios (and the workload is paced by sleeps,
-    # not host compute), so they are always gated — the original
-    # 0.52x parallel regression shipped precisely because this block
-    # was invisible to CI.
+    # BENCH_estimator.json campaign block: the speedups of two
+    # back-to-back sharded runs (each spawns its own pool) over the
+    # acquisition-paced serial campaign.  Both are machine-normalized
+    # ratios (and the workload is paced by sleeps, not host compute),
+    # so they are always gated — the original 0.52x parallel
+    # regression shipped precisely because this block was invisible
+    # to CI.
     campaign = report.get("campaign")
     if isinstance(campaign, dict):
         if "parallel_speedup" in campaign:

@@ -29,7 +29,7 @@ from repro.experiments.montecarlo import (
     acquisition_campaign,
     environment_campaign,
 )
-from repro.experiments.parallel import CampaignExecutor, shutdown_pools
+from repro.experiments.parallel import CampaignExecutor
 from repro.experiments.scenarios import calibrated_model
 from repro.obs import is_enabled, observed, stamp_report
 
@@ -40,9 +40,9 @@ BENCH_PATH = RESULTS_DIR / "BENCH_estimator.json"
 N_SAMPLES = 1000
 
 #: Trials for the serial-vs-parallel campaign comparison.  Enough to
-#: amortize one pool spawn over the cold run (4 trials could not — the
-#: original methodology bug that reported a 0.52x "regression" that
-#: was really per-run spawn cost).
+#: amortize the pool spawn every sharded run pays (4 trials could not
+#: — the original methodology bug that reported a 0.52x "regression"
+#: that was really spawn cost).
 CAMPAIGN_TRIALS = 24
 
 #: Workers for the parallel campaign runs.
@@ -171,12 +171,12 @@ def test_campaign_parallel_matches_serial():
     """Sharded campaign == serial campaign, and the pool pays.
 
     Three timed runs of the same acquisition-paced campaign: serial,
-    cold pool (first ``run()`` pays the worker spawn), warm pool
-    (reused executor — the steady state of a data-collection session).
-    Cold and warm are reported as separate keys so a regression in
-    either spawn cost or steady-state overhead is visible; the
-    headline ``parallel_speedup`` is the warm number and is gated at
-    >= 2.0 here and against the baseline in ``compare_bench.py``.
+    then two sharded runs of one executor.  Each run spawns its own
+    pool and shuts it down before returning, so both pay the spawn.
+    The first is reported under the ``cold_*`` keys and the second
+    under ``warm_pool_seconds`` / ``parallel_speedup``, the key names
+    ``compare_bench.py`` gates against the committed baseline; the
+    headline ``parallel_speedup`` is also gated at >= 2.0 here.
     """
     serial_start = time.perf_counter()
     serial = acquisition_campaign(
@@ -184,23 +184,18 @@ def test_campaign_parallel_matches_serial():
         executor=CampaignExecutor(workers=1))
     serial_seconds = time.perf_counter() - serial_start
 
-    shutdown_pools()
-    executor = CampaignExecutor(workers=CAMPAIGN_WORKERS,
-                                warmup=((900e6, True),))
-    try:
-        cold_start = time.perf_counter()
-        cold = acquisition_campaign(
-            CAMPAIGN_TRIALS, window_s=ACQUISITION_WINDOW_S,
-            executor=executor)
-        cold_pool_seconds = time.perf_counter() - cold_start
+    executor = CampaignExecutor(workers=CAMPAIGN_WORKERS)
+    cold_start = time.perf_counter()
+    cold = acquisition_campaign(
+        CAMPAIGN_TRIALS, window_s=ACQUISITION_WINDOW_S,
+        executor=executor)
+    cold_pool_seconds = time.perf_counter() - cold_start
 
-        warm_start = time.perf_counter()
-        warm = acquisition_campaign(
-            CAMPAIGN_TRIALS, window_s=ACQUISITION_WINDOW_S,
-            executor=executor)
-        warm_pool_seconds = time.perf_counter() - warm_start
-    finally:
-        shutdown_pools()
+    warm_start = time.perf_counter()
+    warm = acquisition_campaign(
+        CAMPAIGN_TRIALS, window_s=ACQUISITION_WINDOW_S,
+        executor=executor)
+    warm_pool_seconds = time.perf_counter() - warm_start
 
     for parallel in (cold, warm):
         assert np.array_equal(serial.force_medians,
@@ -222,9 +217,9 @@ def test_campaign_parallel_matches_serial():
         "parallel_speedup": warm_speedup,
     }
     assert warm_speedup >= 2.0, (
-        f"warm-pool campaign is only {warm_speedup:.2f}x faster than "
-        f"serial at {CAMPAIGN_WORKERS} workers; the persistent pool "
-        f"must clear 2x on the acquisition-paced workload"
+        f"the second sharded campaign is only {warm_speedup:.2f}x "
+        f"faster than serial at {CAMPAIGN_WORKERS} workers; a per-run "
+        f"pool must clear 2x on the acquisition-paced workload"
     )
 
 

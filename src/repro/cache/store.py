@@ -8,9 +8,9 @@ Each artifact file is ``MAGIC + sha256(body) + body`` where the body
 is the pickled encoded payload — the digest makes truncated or
 bit-rotten files detectable, and detection degrades to a recompute,
 never an exception.  Writes go to a temp file in the same directory
-followed by ``os.replace``, so concurrent
-:class:`~repro.experiments.parallel.CampaignExecutor` workers racing
-on the same artifact each land a complete file and the last one wins
+followed by ``os.replace``, so the workers of one sharded
+:class:`~repro.experiments.parallel.CampaignExecutor` run racing on
+the same artifact each land a complete file and the last one wins
 (they are bit-identical anyway: the key addresses the content).
 
 In front of the disk tier sits a bounded in-memory LRU holding the
@@ -352,8 +352,22 @@ def prune(directory, max_age_days: Optional[float] = None,
     Also reaps artifacts from older on-disk format versions (their
     directory prefix no longer matches ``v<FORMAT_VERSION>``) and any
     orphaned temp files.
+
+    Raises:
+        CacheError: A bound is negative (which would delete every
+            artifact; :func:`clear` is the command for that).
     """
-    directory = Path(directory)
+    for name, bound in (("max_age_days", max_age_days),
+                        ("max_bytes", max_bytes)):
+        if bound is not None and bound < 0:
+            raise CacheError(f"{name} must be >= 0, got {bound!r}")
+    return _evict(Path(directory), max_age_days, max_bytes)
+
+
+def _evict(directory: Path, max_age_days: Optional[float],
+           max_bytes: Optional[int]) -> dict:
+    """:func:`prune` without the bound checks (:func:`clear` passes a
+    negative age to drop everything)."""
     removed = 0
     removed_bytes = 0
 
@@ -400,7 +414,7 @@ def prune(directory, max_age_days: Optional[float] = None,
 
 def clear(directory) -> dict:
     """Delete every artifact under ``directory`` (all versions)."""
-    return prune(directory, max_age_days=-1.0)
+    return _evict(Path(directory), max_age_days=-1.0, max_bytes=None)
 
 
 # -- the process-wide default cache -------------------------------------

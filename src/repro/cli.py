@@ -363,6 +363,7 @@ def _cache_directory(args: argparse.Namespace):
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import clear, config_from_env, directory_stats, prune
+    from repro.errors import CacheError
 
     directory = _cache_directory(args)
     if args.action == "stats":
@@ -381,8 +382,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                       f"{entry['bytes']:>12} bytes")
         return 0
     if args.action == "prune":
-        result = prune(directory, max_age_days=args.max_age_days,
-                       max_bytes=args.max_bytes)
+        try:
+            result = prune(directory, max_age_days=args.max_age_days,
+                           max_bytes=args.max_bytes)
+        except CacheError as exc:
+            logger.error("cache prune: %s", exc)
+            return 1
     else:  # clear
         result = clear(directory)
     print(f"removed {result['removed']} artifacts "

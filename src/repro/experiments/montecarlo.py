@@ -13,10 +13,10 @@ a single bit of the output.
 The deterministic cold path of every trial — contact-table
 construction for each fabricated unit and the per-unit harmonic
 calibrations — flows through :mod:`repro.cache`, so repeated campaigns
-(and campaign workers across processes, which inherit
-``REPRO_CACHE_DIR`` through the environment) skip straight to the
-RNG-dependent wireless protocol.  ``REPRO_CACHE=0`` recomputes
-everything with bit-identical results.
+skip straight to the RNG-dependent wireless protocol.  So do the
+workers each sharded run forks afresh: they inherit the parent's
+in-memory tier and, through ``REPRO_CACHE_DIR``, its disk tier.
+``REPRO_CACHE=0`` recomputes everything with bit-identical results.
 """
 
 from __future__ import annotations

@@ -585,9 +585,7 @@ def run_distance(fast: bool = True, carrier: float = 900e6,
                  tx_rx_separation: float = 4.0,
                  positions: Sequence[float] = (1.0, 1.5, 2.0),
                  separations: Sequence[float] = (2.0, 4.0, 10.0, 30.0),
-                 groups: int = 8, seed: int = 3,
-                 executor: Optional[CampaignExecutor] = None
-                 ) -> DistanceResult:
+                 groups: int = 8, seed: int = 3) -> DistanceResult:
     """Fig. 18: sensor swept along a 4 m TX..RX line, plus a total-range
     sweep with the sensor at the midpoint (the up-to-5 m reach claim).
 
@@ -604,8 +602,7 @@ def run_distance(fast: bool = True, carrier: float = 900e6,
          separation, carrier, fast, groups)
         for index, separation in enumerate(separations)
     ]
-    results = (executor or CampaignExecutor()).map(_distance_trial,
-                                                   arguments)
+    results = CampaignExecutor().map(_distance_trial, arguments)
     stabilities = results[:len(positions)]
     range_stabilities = results[len(positions):]
     return DistanceResult(
@@ -890,8 +887,7 @@ def _form_factor_trial(index: int, scale: float, base_carrier: float,
 
 
 def run_form_factor(scales: Sequence[float] = (1.0, 0.5),
-                    base_carrier: float = 2.4e9, seed: int = 77,
-                    executor: Optional[CampaignExecutor] = None
+                    base_carrier: float = 2.4e9, seed: int = 77
                     ) -> FormFactorResult:
     """Shrink the sensor, raise the carrier, keep the performance.
 
@@ -901,7 +897,7 @@ def run_form_factor(scales: Sequence[float] = (1.0, 0.5),
     accuracy — carries over to the smaller form factor.  The scales
     are independent, so they run as one executor batch.
     """
-    results = (executor or CampaignExecutor()).map(
+    results = CampaignExecutor().map(
         _form_factor_trial,
         [(index, float(scale), base_carrier, seed)
          for index, scale in enumerate(scales)])

@@ -54,7 +54,7 @@ from repro.gateway.http import GatewayLimits, HttpRequest
 from repro.obs import trace
 from repro.obs.recorder import flight_recorder
 from repro.obs.slo import SloMonitor, default_slos
-from repro.serve.protocol import EstimateRequest
+from repro.serve.protocol import EstimateRequest, wire_id, wire_int
 from repro.serve.service import InferenceService
 
 logger = logging.getLogger(__name__)
@@ -639,15 +639,18 @@ class Gateway:
 
     async def _serve_subscribe(self, conn: _WsConnection,
                                message: dict) -> None:
-        sensor_id = message.get("sensor_id")
-        min_groups = message.get("min_groups", self.touch_min_groups)
-        if not isinstance(sensor_id, str) or not sensor_id \
-                or not isinstance(min_groups, int) or min_groups < 1:
+        try:
+            sensor_id = wire_id(message.get("sensor_id"), "sensor_id")
+            min_groups = wire_int(
+                message.get("min_groups", self.touch_min_groups),
+                "min_groups")
+            if min_groups < 1:
+                raise ProtocolError(
+                    f"min_groups must be >= 1, got {min_groups}")
+        except ProtocolError as exc:
             self._count("gateway.protocol_errors")
-            await conn.send_json({
-                "type": "error", "code": "protocol",
-                "error": "subscribe needs a sensor_id string and an "
-                         "integer min_groups >= 1"})
+            await conn.send_json({"type": "error", "code": "protocol",
+                                  "error": str(exc)})
             return
         conn.subscriptions[sensor_id] = _Subscription(
             min_groups=min_groups)

@@ -35,6 +35,7 @@ bytes.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -101,8 +102,8 @@ _rate_cache = (None, 1.0)
 def sample_rate(environ: Optional[dict] = None) -> float:
     """The head-sampling rate from ``REPRO_TRACE_SAMPLE`` (default 1).
 
-    Clamped to [0, 1]; an unparsable value falls back to 1.0 so a
-    typo'd deployment records too much rather than nothing.
+    Clamped to [0, 1]; an unparsable value (NaN included) falls back
+    to 1.0 so a typo'd deployment records too much rather than nothing.
     """
     global _rate_cache
     raw = (environ if environ is not None else os.environ).get(
@@ -113,7 +114,7 @@ def sample_rate(environ: Optional[dict] = None) -> float:
         rate = float(raw) if raw else 1.0
     except ValueError:
         rate = 1.0
-    rate = min(max(rate, 0.0), 1.0)
+    rate = 1.0 if math.isnan(rate) else min(max(rate, 0.0), 1.0)
     _rate_cache = (raw, rate)
     return rate
 

@@ -13,7 +13,10 @@ truncated, or type-confused payload raises
 bare ``KeyError``/``TypeError``/``AttributeError``/``OverflowError``
 — so a transport adapter can map *every* decode failure to one error
 response (fuzz-tested in ``tests/test_serve_protocol_fuzz.py``).
-Request-side decoders also reject NaN and +/-Inf in every float field:
+Request-side decoders check JSON types instead of coercing them: a
+number is a JSON int or float (never a bool or a string), an integer
+is a JSON int, ``fast`` is a JSON bool and ``sensor_id`` a non-empty
+string.  They also reject NaN and +/-Inf in every float field:
 ``json.loads`` accepts the ``NaN`` / ``Infinity`` literals, and a
 non-finite phase would otherwise come back as an "ok" estimate.  A
 sensor config must also name a carrier inside the band the sensor is
@@ -56,11 +59,30 @@ def _require_dict(payload, what: str) -> dict:
 
 
 def _finite(value, field: str) -> float:
-    """A wire number as a finite float (NaN and +/-Inf rejected)."""
+    """A JSON int or float as a finite float (NaN and +/-Inf rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(
+            f"{field} must be a number, got {type(value).__name__}")
     number = float(value)
     if not math.isfinite(number):
         raise ProtocolError(f"{field} must be finite, got {number!r}")
     return number
+
+
+def wire_int(value, field: str) -> int:
+    """A JSON int (a bool, float or string is a :class:`ProtocolError`)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            f"{field} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def wire_id(value, field: str) -> str:
+    """A stream identity: a non-empty JSON string (else a
+    :class:`ProtocolError`)."""
+    if not isinstance(value, str) or not value:
+        raise ProtocolError(f"{field} must be a non-empty string")
+    return value
 
 
 def _decode_json(text, what: str) -> dict:
@@ -104,19 +126,23 @@ class SensorConfig:
         """Inverse of :meth:`to_dict`; missing keys take defaults.
 
         Raises:
-            ProtocolError: The payload is not a dict, a field does not
-                coerce to its wire type, a number is not finite, the
-                carrier lies outside :data:`CARRIER_BAND_HZ`, or the
-                touch threshold is negative.
+            ProtocolError: The payload is not a dict, a field is not
+                its JSON type, a number is not finite, the carrier lies
+                outside :data:`CARRIER_BAND_HZ`, or the touch
+                threshold is negative.
         """
         payload = _require_dict(payload, "sensor config")
         defaults = cls()
+        fast = payload.get("fast", defaults.fast)
+        if not isinstance(fast, bool):
+            raise ProtocolError(
+                f"fast must be a JSON bool, got {type(fast).__name__}")
         try:
             config = cls(
                 carrier_frequency=_finite(payload.get(
                     "carrier_frequency", defaults.carrier_frequency),
                     "carrier_frequency"),
-                fast=bool(payload.get("fast", defaults.fast)),
+                fast=fast,
                 touch_threshold_deg=_finite(payload.get(
                     "touch_threshold_deg", defaults.touch_threshold_deg),
                     "touch_threshold_deg"),
@@ -176,15 +202,15 @@ class EstimateRequest:
 
         Raises:
             ProtocolError: The payload is not a dict, a required field
-                is missing, a field does not coerce to its wire type,
-                or a number is not finite.
+                is missing, a field is not its JSON type, or a number
+                is not finite.
         """
         payload = _require_dict(payload, "estimate request")
         try:
             hint = payload.get("location_hint")
             return cls(
-                sensor_id=str(payload["sensor_id"]),
-                sequence=int(payload["sequence"]),
+                sensor_id=wire_id(payload["sensor_id"], "sensor_id"),
+                sequence=wire_int(payload["sequence"], "sequence"),
                 time=_finite(payload["time"], "time"),
                 phi1=_finite(payload["phi1"], "phi1"),
                 phi2=_finite(payload["phi2"], "phi2"),

@@ -290,6 +290,14 @@ class TestMaintenance:
         assert prune(cache.directory)["removed"] == 2
         assert _artifact_files(cache) == [path]
 
+    @pytest.mark.parametrize("bound", [{"max_bytes": -5},
+                                       {"max_age_days": -1.0}])
+    def test_negative_prune_bound_is_refused(self, cache, bound):
+        cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
+        with pytest.raises(CacheError, match=next(iter(bound))):
+            prune(cache.directory, **bound)
+        assert prune(cache.directory, max_bytes=0)["removed"] == 1
+
     def test_clear_removes_everything(self, cache):
         cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
         clear(cache.directory)
@@ -308,6 +316,18 @@ class TestMaintenance:
         assert main(["cache", "clear", "--cache-dir", root]) == 0
         assert "removed 1 artifacts" in capsys.readouterr().out
         assert directory_stats(root)["total_entries"] == 0
+
+    @pytest.mark.parametrize("flags", [["--max-bytes", "-5"],
+                                       ["--max-age-days", "-1"]])
+    def test_cli_negative_prune_bound_deletes_nothing(self, cache,
+                                                      flags, capsys):
+        from repro.cli import main
+
+        cache.get_or_compute("ns", 1, {"k": 1}, lambda: 1)
+        root = str(cache.directory)
+        assert main(["cache", "prune", "--cache-dir", root] + flags) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert directory_stats(root)["total_entries"] == 1
 
     def test_cli_stats_respects_env_dir(self, cache, capsys,
                                         monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import montecarlo
+from repro.experiments.parallel import CampaignExecutor
 from repro.experiments.runners import run_form_factor
 from repro.sensor.fabrication import (
     FabricationTolerances,
@@ -101,10 +102,17 @@ class TestFormFactor:
 @pytest.mark.integration
 class TestCampaigns:
     def test_environment_robustness(self):
-        """Accuracy holds across random indoor environments."""
-        result = montecarlo.environment_campaign(trials=4, fast=True)
+        """Accuracy holds across random indoor environments, and the
+        same trials through a process pool give the serial medians."""
+        result = montecarlo.environment_campaign(
+            trials=4, fast=True, executor=CampaignExecutor(workers=1))
         assert result.worst_force_median < 1.0
         assert result.worst_location_median < 2e-3
+        sharded = montecarlo.environment_campaign(
+            trials=4, fast=True, executor=CampaignExecutor(workers=2))
+        assert np.array_equal(sharded.force_medians, result.force_medians)
+        assert np.array_equal(sharded.location_medians,
+                              result.location_medians)
 
     def test_calibration_transfer_vs_per_unit(self):
         """Transferring the nominal calibration to toleranced units

@@ -780,6 +780,35 @@ class TestWsProtocolSurface:
         assert reply["type"] == "estimate"
         assert internal_errors == 0
 
+    def test_type_confused_fields_are_protocol_errors(self, model_900):
+        """A bool ``sequence`` or ``min_groups`` is refused, naming the
+        field, and the connection keeps serving."""
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                error, _ = await estimate_over_ws(
+                    client, dict(_request("s", 0).to_dict(), sequence=True),
+                    timeout=5.0)
+                await client.send_json({"type": "subscribe",
+                                        "sensor_id": "s",
+                                        "min_groups": True})
+                refused = await client.recv_json(timeout=5.0)
+                reply, _ = await estimate_over_ws(
+                    client, _request("s", 1).to_dict())
+                await client.close()
+                return error, refused, reply, _internal_errors(gateway)
+
+        error, refused, reply, internal_errors = asyncio.run(scenario())
+        assert (error["code"], refused["code"]) == ("protocol", "protocol")
+        assert "sequence" in error["error"]
+        assert "min_groups" in refused["error"]
+        assert reply["type"] == "estimate"
+        assert internal_errors == 0
+
     def test_out_of_span_hint_is_a_protocol_error(self, model_900):
         async def scenario():
             service = _hint_service(model_900)

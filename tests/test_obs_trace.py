@@ -69,6 +69,17 @@ class TestSampling:
         assert trace.sample_rate({trace.TRACE_SAMPLE_ENV: "-1"}) == 0.0
         assert trace.sample_rate({trace.TRACE_SAMPLE_ENV: "nope"}) == 1.0
 
+    def test_nan_rate_falls_back_to_one(self, monkeypatch):
+        # "nan" parses as a float and slips through a plain clamp;
+        # every new root would then fail to draw its decision.
+        monkeypatch.setattr(trace, "_rate_cache", (None, 1.0))
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "nan")
+        assert trace.sample_rate() == 1.0
+        assert trace.new_root().sampled
+        assert request_context().sampled
+        assert trace.sample_rate({trace.TRACE_SAMPLE_ENV: "inf"}) == 1.0
+        assert trace.sample_rate({trace.TRACE_SAMPLE_ENV: "-inf"}) == 0.0
+
     def test_unsampled_child_is_self(self):
         assert UNSAMPLED.child() is UNSAMPLED
 

@@ -14,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.experiments import parallel
 from repro.experiments.parallel import CampaignExecutor
 from repro.faults import FaultPlan, FaultSpec, inject
 from repro.obs.registry import observed
@@ -51,7 +51,7 @@ class TestWorkerRespawn:
         # suppresses the fault), so the campaign is complete, in order.
 
     def test_multiple_crashes_within_budget(self):
-        executor = CampaignExecutor(workers=2, max_respawns=3)
+        executor = CampaignExecutor(workers=2)
         arguments = [(value,) for value in range(10)]
         with observed() as registry:
             with inject(_crash_plan(1, 6)):
@@ -62,12 +62,14 @@ class TestWorkerRespawn:
             "campaign.worker_respawns"]
         assert 1 <= respawns <= 2
 
-    def test_exhausted_respawn_budget_degrades_to_serial(self):
-        # max_respawns=0: the first worker death exhausts the budget
+    def test_exhausted_respawn_budget_degrades_to_serial(
+            self, monkeypatch):
+        # MAX_RESPAWNS = 0: the first worker death exhausts the budget
         # and the run falls back to the serial loop — which never
-        # SIGKILLs the main process (in_worker=False) and still
-        # produces the full result set.
-        executor = CampaignExecutor(workers=2, max_respawns=0)
+        # SIGKILLs the main process and still produces the full
+        # result set.
+        monkeypatch.setattr(parallel, "MAX_RESPAWNS", 0)
+        executor = CampaignExecutor(workers=2)
         arguments = [(value,) for value in range(6)]
         with inject(_crash_plan(2)):
             execution = executor.run(_square, arguments)
@@ -87,10 +89,6 @@ class TestWorkerRespawn:
         parallel = CampaignExecutor(workers=2).run(_square, arguments)
         serial = CampaignExecutor(workers=1).run(_square, arguments)
         assert parallel.results == serial.results
-
-    def test_max_respawns_validation(self):
-        with pytest.raises(ConfigurationError):
-            CampaignExecutor(workers=1, max_respawns=-1)
 
 
 def _instrumented_trial(value):

@@ -74,6 +74,31 @@ _BAD_CONFIG_NUMBERS = [
 ]
 
 
+#: Config values a coercing decoder would accept but the protocol must
+#: not: ``fast`` is a JSON bool, and every number is a JSON int or
+#: float, never a bool or a string.
+_TYPE_CONFUSED_CONFIG = [
+    pytest.param(field, value, id=f"{value!r}-{field}")
+    for field, value in (("fast", "false"), ("fast", None), ("fast", 0),
+                         ("carrier_frequency", "9e8"),
+                         ("touch_threshold_deg", True),
+                         ("touch_threshold_deg", "5"))
+]
+
+#: Request values a coercing decoder would accept but the protocol
+#: must not: ``sensor_id`` is a non-empty string, ``sequence`` an int
+#: that is not a bool, and every other number an int or float.
+_TYPE_CONFUSED_REQUEST = [
+    pytest.param(field, value, id=f"{value!r}-{field}")
+    for field, value in (("sensor_id", None), ("sensor_id", ""),
+                         ("sensor_id", 7), ("sequence", 1.9),
+                         ("sequence", True), ("sequence", "3"),
+                         ("time", True), ("phi1", True),
+                         ("phi2", "0.2"), ("location_hint", True),
+                         ("location_hint", "0.04"))
+]
+
+
 class TestSensorConfig:
     def test_roundtrip(self):
         config = SensorConfig(carrier_frequency=2.4e9, fast=False,
@@ -99,6 +124,16 @@ class TestSensorConfig:
     def test_non_finite_number_is_a_protocol_error(self, field, value):
         with pytest.raises(ProtocolError, match=field):
             SensorConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field, value", _TYPE_CONFUSED_CONFIG)
+    def test_type_confused_field_is_a_protocol_error(self, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            SensorConfig.from_dict({field: value})
+        request = dict(EstimateRequest(sensor_id="s", sequence=1, time=0.1,
+                                       phi1=0.4, phi2=-0.2).to_dict(),
+                       config={field: value})
+        with pytest.raises(ProtocolError, match=field):
+            EstimateRequest.from_dict(request)
 
     @pytest.mark.parametrize("payload", [
         pytest.param({"carrier_frequency": 10e6}, id="10MHz"),
@@ -132,6 +167,15 @@ class TestEstimateRequest:
                                        "location_hint"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_number_is_a_protocol_error(self, field, value):
+        payload = EstimateRequest(sensor_id="s", sequence=1, time=0.1,
+                                  phi1=0.4, phi2=-0.2,
+                                  location_hint=0.04).to_dict()
+        payload[field] = value
+        with pytest.raises(ProtocolError, match=field):
+            EstimateRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", _TYPE_CONFUSED_REQUEST)
+    def test_type_confused_field_is_a_protocol_error(self, field, value):
         payload = EstimateRequest(sensor_id="s", sequence=1, time=0.1,
                                   phi1=0.4, phi2=-0.2,
                                   location_hint=0.04).to_dict()
