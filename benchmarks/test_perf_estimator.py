@@ -8,6 +8,11 @@ Two claims are tracked here so future PRs can see the trajectory:
 * ``CampaignExecutor`` sharding returns exactly what the serial loop
   returns, trading only wall-clock time.
 
+Report-only, ungated: the per-call time of ``invert_batch`` at the
+batch sizes the serving scheduler flushes (``per_call_us``) and its
+minor page faults per call at N=32 in a fresh process
+(``minor_faults_per_call_n32``).
+
 The pytest-benchmark cases give calibrated local numbers; the
 machine-readable summary in ``benchmarks/results/BENCH_estimator.json``
 is produced with plain ``time.perf_counter`` so it is also emitted by
@@ -18,12 +23,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.estimator import ForceLocationEstimator
 from repro.experiments.montecarlo import (
     acquisition_campaign,
@@ -34,6 +42,7 @@ from repro.experiments.scenarios import calibrated_model
 from repro.obs import is_enabled, observed, stamp_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
+SRC = Path(repro.__file__).resolve().parent.parent
 BENCH_PATH = RESULTS_DIR / "BENCH_estimator.json"
 
 #: Batch size for the scalar-vs-batch comparison.
@@ -47,6 +56,30 @@ CAMPAIGN_TRIALS = 24
 
 #: Workers for the parallel campaign runs.
 CAMPAIGN_WORKERS = 4
+
+#: Batch sizes the serving scheduler flushes (``max_batch`` is 32).
+SERVING_BATCHES = (1, 3, 8, 32)
+
+#: Minor page faults per ``invert_batch`` call at N=32, counted over
+#: 50 calls after 20 warm-up calls in a fresh interpreter, so no
+#: earlier allocation of this process has moved glibc's mmap threshold.
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from repro.core.estimator import ForceLocationEstimator
+from repro.experiments.scenarios import calibrated_model
+model = calibrated_model(900e6, fast=True)
+estimator = ForceLocationEstimator(model)
+rng = np.random.default_rng(42)
+phi1, phi2 = model.predict_batch(rng.uniform(0.5, 8.0, 32),
+                                 rng.uniform(0.02, 0.06, 32))
+for _ in range(20):
+    estimator.invert_batch(phi1, phi2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    estimator.invert_batch(phi1, phi2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
 
 #: Simulated sounder frame-acquisition window per campaign trial.
 #: Pacing the benchmark campaign at hardware acquisition rate makes
@@ -167,6 +200,25 @@ def test_obs_instrumentation_overhead(estimator, phases):
     )
 
 
+def test_serving_batch_cost(estimator, phases):
+    """Report-only: ``invert_batch`` per call at the serving batch sizes
+    (best of 7 rounds) and its minor page faults per call at N=32."""
+    phi1, phi2 = phases
+    per_call = {}
+    for size in SERVING_BATCHES:
+        rows = (phi1[:size].copy(), phi2[:size].copy())
+        calls = 200 // size
+        seconds, _ = _best_of(7, lambda: [estimator.invert_batch(*rows)
+                                          for _ in range(calls)])
+        per_call[str(size)] = seconds / calls * 1e6
+    result = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True, timeout=300)
+    _report["per_call_us"] = per_call
+    _report["minor_faults_per_call_n32"] = float(result.stdout.split()[-1])
+
+
 def test_campaign_parallel_matches_serial():
     """Sharded campaign == serial campaign, and the pool pays.
 
@@ -231,7 +283,7 @@ def test_perf_scalar_inversion(benchmark, estimator, phases):
 
 
 def test_perf_batch_inversion(benchmark, estimator, phases):
-    """pytest-benchmark: the one-shot batched grid search."""
+    """pytest-benchmark: the one-shot batched inversion."""
     phi1, phi2 = phases
     benchmark.pedantic(estimator.invert_batch, args=(phi1, phi2),
                        rounds=5, iterations=1)

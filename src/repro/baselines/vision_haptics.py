@@ -72,7 +72,7 @@ class WiForceLatency:
     Attributes:
         group_duration: Phase-group length [s] (36 ms default).
         groups_needed: Groups per decision (1 for a phase jump).
-        inversion_time: Model-inversion compute [s] (a grid search).
+        inversion_time: Model-inversion compute budget [s].
     """
 
     group_duration: float = 0.036

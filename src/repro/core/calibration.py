@@ -89,6 +89,17 @@ class SensorModel:
         self.frequency = float(frequency)
         self._tables = (self._stack_curves(self._port1),
                         self._stack_curves(self._port2))
+        # What :meth:`linearize` gathers per point: the interior knots
+        # that pick a segment, the segment widths, and per segment the
+        # coefficients of both interpolation ends of both ports, at
+        # least two wide so every curve has a slope term.
+        self._interior = self._locations[1:-1]
+        self._widths = np.diff(self._locations)
+        ports = np.stack([self._tables[0][0], self._tables[1][0]], axis=1)
+        if ports.shape[-1] < 2:
+            ports = np.pad(ports, ((0, 0), (0, 0), (1, 0)))
+        self._segment_coefficients = np.stack([ports[:-1], ports[1:]],
+                                              axis=1)
 
     @staticmethod
     def _stack_curves(
@@ -158,53 +169,59 @@ class SensorModel:
     def predict_span(
         self, forces: np.ndarray, locations: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-sample grid prediction for batched search.
+        """Per-sample grid prediction.
 
         ``forces`` is (N, F) — one force axis per sample — and
         ``locations`` is (N, L); returns (phi1, phi2) shaped (N, F, L),
-        sample ``n``'s prediction over the outer product of its axes.
-        Element-wise identical to broadcasting :meth:`predict_batch`
-        over the full grids, but each calibration curve is evaluated
-        once per force axis instead of once per (force, location)
-        cell, which is what makes the batched estimator fast.
+        sample ``n``'s prediction over the outer product of its axes:
+        :meth:`predict_batch` broadcast over the full grids.
         """
         forces = np.asarray(forces, dtype=float)
         locations = np.asarray(locations, dtype=float)
-        segment, weight = self._segments(locations)
-        # The sorted curves the segments touch, as a presence mask (no
-        # np.unique: it imports numpy.ma on first use, on the serving
-        # event loop).
-        present = np.zeros(self._locations.size, dtype=bool)
-        present[segment] = present[segment + 1] = True
-        needed = np.flatnonzero(present)
-        low_slot = np.searchsorted(needed, segment)[:, np.newaxis, :]
-        high_slot = np.searchsorted(needed, segment + 1)[:, np.newaxis, :]
-        blend = weight[:, np.newaxis, :]
-        phases = []
-        for coefficients, ranges in self._tables:
-            # Calibration schedules usually share one force range
-            # across locations, in which case the clip is hoisted out
-            # of the per-curve loop (identical values either way).
-            shared = bool(np.all(ranges == ranges[0]))
-            if shared:
-                clipped = np.clip(forces, ranges[0, 0], ranges[0, 1])
-            table = np.empty(forces.shape + (needed.size,))
-            for slot, curve in enumerate(needed):
-                if not shared:
-                    clipped = np.clip(forces, ranges[curve, 0],
-                                      ranges[curve, 1])
-                accum = np.full_like(clipped, coefficients[curve, 0])
-                for power in range(1, coefficients.shape[1]):
-                    accum *= clipped
-                    accum += coefficients[curve, power]
-                table[..., slot] = accum
-            low = np.take_along_axis(table, low_slot, axis=2)
-            high = np.take_along_axis(table, high_slot, axis=2)
-            # (1 - w) * low + w * high, evaluated in place.
-            np.multiply(low, 1.0 - blend, out=low)
-            np.multiply(high, blend, out=high)
-            phases.append(np.add(low, high, out=low))
-        return phases[0], phases[1]
+        return self.predict_batch(forces[:, :, np.newaxis],
+                                  locations[:, np.newaxis, :])
+
+    def linearize(
+        self, forces: np.ndarray, locations: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Phases and their analytic Jacobian at N points.
+
+        ``forces`` [N] and ``locations`` [m] are shape (N,) and must lie
+        inside :attr:`force_range` and the calibrated span: nothing is
+        clipped, so a point outside extrapolates its curves.  Returns
+        ``(phases, jacobian)``: phases (N, 2) [rad], one column per
+        port, and jacobian (N, 2, 2), where ``jacobian[n, port]`` is
+        (d phase / d force [rad/N], d phase / d location [rad/m]).
+
+        Both interpolation ends of both ports are gathered as one
+        (N, 2, 2, W) coefficient array, so one Horner pass evaluates
+        every curve with its slope.  The location derivative is the
+        slope of the linear interpolation between the two ends.  Every
+        operation is element-wise over the N points.
+        """
+        segment = np.searchsorted(self._interior, locations)
+        width = self._widths[segment]
+        weight = ((locations - self._locations[segment])
+                  / width)[:, np.newaxis]
+        coefficients = self._segment_coefficients[segment]
+        force = forces[:, np.newaxis, np.newaxis]
+        # Horner's scheme for each curve and its derivative together.
+        value = coefficients[..., 0] * force + coefficients[..., 1]
+        slope = coefficients[..., 0]
+        for power in range(2, coefficients.shape[-1]):
+            slope = slope * force + value
+            value = value * force + coefficients[..., power]
+        low, high = value[:, 0], value[:, 1]
+        rise = high - low
+        phases = rise * weight
+        phases += low
+        jacobian = np.empty(phases.shape + (2,))
+        force_slope = jacobian[..., 0]
+        np.subtract(slope[:, 1], slope[:, 0], out=force_slope)
+        force_slope *= weight
+        force_slope += slope[:, 0]
+        np.divide(rise, width[:, np.newaxis], out=jacobian[..., 1])
+        return phases, jacobian
 
     @property
     def locations(self) -> np.ndarray:

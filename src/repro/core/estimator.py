@@ -2,9 +2,11 @@
 
 Given the pair of measured differential phases (phi1, phi2), find the
 (force, location) whose model-predicted phases best match.  Residuals
-are compared on the unit circle (wrapped), the search is a coarse grid
-followed by two local zoom refinements — deterministic, derivative-free
-and robust to the model's mild non-monotonicities.
+are compared on the unit circle (wrapped).  Each reading is seeded at
+the best point of a fixed 25 x 25 grid over the calibrated domain, then
+refined by four damped Gauss-Newton steps on the model's analytic
+Jacobian that respect the domain's bounds.  The model is a closed form,
+so it is solved directly rather than searched.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ def _wrapped_error(shifted_measured, predicted: np.ndarray,
     """Wrapped (measured - predicted) phase error on [-pi, pi).
 
     ``shifted_measured`` is the measured phase pre-offset by +pi, so
-    the wrap costs one pass over the prediction grid.  Arithmetic
+    the wrap costs one pass over the predictions.  Arithmetic
     equivalent of ``angle(exp(1j*(measured - predicted)))`` up to the
     sign of the +/-pi branch point, which the squared cost cannot see,
-    at a fraction of the transcendental cost.  Both search paths must
-    use this same formula so batch and scalar inversion stay
-    bit-identical.  ``out`` may alias ``predicted`` to work in place.
+    at a fraction of the transcendental cost.  ``out`` may alias
+    ``predicted`` to work in place.
     """
     out = np.subtract(shifted_measured, predicted, out=out)
     np.remainder(out, 2.0 * np.pi, out=out)
@@ -110,13 +111,37 @@ def _wrapped_error(shifted_measured, predicted: np.ndarray,
     return out
 
 
+#: Points per axis of the seed grid over (force, location).
+SEED_POINTS = 25
+
+#: Rows per chunk of the seed scan: a (16, 625) float64 residual block
+#: is 80 KB, below glibc's 128 KiB mmap threshold, so the scan reuses
+#: heap memory instead of mapping fresh pages on every call.
+SEED_ROWS = 16
+
+#: Gauss-Newton steps per reading.  The count is fixed and every
+#: operation is element-wise over rows, so a reading's estimate does
+#: not depend on the batch it is inverted in.
+STEPS = 4
+
+#: Levenberg damping at the seed, in units of the span-scaled normal
+#: matrix; divided by 10 after a step that lowers the cost and
+#: multiplied by 10 after one that does not (the step is then undone).
+DAMPING = 1e-2
+
+
 class ForceLocationEstimator:
     """Inverts a :class:`SensorModel`.
 
-    The search is a 25 x 25 grid over the calibrated span, then two
-    21 x 21 zooms to +/-15% and +/-3% of the span around the running
-    best.  The final pitch is therefore 0.3% of the span: 0.0225 N and
-    0.12 mm for a 0.5-8 N, 20-60 mm model.
+    Each reading starts at the best point of a 25 x 25 grid over the
+    calibrated force range and location span (the grid's model phases
+    and Jacobians are computed once per estimator), then takes four
+    damped Gauss-Newton steps on the wrapped phase residual.  A step
+    that does not lower the cost is undone and the damping raised.
+    The bounds form an active set: a variable on its bound whose
+    gradient points outward is frozen while the other takes its 1-D
+    step, and every step is clipped into the domain.  A location hint
+    narrows the domain to +/-10 mm around it, seed included.
 
     Args:
         model: Calibrated phase-force model.
@@ -131,40 +156,41 @@ class ForceLocationEstimator:
             )
         self.model = model
         self.touch_threshold = np.radians(touch_threshold_deg)
-
-    def _grid_search(self, measured: Tuple[float, float],
-                     force_span: Tuple[float, float],
-                     location_span: Tuple[float, float],
-                     points: int) -> Tuple[float, float, float]:
-        obs = active()
-        if obs is not None:
-            obs.counter("estimator.grid_stages").increment()
-        forces = np.linspace(force_span[0], force_span[1], points)
-        locations = np.linspace(location_span[0], location_span[1], points)
-        phi1, phi2 = self.model.predict_grid(forces, locations)
-        error1 = _wrapped_error(measured[0] + np.pi, phi1)
-        error2 = _wrapped_error(measured[1] + np.pi, phi2)
-        cost = 0.5 * (error1 * error1 + error2 * error2)
-        index = np.unravel_index(int(np.argmin(cost)), cost.shape)
-        best_force = float(forces[index[0]])
-        best_location = float(locations[index[1]])
-        return best_force, best_location, float(np.sqrt(cost[index]))
+        force_low, force_high = model.force_range
+        location_low, location_high = self.location_span()
+        #: [[force_low, location_low], [force_high, location_high]].
+        self._bounds = np.array([[force_low, location_low],
+                                 [force_high, location_high]])
+        #: Steps are solved in span units: (force, location) / scale.
+        self._scale = self._bounds[1] - self._bounds[0]
+        forces, locations = np.meshgrid(
+            np.linspace(force_low, force_high, SEED_POINTS),
+            np.linspace(location_low, location_high, SEED_POINTS),
+            indexing="ij")
+        self._seed_points = np.stack([forces.ravel(), locations.ravel()],
+                                     axis=1)
+        phases, jacobian = self._linearize(self._seed_points)
+        self._seed_phases = phases
+        self._seed_jacobian = jacobian
+        self._seed_turns = (phases[:, 0] / (2.0 * np.pi),
+                            phases[:, 1] / (2.0 * np.pi))
 
     def invert(self, phi1: float, phi2: float,
                location_hint: Optional[float] = None
                ) -> ForceLocationEstimate:
-        """Estimate (force, location) from measured phases [rad].
+        """Estimate (force, location) from measured phases [rad]:
+        :meth:`invert_batch` of one row.
 
         Args:
             phi1 / phi2: Differential phases at the two readout tones.
             location_hint: Optional prior location [m]; restricts the
-                initial search to +/- 10 mm around it.
+                solution to +/- 10 mm around it.
         """
         obs = active()
         if obs is None:
-            return self._invert(phi1, phi2, location_hint)
+            return self._invert_batch(phi1, phi2, location_hint)[0]
         start = time.perf_counter()
-        estimate = self._invert(phi1, phi2, location_hint)
+        estimate = self._invert_batch(phi1, phi2, location_hint)[0]
         obs.histogram("estimator.invert_seconds").observe(
             time.perf_counter() - start)
         obs.counter("estimator.inversions").increment()
@@ -178,8 +204,8 @@ class ForceLocationEstimator:
         to +/-10 mm around ``location_hint`` when one is given.
 
         ``location_hint`` is a scalar or an array; the bounds take its
-        shape.  Both inversion paths and the serving layer's request
-        check derive their spans here.
+        shape.  The inversion and the serving layer's request check
+        derive their spans here.
 
         Raises:
             EstimationError: A hint's window misses the calibrated
@@ -200,100 +226,21 @@ class ForceLocationEstimator:
             )
         return low, high
 
-    def _invert(self, phi1: float, phi2: float,
-                location_hint: Optional[float] = None
-                ) -> ForceLocationEstimate:
-        if (abs(phi1) < self.touch_threshold
-                and abs(phi2) < self.touch_threshold):
-            return ForceLocationEstimate(force=0.0, location=0.0,
-                                         residual=0.0, touched=False)
-        force_low, force_high = self.model.force_range
-        location_low, location_high = self.location_span(location_hint)
-
-        force_span = (force_low, force_high)
-        location_span = (location_low, location_high)
-        best = self._grid_search((phi1, phi2), force_span, location_span, 25)
-        for zoom in (0.15, 0.03):
-            force_radius = zoom * (force_high - force_low)
-            location_radius = zoom * (location_high - location_low)
-            force_span = (max(force_low, best[0] - force_radius),
-                          min(force_high, best[0] + force_radius))
-            location_span = (max(location_low, best[1] - location_radius),
-                             min(location_high, best[1] + location_radius))
-            best = self._grid_search((phi1, phi2), force_span,
-                                     location_span, 21)
-        return ForceLocationEstimate(force=best[0], location=best[1],
-                                     residual=best[2], touched=True)
-
-    def _batch_grid_search(
-        self, shifted1: np.ndarray, shifted2: np.ndarray,
-        force_low: np.ndarray, force_high: np.ndarray,
-        location_low: np.ndarray, location_high: np.ndarray,
-        points: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One grid-search stage over N samples with per-sample spans.
-
-        ``shifted1`` / ``shifted2`` are the measured phases pre-offset
-        by +pi (see :func:`_wrapped_error`).  Builds one
-        (N, points, points) wrapped-residual tensor via the model's
-        per-sample grid prediction; the flattened per-sample argmin
-        uses C order, matching the scalar search's tie-breaking.
-        """
-        obs = active()
-        if obs is not None:
-            obs.counter("estimator.grid_stages").increment()
-        forces = np.linspace(force_low, force_high, points, axis=-1)
-        locations = np.linspace(location_low, location_high, points,
-                                axis=-1)
-        if (force_low[0] == force_low).all() \
-                and (force_high[0] == force_high).all() \
-                and (location_low[0] == location_low).all() \
-                and (location_high[0] == location_high).all():
-            # All samples share one span (the hint-free coarse stage):
-            # predict a single (points, points) grid and broadcast it
-            # against the batch instead of predicting N copies.
-            grid1, grid2 = self.model.predict_grid(forces[0], locations[0])
-            error1 = _wrapped_error(shifted1[:, np.newaxis, np.newaxis],
-                                    grid1[np.newaxis, :, :])
-            error2 = _wrapped_error(shifted2[:, np.newaxis, np.newaxis],
-                                    grid2[np.newaxis, :, :])
-        else:
-            grid1, grid2 = self.model.predict_span(forces, locations)
-            # The grids are freshly allocated; wrap in place.
-            error1 = _wrapped_error(shifted1[:, np.newaxis, np.newaxis],
-                                    grid1, out=grid1)
-            error2 = _wrapped_error(shifted2[:, np.newaxis, np.newaxis],
-                                    grid2, out=grid2)
-        np.multiply(error1, error1, out=error1)
-        np.multiply(error2, error2, out=error2)
-        # argmin over e1^2 + e2^2: the scalar path's 0.5 factor is an
-        # exact, monotone scale, so the minimiser (ties included) is
-        # unchanged and the factor is applied to the winner only.
-        score = np.add(error1, error2, out=error1).reshape(shifted1.size,
-                                                           -1)
-        flat = np.argmin(score, axis=1)
-        rows = np.arange(shifted1.size)
-        best_force = forces[rows, flat // points]
-        best_location = locations[rows, flat % points]
-        return best_force, best_location, np.sqrt(0.5 * score[rows, flat])
-
     def invert_batch(self, phi1: np.ndarray, phi2: np.ndarray,
                      location_hint: Optional[np.ndarray] = None
                      ) -> BatchForceLocationEstimate:
         """Estimate (force, location) for N phase pairs at once.
 
-        Vectorizes the coarse-plus-zoom search of :meth:`invert` over
-        the whole batch: each stage evaluates a single broadcast
-        residual tensor instead of N Python-level grid searches.  The
-        search schedule is identical to the scalar path, so results
-        match :meth:`invert` element-wise.
+        Every step is element-wise over the rows, so row ``n`` of the
+        result equals :meth:`invert` of row ``n`` bit for bit, whatever
+        else shares the batch.
 
         Args:
             phi1 / phi2: Measured differential phases [rad], shape (N,)
                 (broadcast-compatible shapes are accepted).
             location_hint: Optional prior location(s) [m] — a scalar or
-                shape-(N,) array; restricts each sample's initial
-                search to +/- 10 mm around its hint.
+                shape-(N,) array; restricts each sample's solution to
+                +/- 10 mm around its hint.
         """
         obs = active()
         if obs is None:
@@ -324,39 +271,115 @@ class ForceLocationEstimator:
         force = np.zeros(count)
         location = np.zeros(count)
         residual = np.zeros(count)
-        active = np.flatnonzero(touched)
-        if active.size:
-            force_low, force_high = self.model.force_range
-            hint = None
+        rows = np.flatnonzero(touched)
+        if rows.size:
+            bounds = self._bounds
             if location_hint is not None:
                 hint = np.broadcast_to(
                     np.atleast_1d(np.asarray(location_hint, dtype=float)),
-                    (count,))[active]
-            low, high = self.location_span(hint)
-            location_low = np.full(active.size, low)
-            location_high = np.full(active.size, high)
-            measured1 = phi1[active] + np.pi
-            measured2 = phi2[active] + np.pi
-            span_force_low = np.full(active.size, force_low)
-            span_force_high = np.full(active.size, force_high)
-            best = self._batch_grid_search(
-                measured1, measured2, span_force_low, span_force_high,
-                location_low, location_high, 25)
-            for zoom in (0.15, 0.03):
-                force_radius = zoom * (force_high - force_low)
-                location_radius = zoom * (location_high - location_low)
-                span_force_low = np.maximum(force_low,
-                                            best[0] - force_radius)
-                span_force_high = np.minimum(force_high,
-                                             best[0] + force_radius)
-                span_location_low = np.maximum(location_low,
-                                               best[1] - location_radius)
-                span_location_high = np.minimum(location_high,
-                                                best[1] + location_radius)
-                best = self._batch_grid_search(
-                    measured1, measured2, span_force_low, span_force_high,
-                    span_location_low, span_location_high, 21)
-            force[active], location[active], residual[active] = best
+                    (count,))[rows]
+                bounds = np.repeat(bounds[:, np.newaxis, :], rows.size,
+                                   axis=1)
+                bounds[0, :, 1], bounds[1, :, 1] = self.location_span(hint)
+            point, cost = self._solve(phi1[rows], phi2[rows], bounds)
+            force[rows] = point[:, 0]
+            location[rows] = point[:, 1]
+            residual[rows] = np.sqrt(0.5 * cost)
         return BatchForceLocationEstimate(force=force, location=location,
                                           residual=residual,
                                           touched=touched)
+
+    def _linearize(self, points: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Model phases (N, 2) and span-scaled Jacobian (N, 2, 2) at
+        (force, location) ``points`` (N, 2)."""
+        phases, jacobian = self.model.linearize(points[:, 0], points[:, 1])
+        jacobian *= self._scale
+        return phases, jacobian
+
+    def _seed(self, phi1: np.ndarray, phi2: np.ndarray,
+              bounds: np.ndarray) -> np.ndarray:
+        """Index of each row's best seed-grid point inside its bounds.
+
+        ``bounds`` is ``self._bounds`` or, with location hints, per-row
+        (2, N, 2) bounds whose grid points outside are skipped.  The
+        scan works in turns (phase / 2 pi), where the wrap is one
+        ``rint``: the seed needs only the argmin, and the steps that
+        follow recompute the residual in radians.
+        """
+        grid1, grid2 = self._seed_turns
+        grid_location = self._seed_points[:, 1]
+        count = phi1.size
+        turns1 = phi1 / (2.0 * np.pi)
+        turns2 = phi2 / (2.0 * np.pi)
+        chunk = min(count, SEED_ROWS)
+        cost = np.empty((chunk, grid1.size))
+        error = np.empty_like(cost)
+        whole = np.empty_like(cost)
+        index = np.empty(count, dtype=np.intp)
+        for start in range(0, count, chunk):
+            rows = slice(start, start + chunk)
+            size = min(chunk, count - start)
+            np.subtract(turns1[rows, np.newaxis], grid1, out=cost[:size])
+            np.subtract(turns2[rows, np.newaxis], grid2, out=error[:size])
+            for part in (cost[:size], error[:size]):
+                np.subtract(part, np.rint(part, out=whole[:size]),
+                            out=part)
+                np.multiply(part, part, out=part)
+            np.add(cost[:size], error[:size], out=cost[:size])
+            if bounds.ndim == 3:
+                np.putmask(cost[:size],
+                           (grid_location < bounds[0, rows, 1, np.newaxis])
+                           | (grid_location > bounds[1, rows, 1, np.newaxis]),
+                           np.inf)
+            index[rows] = np.argmin(cost[:size], axis=1)
+        return index
+
+    def _solve(self, phi1: np.ndarray, phi2: np.ndarray,
+               bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Bound-aware damped Gauss-Newton over N measured phase pairs;
+        returns the (force, location) points (N, 2) and their costs,
+        the summed squared wrapped residuals (N,)."""
+        low, high = bounds
+        index = self._seed(phi1, phi2, bounds)
+        shifted = np.stack([phi1, phi2], axis=1) + np.pi
+        point = self._seed_points[index]
+        residual = _wrapped_error(shifted, self._seed_phases[index])
+        jacobian = self._seed_jacobian[index]
+        cost = (residual * residual).sum(axis=1)
+        damping = np.full(cost.shape, DAMPING)
+        for _ in range(STEPS):
+            # The damped normal equations (J^T J + damping) step =
+            # J^T r, one closed-form 2 x 2 solve per row; the sums run
+            # over the two ports only.  J^T r is minus the gradient of
+            # the cost, the direction of steepest descent.
+            normal = (jacobian[:, :, :, np.newaxis]
+                      * jacobian[:, :, np.newaxis, :]).sum(axis=1)
+            descent = (jacobian * residual[:, :, np.newaxis]).sum(axis=1)
+            diagonal = (normal.diagonal(axis1=1, axis2=2)
+                        + damping[:, np.newaxis])
+            coupling = normal[:, 0, 1, np.newaxis]
+            determinant = (diagonal[:, 0] * diagonal[:, 1]
+                           - normal[:, 0, 1] * normal[:, 0, 1])
+            step = ((diagonal[:, ::-1] * descent
+                     - coupling * descent[:, ::-1])
+                    / determinant[:, np.newaxis])
+            # Active set: a variable on the bound that its descent
+            # points past stays put; the other takes its 1-D step.
+            pinned = point == np.where(descent < 0.0, low, high)
+            step = np.where(pinned[:, ::-1], descent / diagonal, step)
+            step[pinned] = 0.0
+            trial = np.clip(point + step * self._scale, low, high)
+            trial_phases, trial_jacobian = self._linearize(trial)
+            trial_residual = _wrapped_error(shifted, trial_phases,
+                                            out=trial_phases)
+            trial_cost = (trial_residual * trial_residual).sum(axis=1)
+            better = trial_cost < cost
+            point = np.where(better[:, np.newaxis], trial, point)
+            residual = np.where(better[:, np.newaxis], trial_residual,
+                                residual)
+            jacobian = np.where(better[:, np.newaxis, np.newaxis],
+                                trial_jacobian, jacobian)
+            cost = np.where(better, trial_cost, cost)
+            damping = np.where(better, damping * 0.1, damping * 10.0)
+        return point, cost

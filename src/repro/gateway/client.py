@@ -120,10 +120,16 @@ class WebSocketClient:
         await self._writer.drain()
 
     async def send_json(self, payload: dict) -> None:
-        """Send one JSON text message."""
+        """Send one JSON text message.
+
+        Raises:
+            ValueError: ``payload`` holds a NaN or an infinity, which
+                strict JSON cannot carry.
+        """
         await self.send_frame(
             websocket.OP_TEXT,
-            json.dumps(payload, sort_keys=True).encode("utf-8"))
+            json.dumps(payload, sort_keys=True,
+                       allow_nan=False).encode("utf-8"))
 
     async def _recv_frame(self) -> websocket.Frame:
         while True:

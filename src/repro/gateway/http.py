@@ -325,8 +325,14 @@ def render_response(status: int, body: bytes = b"",
 def json_response(status: int, payload: dict,
                   headers: Optional[Dict[str, str]] = None,
                   close: bool = False) -> bytes:
-    """Serialize a JSON body response."""
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    """Serialize a JSON body response.
+
+    Raises:
+        ValueError: ``payload`` holds a NaN or an infinity, which strict
+            JSON cannot carry.
+    """
+    body = (json.dumps(payload, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
     return render_response(status, body, headers=headers, close=close)
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
@@ -98,10 +99,16 @@ class _WsConnection:
                 self.closed = True
 
     async def send_json(self, payload: dict) -> None:
-        """Send one JSON text message."""
+        """Send one JSON text message.
+
+        Raises:
+            ValueError: ``payload`` holds a NaN or an infinity, which
+                strict JSON cannot carry.
+        """
         await self.send_frame(
             websocket.OP_TEXT,
-            json.dumps(payload, sort_keys=True).encode("utf-8"))
+            json.dumps(payload, sort_keys=True,
+                       allow_nan=False).encode("utf-8"))
 
     def spawn(self, coro) -> None:
         """Track a per-message task until it finishes."""
@@ -345,6 +352,10 @@ class Gateway:
                     request.body.decode("utf-8", errors="replace"))
                 response = await self.service.estimate(
                     estimate_request)
+                # Encoding raises on a non-finite estimate, which then
+                # goes out as the internal error below.
+                self._respond(writer, 200, response.to_dict(), context,
+                              close=wants_close)
             except ProtocolError as exc:
                 self._count("gateway.protocol_errors")
                 self._respond(writer, 400, {"error": str(exc)},
@@ -371,8 +382,6 @@ class Gateway:
             self.telemetry.histogram(
                 "gateway.request_seconds").observe(loop.time() - start)
             self._count("gateway.responses")
-            self._respond(writer, 200, response.to_dict(), context,
-                          close=wants_close)
         elif path == "/v1/touch_events":
             sensor_id = request.query.get("sensor_id", "")
             if not sensor_id:
@@ -582,8 +591,12 @@ class Gateway:
         echo = {"trace_id": context.trace_id}
         if isinstance(payload, dict):
             for key in ("sensor_id", "sequence"):
-                if key in payload:
-                    echo[key] = payload[key]
+                value = payload.get(key)
+                # Echo only what strict JSON can carry back: a string,
+                # or a finite number (a NaN ``sequence`` is not).
+                if isinstance(value, (str, int)) or (
+                        isinstance(value, float) and math.isfinite(value)):
+                    echo[key] = value
         if not self.tenants.admit(conn.tenant, start):
             self._count("gateway.rate_limited")
             await conn.send_json(dict(echo, **{
@@ -599,6 +612,11 @@ class Gateway:
             try:
                 request = EstimateRequest.from_dict(payload)
                 response = await self.service.estimate(request)
+                # Encoding raises on a non-finite estimate, which then
+                # goes out as the internal error below.
+                await conn.send_json({"type": "estimate",
+                                      "trace_id": context.trace_id,
+                                      "response": response.to_dict()})
             except ProtocolError as exc:
                 self._count("gateway.protocol_errors")
                 await conn.send_json(dict(echo, **{
@@ -628,9 +646,6 @@ class Gateway:
         self.telemetry.histogram("gateway.request_seconds").observe(
             loop.time() - start)
         self._count("gateway.responses")
-        await conn.send_json({"type": "estimate",
-                              "trace_id": context.trace_id,
-                              "response": response.to_dict()})
         await self._push_touch_events(request.sensor_id)
 
     # ------------------------------------------------------------------
@@ -699,15 +714,20 @@ class Gateway:
                 for index, event in enumerate(fresh):
                     if conn.closed:
                         break
-                    self._count("gateway.touch_events_pushed")
-                    conn.writer.write(websocket.encode_frame(
-                        websocket.OP_TEXT,
-                        json.dumps({
+                    try:
+                        text = json.dumps({
                             "type": "touch_event",
                             "sensor_id": sensor_id,
                             "index": base + index,
                             "event": event.to_dict(),
-                        }, sort_keys=True).encode("utf-8")))
+                        }, sort_keys=True, allow_nan=False)
+                    except ValueError:
+                        # A non-finite event never goes on the wire.
+                        self._internal_error("touch_event")
+                        continue
+                    self._count("gateway.touch_events_pushed")
+                    conn.writer.write(websocket.encode_frame(
+                        websocket.OP_TEXT, text.encode("utf-8")))
                 try:
                     await conn.writer.drain()
                 except (ConnectionError, RuntimeError):

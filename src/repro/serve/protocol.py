@@ -13,10 +13,10 @@ truncated, or type-confused payload raises
 bare ``KeyError``/``TypeError``/``AttributeError``/``OverflowError``
 — so a transport adapter can map *every* decode failure to one error
 response (fuzz-tested in ``tests/test_serve_protocol_fuzz.py``).
-Request-side decoders check JSON types instead of coercing them: a
-number is a JSON int or float (never a bool or a string), an integer
-is a JSON int, ``fast`` is a JSON bool and ``sensor_id`` a non-empty
-string.  They also reject NaN and +/-Inf in every float field:
+Decoders check JSON types instead of coercing them: a number is a
+JSON int or float (never a bool or a string), an integer is a JSON
+int, ``fast`` and ``touched`` are JSON bools and ``sensor_id`` a
+non-empty string.  They also reject NaN and +/-Inf in every float field:
 ``json.loads`` accepts the ``NaN`` / ``Infinity`` literals, and a
 non-finite phase would otherwise come back as an "ok" estimate.  A
 sensor config must also name a carrier inside the band the sensor is
@@ -287,22 +287,42 @@ class EstimateResponse:
     def from_dict(cls, payload: dict) -> "EstimateResponse":
         """Inverse of :meth:`to_dict` (``quality`` defaults ``"ok"``).
 
+        Checks JSON types the way the request decoders do: numbers are
+        finite JSON numbers, ``sequence`` and ``batch_size`` JSON ints,
+        ``touched`` a JSON bool and ``quality`` a string.
+
         Raises:
             ProtocolError: The payload is not a dict, a required field
-                is missing, or a field does not coerce to its wire
-                type.
+                is missing, a field is not its JSON type, or a number
+                is not finite.
         """
         payload = _require_dict(payload, "estimate response")
         try:
+            estimate = _require_dict(payload["estimate"], "estimate")
+            touched = estimate["touched"]
+            if not isinstance(touched, bool):
+                raise ProtocolError(
+                    f"touched must be a JSON bool, got "
+                    f"{type(touched).__name__}")
+            quality = payload.get("quality", "ok")
+            if not isinstance(quality, str):
+                raise ProtocolError(
+                    f"quality must be a string, got "
+                    f"{type(quality).__name__}")
             return cls(
-                sensor_id=str(payload["sensor_id"]),
-                sequence=int(payload["sequence"]),
-                time=float(payload["time"]),
-                estimate=ForceLocationEstimate.from_dict(
-                    _require_dict(payload["estimate"], "estimate")),
-                batch_size=int(payload.get("batch_size", 1)),
-                latency_s=float(payload.get("latency_s", 0.0)),
-                quality=str(payload.get("quality", "ok")),
+                sensor_id=wire_id(payload["sensor_id"], "sensor_id"),
+                sequence=wire_int(payload["sequence"], "sequence"),
+                time=_finite(payload["time"], "time"),
+                estimate=ForceLocationEstimate(
+                    force=_finite(estimate["force"], "force"),
+                    location=_finite(estimate["location"], "location"),
+                    residual=_finite(estimate["residual"], "residual"),
+                    touched=touched),
+                batch_size=wire_int(payload.get("batch_size", 1),
+                                    "batch_size"),
+                latency_s=_finite(payload.get("latency_s", 0.0),
+                                  "latency_s"),
+                quality=quality,
             )
         except ProtocolError:
             raise

@@ -1,11 +1,12 @@
 """Adaptive micro-batch scheduling over ``invert_batch``.
 
 Many concurrent sessions await estimates; one estimator inversion over
-N stacked samples costs far less than N scalar inversions (see
-``benchmarks/results/BENCH_estimator.json``).  The scheduler exploits
-that: requests for the same estimator are parked in a per-estimator
-group and flushed as one :meth:`ForceLocationEstimator.invert_batch`
-call when either
+N stacked samples costs far less than N single-row inversions, because
+the solver's fixed steps pay numpy's per-call overhead once per batch
+(see ``benchmarks/results/BENCH_estimator.json``).  The scheduler
+exploits that: requests for the same estimator are parked in a
+per-estimator group and flushed as one
+:meth:`ForceLocationEstimator.invert_batch` call when either
 
 * the group reaches ``max_batch`` requests (size flush), or
 * the oldest request has waited ``max_delay_s`` (deadline flush),
@@ -19,15 +20,16 @@ Robustness:
   requests; beyond it :class:`repro.errors.QueueFullError` is raised
   instead of growing the queue without bound.
 * **Graceful degradation** — if a batched flush raises, the
-  scheduler falls back to per-request scalar inversion so one
+  scheduler falls back to inverting each request alone so one
   poisoned sample only fails its own future; while the circuit
-  breaker is open every request runs the scalar
-  :meth:`ForceLocationEstimator.invert` path directly.
+  breaker is open every request runs
+  :meth:`ForceLocationEstimator.invert` directly.
 
-Parity: ``invert_batch`` is element-wise identical to ``invert``
-(property-tested in ``tests/test_serve_service.py``), so batching is
+Parity: :meth:`ForceLocationEstimator.invert` is ``invert_batch`` of
+one row, and the solver is element-wise over rows, so batching is
 purely a throughput optimisation — results never depend on which
-requests happened to share a micro-batch.
+requests happened to share a micro-batch (property-tested in
+``tests/test_serve_service.py`` and ``tests/test_estimator_solver.py``).
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ class MicroBatchScheduler:
     def _scalar(self, estimator: ForceLocationEstimator, phi1: float,
                 phi2: float, location_hint: Optional[float],
                 start: float) -> ScheduledEstimate:
-        """The open-circuit path: immediate scalar invert, degraded."""
+        """The open-circuit path: immediate single-row invert, degraded."""
         self.telemetry.counter("serve.scalar_direct").increment()
         estimate = estimator.invert(float(phi1), float(phi2),
                                     location_hint=location_hint)
@@ -313,7 +315,8 @@ class MicroBatchScheduler:
 
         ``invert_batch`` takes either no hints or a full hint array,
         so hinted and hint-free requests batch separately; both halves
-        still amortise the grid search across their members.
+        still amortise the solver's per-call cost across their
+        members.
         """
         results: Dict[int, ForceLocationEstimate] = {}
         plain = [e for e in entries if e.location_hint is None]
@@ -333,7 +336,7 @@ class MicroBatchScheduler:
 
     def _resolve_scalar(self, estimator: ForceLocationEstimator,
                         entries: List[_Pending], loop) -> None:
-        """Per-request scalar fallback after a failed batch flush."""
+        """Per-request single-row fallback after a failed batch flush."""
         for entry in entries:
             if entry.future.done():
                 continue

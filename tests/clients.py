@@ -12,7 +12,7 @@ import asyncio
 import json
 from typing import List, Optional, Sequence, Tuple
 
-from repro.gateway import http
+from repro.gateway import http, websocket
 from repro.gateway.client import WebSocketClient, _auth_headers
 from repro.gateway.http import GatewayLimits, HttpResponse
 from repro.serve import EstimateRequest, EstimateResponse, InferenceService
@@ -81,8 +81,11 @@ async def estimate_over_ws(client: WebSocketClient,
     pushes for *other* requests on the same connection can interleave
     with a response when estimates are pipelined).
     """
-    await client.send_json({"type": "estimate",
-                            "request": request_payload})
+    # Encoded here rather than by the client's strict ``send_json``, so
+    # a suite can put hostile ``NaN`` / ``Infinity`` literals on the wire.
+    await client.send_frame(websocket.OP_TEXT, json.dumps(
+        {"type": "estimate", "request": request_payload},
+        sort_keys=True).encode("utf-8"))
     pushed = []
     while True:
         message = await client.recv_json(timeout)

@@ -8,4 +8,6 @@ to drive an unsynchronized listener end to end (:mod:`.sync`).  The
 reader calibrates in the wireless observable; :mod:`.calibration`
 fits the noise-free sensor-port models the tests compare against.
 :mod:`.twoport` inverts the program's ABCD-to-S conversion.
+:mod:`.grid` is the exhaustive grid-search inverse the estimator's
+Gauss-Newton solver is gated against.
 """

@@ -94,6 +94,36 @@ class TestSensorModel:
                 assert phi1[i, j] == pytest.approx(p1)
                 assert phi2[i, j] == pytest.approx(p2)
 
+    def test_linearize_matches_prediction_and_its_slopes(self, port_model):
+        """``linearize`` gives :meth:`predict_batch`'s phases and their
+        central-difference slopes, at knots and inside segments."""
+        rng = np.random.default_rng(4)
+        forces = np.concatenate([[0.5, 8.0, 4.0], rng.uniform(0.6, 7.9, 20)])
+        locations = np.concatenate([[0.020, 0.060, 0.040],
+                                    rng.uniform(0.021, 0.059, 20)])
+        phases, jacobian = port_model.linearize(forces, locations)
+        assert phases.shape == (23, 2) and jacobian.shape == (23, 2, 2)
+        np.testing.assert_allclose(
+            phases, np.stack(port_model.predict_batch(forces, locations),
+                             axis=1), rtol=0.0, atol=1e-12)
+        inner = slice(3, None)
+        step = 1e-6
+        plus = np.stack(port_model.predict_batch(forces + step, locations),
+                        axis=1)
+        minus = np.stack(port_model.predict_batch(forces - step, locations),
+                         axis=1)
+        np.testing.assert_allclose(jacobian[inner, :, 0],
+                                   ((plus - minus) / (2 * step))[inner],
+                                   rtol=1e-5, atol=1e-8)
+        step = 1e-7
+        plus = np.stack(port_model.predict_batch(forces, locations + step),
+                        axis=1)
+        minus = np.stack(port_model.predict_batch(forces, locations - step),
+                         axis=1)
+        np.testing.assert_allclose(jacobian[inner, :, 1],
+                                   ((plus - minus) / (2 * step))[inner],
+                                   rtol=1e-5, atol=1e-6)
+
     def test_force_range(self, port_model):
         low, high = port_model.force_range
         assert low == pytest.approx(0.5)

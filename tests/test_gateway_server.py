@@ -18,8 +18,13 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.estimator import (
+    BatchForceLocationEstimate,
+    ForceLocationEstimator,
+)
 from repro.errors import ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.gateway import (
@@ -105,6 +110,22 @@ def _hint_service(model):
 def _internal_errors(gateway):
     return gateway.telemetry.snapshot()["counters"].get(
         "gateway.internal_errors", 0)
+
+
+def _nan_batch(self, phi1, phi2, location_hint=None):
+    """An inverse gone wrong: every row touched, with a NaN force."""
+    count = np.atleast_1d(phi1).size
+    return BatchForceLocationEstimate(
+        force=np.full(count, np.nan), location=np.full(count, 0.04),
+        residual=np.zeros(count), touched=np.ones(count, dtype=bool))
+
+
+def _strict_json(data):
+    """Decode JSON that must carry no ``NaN`` / ``Infinity`` token."""
+    def refuse(token):
+        raise AssertionError(f"non-strict JSON token {token!r} on the wire")
+
+    return json.loads(data, parse_constant=refuse)
 
 
 class TestStreamingParity:
@@ -610,6 +631,31 @@ class TestHttpSurface:
         assert follow_up.json()["sequence"] == 1
         assert internal_errors == 0
 
+    def test_non_finite_estimate_is_an_internal_error(self, model_900,
+                                                      monkeypatch):
+        """A NaN estimate answers 500 in strict JSON and is counted."""
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            _nan_batch)
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                response = await http_request(
+                    host, port, "POST", "/v1/estimate",
+                    payload=_request("s", 0).to_dict(), token="token-0")
+                health = await http_request(host, port, "GET",
+                                            "/healthz")
+                return response, health, _internal_errors(gateway)
+
+        response, health, internal_errors = asyncio.run(scenario())
+        assert response.status == 500
+        assert _strict_json(response.body) == {
+            "error": "internal gateway error"}
+        assert health.status == 200
+        assert internal_errors == 1
+
     def test_out_of_span_hint_400_spares_its_batch(self, model_900):
         async def scenario():
             service = _hint_service(model_900)
@@ -779,6 +825,61 @@ class TestWsProtocolSurface:
         assert error["code"] == "protocol"
         assert reply["type"] == "estimate"
         assert internal_errors == 0
+
+    def test_non_finite_estimate_is_an_internal_error(self, model_900,
+                                                      monkeypatch):
+        """A NaN estimate answers the ``internal`` envelope in strict
+        JSON, is counted, and the connection keeps serving."""
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            _nan_batch)
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await client.send_json({"type": "estimate",
+                                        "request": _request("s", 0)
+                                        .to_dict()})
+                frame = await asyncio.wait_for(client._recv_frame(), 5.0)
+                await client.send_json({"type": "ping"})
+                pong = await client.recv_json(5.0)
+                await client.close()
+                return frame, pong, _internal_errors(gateway)
+
+        frame, pong, internal_errors = asyncio.run(scenario())
+        error = _strict_json(frame.payload)
+        assert (error["type"], error["code"]) == ("error", "internal")
+        assert (error["sensor_id"], error["sequence"]) == ("s", 0)
+        assert pong["type"] == "pong"
+        assert internal_errors == 1
+
+    def test_error_envelope_echo_is_strict_json(self, model_900):
+        """An ``Infinity`` sequence is refused without being echoed back
+        as a token strict JSON cannot carry."""
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                payload = dict(_request("s", 0).to_dict(),
+                               sequence=float("inf"))
+                from repro.gateway import websocket
+
+                await client.send_frame(websocket.OP_TEXT, json.dumps(
+                    {"type": "estimate", "request": payload}).encode())
+                frame = await asyncio.wait_for(client._recv_frame(), 5.0)
+                await client.close()
+                return frame
+
+        error = _strict_json(asyncio.run(scenario()).payload)
+        assert (error["type"], error["code"]) == ("error", "protocol")
+        assert error["sensor_id"] == "s"
+        assert "sequence" not in error
 
     def test_type_confused_fields_are_protocol_errors(self, model_900):
         """A bool ``sequence`` or ``min_groups`` is refused, naming the

@@ -98,6 +98,28 @@ _TYPE_CONFUSED_REQUEST = [
                          ("location_hint", "0.04"))
 ]
 
+#: Response values a coercing decoder would accept but the protocol
+#: must not; ``estimate.<name>`` replaces a field of the nested
+#: estimate.  The ``NaN`` / ``Infinity`` literals ``json.loads``
+#: accepts are refused in every number.
+_TYPE_CONFUSED_RESPONSE = [
+    pytest.param(field, value, id=f"{value!r}-{field}")
+    for field, value in (("sensor_id", 7), ("sensor_id", ""),
+                         ("sequence", True), ("sequence", "3"),
+                         ("sequence", 1.0), ("time", "0.1"),
+                         ("time", math.nan), ("batch_size", True),
+                         ("batch_size", 2.0), ("latency_s", math.inf),
+                         ("latency_s", False), ("quality", 1),
+                         ("estimate.touched", "false"),
+                         ("estimate.touched", 1),
+                         ("estimate.force", math.nan),
+                         ("estimate.force", "2.0"),
+                         ("estimate.location", -math.inf),
+                         ("estimate.location", True),
+                         ("estimate.residual", math.inf),
+                         ("estimate.residual", None))
+]
+
 
 class TestSensorConfig:
     def test_roundtrip(self):
@@ -205,3 +227,16 @@ class TestEstimateResponse:
     def test_malformed_raises_serve_error(self):
         with pytest.raises(ServeError):
             EstimateResponse.from_dict({"sensor_id": "x", "sequence": 1})
+
+    @pytest.mark.parametrize("field, value", _TYPE_CONFUSED_RESPONSE)
+    def test_type_confused_field_is_a_protocol_error(self, field, value):
+        """Checked through JSON text, as a client decodes a reply."""
+        payload = EstimateResponse(
+            sensor_id="s", sequence=1, time=0.1,
+            estimate=ForceLocationEstimate(force=2.0, location=0.05,
+                                           residual=0.01, touched=True),
+            batch_size=4, latency_s=0.002).to_dict()
+        outer, _, inner = field.rpartition(".")
+        (payload[outer] if outer else payload)[inner] = value
+        with pytest.raises(ProtocolError, match=inner):
+            EstimateResponse.from_json(json.dumps(payload))
