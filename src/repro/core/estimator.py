@@ -48,16 +48,6 @@ class ForceLocationEstimate:
             "touched": bool(self.touched),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ForceLocationEstimate":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            force=float(payload["force"]),
-            location=float(payload["location"]),
-            residual=float(payload["residual"]),
-            touched=bool(payload["touched"]),
-        )
-
 
 @dataclass(frozen=True)
 class BatchForceLocationEstimate:

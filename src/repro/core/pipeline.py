@@ -89,23 +89,6 @@ class PressReading:
         """Estimated location [m]."""
         return self.estimate.location
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict; the nested estimate uses its own codec."""
-        return {
-            "phi1": float(self.phi1),
-            "phi2": float(self.phi2),
-            "estimate": self.estimate.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PressReading":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            phi1=float(payload["phi1"]),
-            phi2=float(payload["phi2"]),
-            estimate=ForceLocationEstimate.from_dict(payload["estimate"]),
-        )
-
 
 class WiForceReader:
     """Baseline-referenced wireless force reader with drift tracking.

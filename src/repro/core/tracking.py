@@ -52,31 +52,6 @@ class TrackedSample:
     location: float
     quality: str = "ok"
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict (plain python scalars only)."""
-        return {
-            "time": float(self.time),
-            "phi1": float(self.phi1),
-            "phi2": float(self.phi2),
-            "touched": bool(self.touched),
-            "force": float(self.force),
-            "location": float(self.location),
-            "quality": str(self.quality),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrackedSample":
-        """Inverse of :meth:`to_dict` (``quality`` defaults ``"ok"``)."""
-        return cls(
-            time=float(payload["time"]),
-            phi1=float(payload["phi1"]),
-            phi2=float(payload["phi2"]),
-            touched=bool(payload["touched"]),
-            force=float(payload["force"]),
-            location=float(payload["location"]),
-            quality=str(payload.get("quality", "ok")),
-        )
-
 
 @dataclass(frozen=True)
 class TouchEvent:
@@ -102,16 +77,6 @@ class TouchEvent:
             "peak_force": float(self.peak_force),
             "mean_location": float(self.mean_location),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TouchEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            onset=float(payload["onset"]),
-            release=float(payload["release"]),
-            peak_force=float(payload["peak_force"]),
-            mean_location=float(payload["mean_location"]),
-        )
 
 
 class StreamingTracker:

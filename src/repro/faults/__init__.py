@@ -10,9 +10,9 @@ degradation"):
 * :mod:`repro.faults.inject` — the site registry and the per-process
   armed :class:`FaultInjector`; unarmed, every hook is a one-call
   no-op and results are bit-identical to an uninstrumented build.
-* :mod:`repro.faults.retry` — the degradation vocabulary the
-  consumers share: bounded :func:`retry_async` with seeded
-  exponential backoff, and a :class:`CircuitBreaker`.
+* :mod:`repro.faults.retry` — bounded :func:`retry_async` with
+  seeded exponential backoff, which the inference service wraps
+  around scheduler backpressure.
 
 The chaos harness lives in :mod:`repro.faults.chaos` (imported
 lazily — it pulls in the serve stack) and backs the
@@ -35,11 +35,10 @@ from repro.faults.inject import (
     validate_plan,
 )
 from repro.faults.plan import FaultPlan, FaultSpec, unit_draw
-from repro.faults.retry import CircuitBreaker, RetryPolicy, retry_async
+from repro.faults.retry import RetryPolicy, retry_async
 
 __all__ = [
     "SITES",
-    "CircuitBreaker",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

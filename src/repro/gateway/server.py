@@ -31,7 +31,8 @@ Touch-event streaming contract: an event is pushed once it is
 event's onset/release/peak are final.  A still-open press is withheld
 until the release sample arrives, which makes the pushed stream
 bit-identical to a post-hoc ``touch_events`` query over the same
-samples.
+samples.  When eviction drops a sensor's session and a later request
+reopens it, the new session's events are pushed from index 0 again.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import asyncio
 import json
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
@@ -57,6 +59,7 @@ from repro.obs.recorder import flight_recorder
 from repro.obs.slo import SloMonitor, default_slos
 from repro.serve.protocol import EstimateRequest, wire_id, wire_int
 from repro.serve.service import InferenceService
+from repro.serve.session import SensorSession
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +72,16 @@ _DRAIN_TIMEOUT_S = 5.0
 
 @dataclass
 class _Subscription:
-    """One sensor subscription on one connection."""
+    """One sensor subscription on one connection.
+
+    ``emitted`` counts the events already pushed from the session that
+    ``counted`` refers to; the reference is weak, so an evicted session
+    is freed rather than held by its subscribers.
+    """
 
     min_groups: int = 1
     emitted: int = 0
+    counted: Optional["weakref.ReferenceType[SensorSession]"] = None
 
 
 class _WsConnection:
@@ -121,28 +130,18 @@ class Gateway:
     """Asyncio HTTP/WebSocket gateway over one inference service.
 
     Args:
-        service: The inference service to expose; a default one is
-            built when omitted (``policy`` / ``model_factory`` are
-            only consulted in that case).
+        service: The inference service to expose.
         tenants: Auth table; default allows anonymous access (demo /
             loopback use).
         host / port: Bind address; port 0 picks an ephemeral port
             (reported by :meth:`start`).
         limits: Input caps (head/body/frame sizes, connection count).
-        policy / model_factory: Forwarded to the default service.
-        touch_min_groups: Default ``min_groups`` for touch-event
-            queries and subscriptions that do not specify one.
     """
 
-    def __init__(self, service: Optional[InferenceService] = None,
+    def __init__(self, service: InferenceService,
                  tenants: Optional[TenantTable] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 limits: Optional[GatewayLimits] = None,
-                 policy=None, model_factory=None,
-                 touch_min_groups: int = 1):
-        if service is None:
-            service = InferenceService(policy=policy,
-                                       model_factory=model_factory)
+                 limits: Optional[GatewayLimits] = None):
         self.service = service
         self.telemetry = service.telemetry
         self.tenants = (tenants if tenants is not None
@@ -150,7 +149,6 @@ class Gateway:
         self.limits = limits if limits is not None else GatewayLimits()
         self.host = host
         self.port = port
-        self.touch_min_groups = int(touch_min_groups)
         self.slo_monitor = SloMonitor(default_slos())
         self._server: Optional[asyncio.AbstractServer] = None
         self._open = 0
@@ -391,8 +389,7 @@ class Gateway:
                               context, close=wants_close)
                 return
             try:
-                min_groups = int(request.query.get(
-                    "min_groups", self.touch_min_groups))
+                min_groups = int(request.query.get("min_groups", 1))
                 if min_groups < 1:
                     raise ValueError(min_groups)
                 events = self.service.touch_events(
@@ -542,18 +539,13 @@ class Gateway:
         try:
             message = json.loads(text)
         except ValueError as exc:
-            self._count("gateway.protocol_errors")
-            await conn.send_json({
-                "type": "error", "code": "protocol",
-                "error": f"message is not valid JSON: {exc}"})
+            await self._ws_protocol_error(
+                conn, f"message is not valid JSON: {exc}")
             return
         if not isinstance(message, dict) \
                 or not isinstance(message.get("type"), str):
-            self._count("gateway.protocol_errors")
-            await conn.send_json({
-                "type": "error", "code": "protocol",
-                "error": "message must be an object with a string "
-                         "'type'"})
+            await self._ws_protocol_error(
+                conn, "message must be an object with a string 'type'")
             return
         kind = message["type"]
         if kind == "estimate":
@@ -561,18 +553,26 @@ class Gateway:
         elif kind == "subscribe":
             await self._serve_subscribe(conn, message)
         elif kind == "unsubscribe":
-            sensor_id = message.get("sensor_id")
-            if isinstance(sensor_id, str):
-                self._unsubscribe(conn, sensor_id)
+            try:
+                sensor_id = wire_id(message.get("sensor_id"), "sensor_id")
+            except ProtocolError as exc:
+                await self._ws_protocol_error(conn, str(exc))
+                return
+            self._unsubscribe(conn, sensor_id)
             await conn.send_json({"type": "unsubscribed",
                                   "sensor_id": sensor_id})
         elif kind == "ping":
             await conn.send_json({"type": "pong"})
         else:
-            self._count("gateway.protocol_errors")
-            await conn.send_json({
-                "type": "error", "code": "protocol",
-                "error": f"unknown message type {kind[:40]!r}"})
+            await self._ws_protocol_error(
+                conn, f"unknown message type {kind[:40]!r}")
+
+    async def _ws_protocol_error(self, conn: _WsConnection,
+                                 error: str) -> None:
+        """Answer a malformed message; the connection keeps serving."""
+        self._count("gateway.protocol_errors")
+        await conn.send_json({"type": "error", "code": "protocol",
+                              "error": error})
 
     async def _serve_ws_estimate(self, conn: _WsConnection,
                                  message: dict) -> None:
@@ -656,16 +656,13 @@ class Gateway:
                                message: dict) -> None:
         try:
             sensor_id = wire_id(message.get("sensor_id"), "sensor_id")
-            min_groups = wire_int(
-                message.get("min_groups", self.touch_min_groups),
-                "min_groups")
+            min_groups = wire_int(message.get("min_groups", 1),
+                                  "min_groups")
             if min_groups < 1:
                 raise ProtocolError(
                     f"min_groups must be >= 1, got {min_groups}")
         except ProtocolError as exc:
-            self._count("gateway.protocol_errors")
-            await conn.send_json({"type": "error", "code": "protocol",
-                                  "error": str(exc)})
+            await self._ws_protocol_error(conn, str(exc))
             return
         conn.subscriptions[sensor_id] = _Subscription(
             min_groups=min_groups)
@@ -692,9 +689,6 @@ class Gateway:
         conns = self._subscribers.get(sensor_id)
         if not conns:
             return
-        session = self.service.sessions.get(sensor_id)
-        if session is None:
-            return
         targets = [only] if only is not None else list(conns)
         for conn in targets:
             subscription = conn.subscriptions.get(sensor_id)
@@ -703,7 +697,18 @@ class Gateway:
             async with conn.lock:
                 # Compute + send under the write lock so concurrent
                 # estimates for the same sensor cannot interleave
-                # event pushes out of order on one connection.
+                # event pushes out of order on one connection.  The
+                # session is looked up under the lock because eviction
+                # can replace it while this push waits.
+                session = self.service.sessions.get(sensor_id)
+                if session is None:
+                    continue
+                counted = subscription.counted
+                if counted is None or counted() is not session:
+                    # Eviction reopened the session: count its events
+                    # from 0, as the GET list does.
+                    subscription.counted = weakref.ref(session)
+                    subscription.emitted = 0
                 events = session.closed_touch_events(
                     min_groups=subscription.min_groups)
                 fresh = events[subscription.emitted:]

@@ -4,9 +4,9 @@ Every process keeps one :class:`FlightRecorder` — a ``deque`` of the
 last ~2k events (span records, wide structured log events, injected
 fault events).  Recording is always cheap (one append); nothing is
 written anywhere until something goes wrong.  On a failure trigger —
-a ``gateway.internal_errors`` increment, a circuit breaker opening,
-or a chaos-harness crash — the ring is dumped as JSONL so the events
-*leading up to* the failure survive for post-mortem.
+a ``gateway.internal_errors`` increment or a chaos-harness crash — the
+ring is dumped as JSONL so the events *leading up to* the failure
+survive for post-mortem.
 
 Dump format: line one is a header
 (``{"kind": "header", "schema": 1, "reason": ..., "pid": ...,

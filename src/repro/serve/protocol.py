@@ -1,11 +1,11 @@
 """Wire types for the inference service.
 
 Everything that crosses the service boundary is a frozen dataclass
-with a ``to_dict`` / ``from_dict`` JSON codec, mirroring the codecs on
-the core dataclasses (:class:`repro.core.estimator.ForceLocationEstimate`,
-``PressReading.to_dict``, ``TrackedSample.to_dict``).  The dict forms
-contain only plain python scalars, so ``json.dumps`` round-trips them
-losslessly; ``from_json`` decodes the JSON text a transport reads.
+with a ``to_dict`` / ``from_dict`` JSON codec; a response nests the
+estimate's own encoder,
+:meth:`repro.core.estimator.ForceLocationEstimate.to_dict`.  The dict
+forms contain only plain python scalars, so ``json.dumps`` round-trips
+them losslessly; ``from_json`` decodes the JSON text a transport reads.
 
 Decoders are hardened against hostile wire input: any malformed,
 truncated, or type-confused payload raises
@@ -238,14 +238,15 @@ class EstimateResponse:
         sensor_id / sequence / time: Echoed request identity.
         estimate: The inverted (force, location) reading.
         batch_size: Size of the micro-batch this request rode in
-            (1 on the scalar path).
+            (1 on the per-request fallback).
         latency_s: Service-side latency from admission to result [s].
         quality: ``"ok"`` on the nominal path; ``"recovered"`` when
             the request only succeeded after backpressure retries,
-            ``"degraded"`` when it rode a degraded path (scalar
-            fallback, injected stall, open circuit), ``"quarantined"``
-            while its session is re-warming its baseline.  The
-            estimate itself is always real.
+            ``"degraded"`` when it rode a degraded path (the
+            per-request fallback after a failed flush, or an injected
+            stall), ``"quarantined"`` from the fifth non-ok result in
+            a row until the next ok one.  The estimate itself is
+            always real.
     """
 
     sensor_id: str

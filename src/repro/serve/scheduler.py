@@ -21,9 +21,7 @@ Robustness:
   instead of growing the queue without bound.
 * **Graceful degradation** — if a batched flush raises, the
   scheduler falls back to inverting each request alone so one
-  poisoned sample only fails its own future; while the circuit
-  breaker is open every request runs
-  :meth:`ForceLocationEstimator.invert` directly.
+  poisoned sample only fails its own future.
 
 Parity: :meth:`ForceLocationEstimator.invert` is ``invert_batch`` of
 one row, and the solver is element-wise over rows, so batching is
@@ -44,7 +42,6 @@ import numpy as np
 from repro.core.estimator import ForceLocationEstimate, ForceLocationEstimator
 from repro.errors import QueueFullError, ServeError
 from repro.faults.inject import FaultEvent, armed as fault_armed
-from repro.faults.retry import CircuitBreaker
 from repro.obs import trace
 from repro.obs.instruments import BATCH_BUCKETS
 from repro.obs.registry import Registry as Telemetry
@@ -85,13 +82,13 @@ class ScheduledEstimate:
     Attributes:
         estimate: The inverted reading.
         batch_size: How many requests shared the flushed micro-batch
-            (1 on the scalar path).
+            (1 on the per-request fallback).
         queue_seconds: Time spent parked waiting for the flush [s].
         quality: ``"ok"`` on the nominal path; ``"degraded"`` when the
-            result rode a degraded path (injected stall, batch-flush
-            fallback, or an open circuit forcing scalar inversion) —
-            the estimate is still real, but its latency/coalescing
-            guarantees were not met.
+            result rode a degraded path (an injected stall, or the
+            per-request fallback after a failed flush) — the estimate
+            is still real, but its latency/coalescing guarantees were
+            not met.
     """
 
     estimate: ForceLocationEstimate
@@ -137,22 +134,12 @@ class MicroBatchScheduler:
         policy: Batching knobs (see :class:`BatchPolicy`).
         telemetry: Instrument registry; a private one is created when
             not given.
-        breaker: Circuit breaker over the batched-flush path.  After
-            ``failure_threshold`` consecutive flush failures the
-            scheduler stops batching and serves every request on the
-            scalar path (flagged ``quality="degraded"``) until the
-            breaker's half-open probe sees a flush succeed.  A default
-            breaker is created when not given.
     """
 
     def __init__(self, policy: Optional[BatchPolicy] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 breaker: Optional[CircuitBreaker] = None):
+                 telemetry: Optional[Telemetry] = None):
         self.policy = policy if policy is not None else BatchPolicy()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=5, recovery_timeout_s=1.0,
-            name="serve.batch")
         self._groups: Dict[Hashable, _Group] = {}
         self._pending_total = 0
 
@@ -185,12 +172,6 @@ class MicroBatchScheduler:
             fault = inj.draw("serve.scheduler")
             if fault is not None:
                 quality = await self._apply_fault(fault)
-        if not self.breaker.allow():
-            # Open circuit: the batched path has been failing, so stop
-            # feeding it and serve degraded-but-correct scalar results.
-            self.telemetry.counter("serve.breaker_scalar").increment()
-            return self._scalar(estimator, phi1, phi2, location_hint,
-                                loop.time())
         if self._pending_total >= self.policy.max_queue:
             self.telemetry.counter("serve.rejected").increment()
             raise QueueFullError(
@@ -237,20 +218,6 @@ class MicroBatchScheduler:
         await asyncio.sleep(fault.magnitude)
         return "degraded"
 
-    def _scalar(self, estimator: ForceLocationEstimator, phi1: float,
-                phi2: float, location_hint: Optional[float],
-                start: float) -> ScheduledEstimate:
-        """The open-circuit path: immediate single-row invert, degraded."""
-        self.telemetry.counter("serve.scalar_direct").increment()
-        estimate = estimator.invert(float(phi1), float(phi2),
-                                    location_hint=location_hint)
-        loop = asyncio.get_running_loop()
-        self.telemetry.histogram("serve.batch_size",
-                                 BATCH_BUCKETS).observe(1)
-        return ScheduledEstimate(estimate=estimate, batch_size=1,
-                                 queue_seconds=loop.time() - start,
-                                 quality="degraded")
-
     def flush_all(self) -> None:
         """Flush every group now (shutdown / end-of-load drain)."""
         for key in list(self._groups):
@@ -293,10 +260,8 @@ class MicroBatchScheduler:
                     "degrading to per-request scalar inversion",
                     size, type(exc).__name__, exc)
                 self.telemetry.counter("serve.batch_fallbacks").increment()
-                self.breaker.record_failure()
                 self._resolve_scalar(group.estimator, entries, loop)
                 return
-        self.breaker.record_success()
         now = loop.time()
         queue_hist = self.telemetry.histogram("serve.queue_seconds")
         for entry, estimate in zip(entries, estimates):

@@ -5,12 +5,15 @@ together.  Per request it
 
 1. routes the sample to its :class:`SensorSession` (building or
    reusing the calibrated model via the config-keyed cache),
-2. applies the session's baseline/drift correction,
-3. awaits the micro-batch scheduler (requests from every sensor that
+2. awaits the micro-batch scheduler (requests from every sensor that
    shares a config coalesce into one ``invert_batch`` call),
-4. records the tracked sample into the session history and returns an
+3. records the tracked sample into the session history and returns an
    :class:`EstimateResponse` carrying the estimate plus batching
    telemetry.
+
+Phases arrive baseline-referenced: the reader fits the untouched
+reference and the tag clock's drift, so the service inverts them as
+they come.
 
 The service is transport-agnostic: ``estimate`` takes and returns the
 protocol dataclasses, and a transport adapter owns the wire codec.
@@ -28,7 +31,6 @@ from repro.core.tracking import TouchEvent, TrackedSample
 from repro.errors import (EstimationError, ProtocolError, QueueFullError,
                           ServeError)
 from repro.faults.retry import RetryPolicy, retry_async
-from repro.obs.instruments import TelemetrySink
 from repro.obs.registry import Registry
 from repro.serve.protocol import EstimateRequest, EstimateResponse
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
@@ -41,10 +43,6 @@ class InferenceService:
     Args:
         policy: Micro-batching knobs (see :class:`BatchPolicy`).
         model_factory: Config -> model builder for the session cache.
-        baseline_samples: Per-session untouched warmup window (0 when
-            streams are already baseline-referenced).
-        sink: Telemetry sink for trace spans (ignored when
-            ``registry`` is given — the registry owns its sink).
         registry: Share an existing :class:`repro.obs.Registry` (e.g.
             the one ``repro.obs.enable()`` returns) so the service's
             instruments land next to the reader/estimator/campaign
@@ -63,16 +61,12 @@ class InferenceService:
 
     def __init__(self, policy: Optional[BatchPolicy] = None,
                  model_factory: Optional[ModelFactory] = None,
-                 baseline_samples: int = 0,
-                 sink: Optional[TelemetrySink] = None,
                  registry: Optional[Registry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_sessions: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None):
-        self.telemetry = registry if registry is not None \
-            else Registry(sink)
+        self.telemetry = registry if registry is not None else Registry()
         self.sessions = SessionManager(model_factory,
-                                       baseline_samples=baseline_samples,
                                        max_sessions=max_sessions,
                                        idle_ttl_s=idle_ttl_s)
         self.scheduler = MicroBatchScheduler(policy,

@@ -8,21 +8,21 @@ stream between requests:
   them keyed by :class:`SensorConfig` and shares one estimator across
   every sensor with an equal config (which is also what lets their
   requests coalesce into one micro-batch group);
-* baseline / drift state — an optional warmup window of untouched
-  samples fits a per-tone phase reference and linear drift rate
-  (the tag clock's frequency offset, as in
-  :meth:`repro.core.pipeline.WiForceReader.capture_baseline`), which
-  is then subtracted from every later sample;
+* the streak of non-``"ok"`` results that quarantines it (see
+  :meth:`SensorSession.note_quality`);
 * the tracked history, from which touch events are segmented by
   :meth:`repro.core.tracking.StreamingTracker.touch_events`.
+
+Phases arrive already referenced to the sensor's untouched baseline:
+the reader fits that reference and the tag clock's drift
+(:meth:`repro.core.pipeline.WiForceReader.capture_baseline`), so a
+session has no baseline of its own to fit.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.calibration import SensorModel
 from repro.core.estimator import ForceLocationEstimator
@@ -33,6 +33,9 @@ from repro.serve.protocol import SensorConfig
 
 #: Builds (or loads) a calibrated model for a config.
 ModelFactory = Callable[[SensorConfig], SensorModel]
+
+#: Consecutive non-``"ok"`` results that quarantine a session.
+QUARANTINE_AFTER = 5
 
 
 def default_model_factory(config: SensorConfig) -> SensorModel:
@@ -58,126 +61,52 @@ class SensorSession:
         config: Calibration config (must match the manager's cache
             entry the estimator came from).
         estimator: Shared estimator for this config.
-        baseline_samples: Untouched warmup samples used to fit the
-            phase reference and drift; 0 disables correction (the
-            stream's phases are already baseline-referenced).
-        quarantine_after: Consecutive non-``"ok"`` results that
-            quarantine the session: its baseline/drift state is
-            discarded and re-warmed from scratch, on the theory that a
-            stream which keeps degrading may have drifted past its
-            fitted reference.  Responses served while quarantined are
-            flagged ``quality="quarantined"``.
     """
 
     def __init__(self, sensor_id: str, config: SensorConfig,
-                 estimator: ForceLocationEstimator,
-                 baseline_samples: int = 0, quarantine_after: int = 5):
-        if baseline_samples < 0:
-            raise ServeError(
-                f"baseline_samples must be >= 0, got {baseline_samples}")
-        if quarantine_after < 1:
-            raise ServeError(
-                f"quarantine_after must be >= 1, got {quarantine_after}")
+                 estimator: ForceLocationEstimator):
         self.sensor_id = sensor_id
         self.config = config
         self.estimator = estimator
-        self.baseline_samples = int(baseline_samples)
-        self.quarantine_after = int(quarantine_after)
         self.samples: List[TrackedSample] = []
         self.last_seen = 0.0
-        self.request_count = 0
         self.consecutive_faults = 0
         self.quarantines = 0
         self.quarantined = False
-        self._warmup: List[Tuple[float, float, float]] = []
-        self._reference: Optional[Tuple[float, float]] = None
-        self._drift: Optional[Tuple[float, float]] = None
-        self._reference_time = 0.0
-
-    @property
-    def model(self) -> SensorModel:
-        """The calibrated model behind this session's estimator."""
-        return self.estimator.model
-
-    @property
-    def baseline_ready(self) -> bool:
-        """Whether the warmup reference has been fitted (or disabled)."""
-        return self.baseline_samples == 0 or self._reference is not None
-
-    @property
-    def drift_rates(self) -> Optional[Tuple[float, float]]:
-        """Fitted per-tone drift rates [rad/s] (None before warmup)."""
-        return self._drift
 
     def correct(self, time: float, phi1: float,
                 phi2: float) -> Tuple[float, float]:
-        """Baseline/drift-correct one phase pair.
+        """The phase pair to invert: the request's own, as floats.
 
-        During warmup the raw phases are accumulated and passed
-        through unchanged; once ``baseline_samples`` samples have
-        arrived, a linear phase ramp per tone is fitted (reference +
-        drift) and subtracted from every subsequent sample.
+        The reader already referenced the stream to its untouched
+        baseline, so nothing is subtracted and ``time`` goes unused.
         """
-        self.request_count += 1
-        if self.baseline_samples == 0:
-            return float(phi1), float(phi2)
-        if self._reference is None:
-            self._warmup.append((float(time), float(phi1), float(phi2)))
-            if len(self._warmup) >= self.baseline_samples:
-                self._fit_baseline()
-            return float(phi1), float(phi2)
-        drift1, drift2 = self._drift
-        ref1, ref2 = self._reference
-        elapsed = float(time) - self._reference_time
-        return (float(phi1) - ref1 - drift1 * elapsed,
-                float(phi2) - ref2 - drift2 * elapsed)
-
-    def _fit_baseline(self) -> None:
-        """Fit per-tone reference + drift from the warmup window."""
-        times = np.array([w[0] for w in self._warmup])
-        self._reference_time = float(times[0])
-        elapsed = times - self._reference_time
-        references = []
-        drifts = []
-        for column in (1, 2):
-            phases = np.array([w[column] for w in self._warmup])
-            if len(self._warmup) >= 2 and np.ptp(elapsed) > 0.0:
-                slope, intercept = np.polyfit(elapsed, phases, 1)
-            else:
-                slope, intercept = 0.0, float(phases.mean())
-            references.append(float(intercept))
-            drifts.append(float(slope))
-        self._reference = (references[0], references[1])
-        self._drift = (drifts[0], drifts[1])
-        self._warmup.clear()
-        self.quarantined = False
+        return float(phi1), float(phi2)
 
     def note_quality(self, quality: str) -> None:
         """Track result quality; quarantine on a streak of failures.
 
-        ``"ok"`` results clear the failure streak (and, once the
-        baseline is re-fitted, lift an active quarantine);
-        ``quarantine_after`` consecutive non-ok results trigger
-        :meth:`quarantine`.
+        An ``"ok"`` result clears the failure streak and lifts an
+        active quarantine; :data:`QUARANTINE_AFTER` consecutive non-ok
+        results trigger :meth:`quarantine`.
         """
         if quality == "ok":
             self.consecutive_faults = 0
-            if self.quarantined and self.baseline_ready:
-                self.quarantined = False
+            self.quarantined = False
             return
         self.consecutive_faults += 1
         if (not self.quarantined
-                and self.consecutive_faults >= self.quarantine_after):
+                and self.consecutive_faults >= QUARANTINE_AFTER):
             self.quarantine()
 
     def quarantine(self) -> None:
-        """Discard the fitted baseline and re-warm from scratch."""
+        """Flag this session's responses ``"quarantined"``.
+
+        The flag holds until the next ``"ok"`` result.
+        """
         self.quarantines += 1
         self.consecutive_faults = 0
         self.quarantined = True
-        self._warmup.clear()
-        self._reference = None
-        self._drift = None
         obs = active()
         if obs is not None:
             obs.counter("fault.quarantines").increment()
@@ -219,20 +148,19 @@ class SessionManager:
     drops any session that has not served a request for that long.
     Both default to *off*, preserving the unbounded in-process
     behavior; the network gateway turns them on.  Evicting a session
-    discards its baseline/history state only — the calibrated model
-    stays cached per config, so a returning sensor re-opens cheaply.
+    discards its history and quarantine state only — the calibrated
+    model stays cached per config, so a returning sensor re-opens
+    cheaply.
 
     Args:
         model_factory: ``SensorConfig -> SensorModel``; defaults to
             calibrating the paper's default sensor.
-        baseline_samples: Warmup window for new sessions.
         max_sessions: Live-session cap (None = unbounded).
         idle_ttl_s: Idle eviction age [s] (None = never).
         clock: Monotonic time source (injected by tests).
     """
 
     def __init__(self, model_factory: Optional[ModelFactory] = None,
-                 baseline_samples: int = 0,
                  max_sessions: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None,
                  clock: Optional[Callable[[], float]] = None):
@@ -244,7 +172,6 @@ class SessionManager:
                 f"idle_ttl_s must be > 0, got {idle_ttl_s}")
         self._factory = (model_factory if model_factory is not None
                          else default_model_factory)
-        self.baseline_samples = int(baseline_samples)
         self.max_sessions = max_sessions
         self.idle_ttl_s = idle_ttl_s
         self._clock = clock if clock is not None else time.monotonic
@@ -257,11 +184,6 @@ class SessionManager:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-    @property
-    def sessions(self) -> Dict[str, SensorSession]:
-        """Live sessions keyed by sensor id (copy)."""
-        return dict(self._sessions)
 
     def estimator(self, config: SensorConfig) -> ForceLocationEstimator:
         """The shared estimator for ``config`` (builds on first use).
@@ -341,9 +263,7 @@ class SessionManager:
         if self.max_sessions is not None:
             while len(self._sessions) >= self.max_sessions:
                 self._evict_one()
-        session = SensorSession(
-            sensor_id, config, self.estimator(config),
-            baseline_samples=self.baseline_samples)
+        session = SensorSession(sensor_id, config, self.estimator(config))
         session.last_seen = now
         self._sessions[sensor_id] = session
         return session

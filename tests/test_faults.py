@@ -1,4 +1,4 @@
-"""Fault layer units: plans, the injector registry, retries, breaker."""
+"""Fault layer units: plans, the injector registry, retries."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ConfigurationError, FaultError, QueueFullError
 from repro.faults import (
     SITES,
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -263,58 +262,3 @@ class TestRetry:
                                     retry_on=(QueueFullError,)))
         assert calls["n"] == 1
 
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=2, timeout=1.0):
-        return CircuitBreaker(failure_threshold=threshold,
-                              recovery_timeout_s=timeout,
-                              clock=lambda: clock["t"])
-
-    def test_opens_at_threshold_and_fast_fails(self):
-        clock = {"t": 0.0}
-        breaker = self._breaker(clock)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_half_open_probe_then_close(self):
-        clock = {"t": 0.0}
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock["t"] = 1.5
-        assert breaker.state == "half_open"
-        assert breaker.allow()       # the one probe
-        assert not breaker.allow()   # concurrent callers stay blocked
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = {"t": 0.0}
-        breaker = self._breaker(clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock["t"] = 1.5
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_failure_streak(self):
-        clock = {"t": 0.0}
-        breaker = self._breaker(clock, threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(recovery_timeout_s=-1.0)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from repro.errors import QueueFullError
 from repro.faults import (
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -53,18 +52,6 @@ def _fault_registry():
                                 retry_on=(QueueFullError,),
                                 name="serve.submit"))
 
-        # Breaker lifecycle: open -> short-circuit -> probe -> close.
-        clock = {"t": 0.0}
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 recovery_timeout_s=1.0,
-                                 name="serve.batch",
-                                 clock=lambda: clock["t"])
-        breaker.record_failure()
-        breaker.allow()
-        clock["t"] = 2.0
-        breaker.allow()
-        breaker.record_success()
-
         # Session quarantine.
         session = SensorSession("g-0", SensorConfig(), estimator=None)
         session.quarantine()
@@ -81,10 +68,6 @@ class TestFaultInstrumentGolden:
             "fault.injected",
             "fault.injected.serve.scheduler",
             "fault.retries.serve.submit",
-            "fault.breaker.serve.batch.opened",
-            "fault.breaker.serve.batch.short_circuits",
-            "fault.breaker.serve.batch.probes",
-            "fault.breaker.serve.batch.closed",
             "fault.quarantines",
         }
 

@@ -16,7 +16,9 @@ live in ``tests/test_gateway_fuzz.py``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -101,8 +103,6 @@ def _bad_hint(sensor_id):
 
 
 def _hint_service(model):
-    # Five failed flushes in a row open the scheduler's breaker; the
-    # bad-hint tests send six to prove none of them reaches a flush.
     return _service(model, policy=BatchPolicy(max_batch=N_GOOD,
                                               max_delay_s=1.0))
 
@@ -110,6 +110,12 @@ def _hint_service(model):
 def _internal_errors(gateway):
     return gateway.telemetry.snapshot()["counters"].get(
         "gateway.internal_errors", 0)
+
+
+def _batch_fallbacks(gateway):
+    """Flushes that failed and fell back to per-request inversion."""
+    return gateway.telemetry.snapshot()["counters"].get(
+        "serve.batch_fallbacks", 0)
 
 
 def _nan_batch(self, phi1, phi2, location_hint=None):
@@ -345,6 +351,61 @@ class TestStreamingParity:
         events = queried.json()["events"]
         assert len(events) == 1  # the held press has one group
         assert [push["event"] for push in catchup] == events
+
+    def test_pushes_resume_after_session_eviction(self, model_900):
+        """A request for another sensor evicts the subscribed sensor's
+        session; the press served by its reopened session is still
+        pushed, indexed from 0 as the GET list is."""
+        press = [(0.5, 0.4), (0.6, 0.5), (0.0, 0.0)]
+
+        async def scenario():
+            gateway = Gateway(_service(model_900, max_sessions=1),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await client.send_json({"type": "subscribe",
+                                        "sensor_id": "a"})
+                assert (await client.recv_json())["type"] \
+                    == "subscribed"
+
+                async def stream(sensor_id, first):
+                    pushed = []
+                    for offset, (phi1, phi2) in enumerate(press):
+                        _, events = await estimate_over_ws(
+                            client, _request(sensor_id, first + offset,
+                                             phi1, phi2).to_dict())
+                        pushed.extend(events)
+                    # The release's push precedes the answer to a ping.
+                    await client.send_json({"type": "ping"})
+                    while True:
+                        message = await client.recv_json(timeout=5.0)
+                        if message["type"] == "pong":
+                            return pushed
+                        pushed.append(message)
+
+                before = await stream("a", 0)
+                evicted = weakref.ref(gateway.service.sessions.get("a"))
+                await stream("b", 0)
+                gc.collect()
+                # The subscription does not keep the evicted session.
+                assert evicted() is None
+                after = await stream("a", 10)
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET", "/v1/touch_events?sensor_id=a",
+                    token="token-0")
+                return before, after, queried, gateway.service
+
+        before, after, queried, service = asyncio.run(scenario())
+        assert service.sessions.evictions == 2
+        assert [push["index"] for push in before] == [0]
+        events = queried.json()["events"]
+        assert len(events) == 1
+        assert events[0]["onset"] == pytest.approx(0.10)
+        assert [push["event"] for push in after] == events
+        assert [push["index"] for push in after] == [0]
 
     def test_touch_events_unknown_sensor_404(self, model_900):
         async def scenario():
@@ -674,10 +735,10 @@ class TestHttpSurface:
                     post(_bad_hint("bad-6")),
                     *(post(_request(f"good-{index}", 0).to_dict())
                       for index in range(N_GOOD)))
-                return (alone, mixed, service.scheduler.breaker.state,
+                return (alone, mixed, _batch_fallbacks(gateway),
                         _internal_errors(gateway))
 
-        alone, mixed, breaker, internal_errors = asyncio.run(scenario())
+        alone, mixed, fallbacks, internal_errors = asyncio.run(scenario())
         assert [response.status for response in alone] == [400] * 6
         assert "calibrated span" in alone[0].json()["error"]
         assert mixed[0].status == 400
@@ -687,7 +748,7 @@ class TestHttpSurface:
         assert [reply["quality"] for reply in replies] == ["ok"] * N_GOOD
         assert [reply["batch_size"] for reply in replies] \
             == [N_GOOD] * N_GOOD
-        assert breaker == "closed"
+        assert fallbacks == 0
         assert internal_errors == 0
 
     def test_stream_without_upgrade_headers_426(self, model_900):
@@ -910,6 +971,41 @@ class TestWsProtocolSurface:
         assert reply["type"] == "estimate"
         assert internal_errors == 0
 
+    def test_unsubscribe_without_string_id_is_a_protocol_error(
+            self, model_900):
+        """A ``NaN``, numeric or missing ``sensor_id`` is refused like
+        a bad ``subscribe``, and the connection keeps serving."""
+        frames = [b'{"type": "unsubscribe", "sensor_id": NaN}',
+                  b'{"type": "unsubscribe", "sensor_id": 7}',
+                  b'{"type": "unsubscribe"}']
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                from repro.gateway import websocket
+
+                replies = []
+                for frame in frames:
+                    await client.send_frame(websocket.OP_TEXT, frame)
+                    replies.append(await client.recv_json(timeout=5.0))
+                await client.send_json({"type": "ping"})
+                pong = await client.recv_json(timeout=5.0)
+                await client.close()
+                counters = gateway.telemetry.snapshot()["counters"]
+                return replies, pong, counters
+
+        replies, pong, counters = asyncio.run(scenario())
+        assert [(reply["type"], reply["code"]) for reply in replies] \
+            == [("error", "protocol")] * len(frames)
+        assert all("sensor_id" in reply["error"] for reply in replies)
+        assert pong["type"] == "pong"
+        assert counters["gateway.protocol_errors"] == len(frames)
+        assert "gateway.internal_errors" not in counters
+
     def test_out_of_span_hint_is_a_protocol_error(self, model_900):
         async def scenario():
             service = _hint_service(model_900)
@@ -934,10 +1030,10 @@ class TestWsProtocolSurface:
                 mixed = [await client.recv_json(5.0)
                          for _ in payloads]
                 await client.close()
-                return (alone, mixed, service.scheduler.breaker.state,
+                return (alone, mixed, _batch_fallbacks(gateway),
                         _internal_errors(gateway))
 
-        alone, mixed, breaker, internal_errors = asyncio.run(scenario())
+        alone, mixed, fallbacks, internal_errors = asyncio.run(scenario())
         assert [(reply["type"], reply["code"]) for reply in alone] \
             == [("error", "protocol")] * 6
         errors = [reply for reply in mixed if reply["type"] == "error"]
@@ -951,7 +1047,7 @@ class TestWsProtocolSurface:
             == ["ok"] * N_GOOD
         assert [response["batch_size"] for response in served] \
             == [N_GOOD] * N_GOOD
-        assert breaker == "closed"
+        assert fallbacks == 0
         assert internal_errors == 0
 
     def test_clean_close_handshake(self, model_900):

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.retry import CircuitBreaker
 from repro.obs.recorder import (
     RECORDER_DIR_ENV,
     RECORDER_ENV,
@@ -121,21 +120,6 @@ class TestProcessWide:
             assert flight_recorder() is mine
         finally:
             set_flight_recorder(previous)
-
-    def test_breaker_open_triggers_a_dump(self, tmp_path):
-        with recording(directory=tmp_path) as recorder:
-            breaker = CircuitBreaker(failure_threshold=2, name="dep")
-            breaker.record_failure()
-            assert not recorder.dumps
-            breaker.record_failure()
-            assert len(recorder.dumps) == 1
-            # Failures past the threshold do not dump again.
-            breaker.record_failure()
-            assert len(recorder.dumps) == 1
-        lines = recorder.dumps[0].read_text().strip().splitlines()
-        last = json.loads(lines[-1])
-        assert last["event"] == "breaker.dep.open"
-        assert last["failures"] == 2
 
 
 def _replay_lines(path):

@@ -1,4 +1,4 @@
-"""JSON round-trips for the serve wire types and core dataclasses."""
+"""JSON round-trips for the serve wire types; plain-scalar core dicts."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import math
 import pytest
 
 from repro.core.estimator import ForceLocationEstimate
-from repro.core.pipeline import PressReading
-from repro.core.tracking import TouchEvent, TrackedSample
+from repro.core.tracking import TouchEvent
 from repro.errors import ProtocolError, ServeError
 from repro.serve.protocol import (
     EstimateRequest,
@@ -19,44 +18,19 @@ from repro.serve.protocol import (
 
 
 class TestCoreSerialization:
-    def test_estimate_roundtrip(self):
-        estimate = ForceLocationEstimate(force=3.25, location=0.042,
-                                         residual=0.011, touched=True)
-        payload = json.loads(json.dumps(estimate.to_dict()))
-        assert ForceLocationEstimate.from_dict(payload) == estimate
-
-    def test_press_reading_roundtrip(self):
-        reading = PressReading(
-            phi1=0.61, phi2=-0.42,
-            estimate=ForceLocationEstimate(force=2.0, location=0.03,
-                                           residual=0.002, touched=True))
-        payload = json.loads(json.dumps(reading.to_dict()))
-        restored = PressReading.from_dict(payload)
-        assert restored == reading
-        assert restored.force == reading.estimate.force
-
-    def test_tracked_sample_roundtrip(self):
-        sample = TrackedSample(time=0.125, phi1=0.3, phi2=0.5,
-                               touched=True, force=4.0, location=0.05)
-        payload = json.loads(json.dumps(sample.to_dict()))
-        assert TrackedSample.from_dict(payload) == sample
-
-    def test_touch_event_roundtrip(self):
-        event = TouchEvent(onset=0.1, release=0.4, peak_force=5.5,
-                           mean_location=0.033)
-        payload = json.loads(json.dumps(event.to_dict()))
-        assert TouchEvent.from_dict(payload) == event
-
     def test_dicts_are_plain_scalars(self):
         import numpy as np
 
         estimate = ForceLocationEstimate(
             force=np.float64(1.0), location=np.float64(0.02),
             residual=np.float64(0.0), touched=np.bool_(True))
-        payload = estimate.to_dict()
-        assert all(type(value) in (float, bool)
-                   for value in payload.values())
-        json.dumps(payload)  # must not raise
+        event = TouchEvent(onset=np.float64(0.1), release=np.float64(0.4),
+                           peak_force=np.float64(5.5),
+                           mean_location=np.float64(0.033))
+        for payload in (estimate.to_dict(), event.to_dict()):
+            assert all(type(value) in (float, bool)
+                       for value in payload.values())
+            json.dumps(payload)  # must not raise
 
 
 #: Config numbers a JSON decoder accepts but the protocol must not:

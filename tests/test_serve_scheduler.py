@@ -180,3 +180,31 @@ class TestDegradation:
         # The flush span recorded the fallback.
         flush_events = [e for e in sink.events if e["span"] == "serve.flush"]
         assert flush_events and flush_events[0]["fallback"] == "RuntimeError"
+
+    def test_failed_flushes_leave_batching_on(self, estimator,
+                                              press_phases):
+        """A failed flush degrades only its own requests: after five in
+        a row, the next group still flushes as one ``ok`` batch."""
+        scheduler = MicroBatchScheduler(BatchPolicy(max_batch=2,
+                                                    max_delay_s=10.0))
+        broken = _ExplodingBatcher(estimator)
+
+        async def group(target, phases):
+            return await asyncio.gather(*(
+                scheduler.submit(target, phi1, phi2)
+                for phi1, phi2 in phases))
+
+        async def drive():
+            failed = [await group(broken, press_phases[:2])
+                      for _ in range(5)]
+            return failed, await group(estimator, press_phases[2:4])
+
+        failed, served = asyncio.run(drive())
+        counters = scheduler.telemetry.snapshot()["counters"]
+        assert counters["serve.batch_fallbacks"] == 5
+        assert [result.quality for results in failed
+                for result in results] == ["degraded"] * 10
+        assert [(result.quality, result.batch_size)
+                for result in served] == [("ok", 2)] * 2
+        for (phi1, phi2), result in zip(press_phases[2:4], served):
+            assert result.estimate == estimator.invert(phi1, phi2)

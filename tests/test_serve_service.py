@@ -122,33 +122,3 @@ class TestServiceParity:
         for request, response in zip(requests, responses):
             expected = reference.invert(request.phi1, request.phi2)
             assert response.estimate == expected
-
-    def test_baseline_corrected_stream_parity(self, model_900):
-        """With warmup enabled, parity holds on the corrected phases."""
-        reference = ForceLocationEstimator(model_900)
-        service = _service(model_900, baseline_samples=2)
-        drift = 0.07
-        requests = [
-            EstimateRequest(sensor_id="s-0", sequence=index,
-                            time=0.1 * index,
-                            phi1=drift * 0.1 * index + extra,
-                            phi2=-drift * 0.1 * index + extra)
-            for index, extra in enumerate((0.0, 0.0, 0.9, 1.2))
-        ]
-
-        async def drive():
-            responses = []
-            for request in requests:  # in stream order
-                responses.append(await service.estimate(request))
-            return responses
-
-        responses = asyncio.run(drive())
-        # The post-warmup samples were corrected before inversion.
-        for request, response in zip(requests[2:], responses[2:]):
-            expected = reference.invert(
-                request.phi1 - drift * request.time,
-                request.phi2 + drift * request.time)
-            assert response.estimate.force == pytest.approx(
-                expected.force)
-            assert response.estimate.location == pytest.approx(
-                expected.location)

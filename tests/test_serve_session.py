@@ -1,4 +1,4 @@
-"""Session state: model cache, baseline/drift correction, events."""
+"""Session state: model cache, phase pass-through, events."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.core.tracking import TrackedSample
 from repro.errors import ServeError
 from repro.serve.protocol import SensorConfig
-from repro.serve.session import SensorSession, SessionManager
+from repro.serve.session import SessionManager
 
 
 @pytest.fixture()
@@ -63,49 +63,7 @@ class TestModelCache:
 class TestBaselineCorrection:
     def test_no_warmup_passes_phases_through(self, manager):
         session = manager.session("sensor-a", SensorConfig())
-        assert session.baseline_ready
         assert session.correct(0.0, 0.3, -0.2) == (0.3, -0.2)
-
-    def test_warmup_fits_reference_and_drift(self, model_900):
-        manager = SessionManager(model_factory=lambda config: model_900,
-                                 baseline_samples=4)
-        session = manager.session("sensor-a", SensorConfig())
-        assert not session.baseline_ready
-        # Untouched warmup with a pure linear drift ramp: 0.10 rad/s
-        # on tone 1, -0.05 rad/s on tone 2, zero intercept.
-        for step in range(4):
-            time = 0.1 * step
-            session.correct(time, 0.10 * time, -0.05 * time)
-        assert session.baseline_ready
-        drift1, drift2 = session.drift_rates
-        assert drift1 == pytest.approx(0.10, abs=1e-9)
-        assert drift2 == pytest.approx(-0.05, abs=1e-9)
-        # A later untouched sample corrects back to ~zero phases...
-        phi1, phi2 = session.correct(1.0, 0.10 * 1.0, -0.05 * 1.0)
-        assert phi1 == pytest.approx(0.0, abs=1e-9)
-        assert phi2 == pytest.approx(0.0, abs=1e-9)
-        # ...and a press on top of the ramp is recovered exactly.
-        phi1, phi2 = session.correct(2.0, 0.10 * 2.0 + 0.5,
-                                     -0.05 * 2.0 - 0.3)
-        assert phi1 == pytest.approx(0.5, abs=1e-9)
-        assert phi2 == pytest.approx(-0.3, abs=1e-9)
-
-    def test_single_sample_warmup_uses_mean_reference(self, model_900):
-        manager = SessionManager(model_factory=lambda config: model_900,
-                                 baseline_samples=1)
-        session = manager.session("sensor-a", SensorConfig())
-        session.correct(0.0, 0.2, -0.1)
-        drift1, drift2 = session.drift_rates
-        assert drift1 == 0.0 and drift2 == 0.0
-        phi1, phi2 = session.correct(1.0, 0.2, -0.1)
-        assert phi1 == pytest.approx(0.0, abs=1e-12)
-        assert phi2 == pytest.approx(0.0, abs=1e-12)
-
-    def test_negative_warmup_rejected(self, manager):
-        config = SensorConfig()
-        with pytest.raises(ServeError):
-            SensorSession("s", config, manager.estimator(config),
-                          baseline_samples=-1)
 
 
 class TestHistoryAndEvents:
