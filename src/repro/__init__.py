@@ -75,25 +75,21 @@ class WiForceSystem:
 
 
 def build_default_system(carrier_frequency: float = 900e6,
-                         link: Optional[BackscatterLink] = None,
                          seed: Optional[int] = None,
-                         calibration_forces: Optional[np.ndarray] = None,
-                         transducer: Optional[ForceTransducer] = None,
-                         groups_per_capture: int = 2) -> WiForceSystem:
+                         transducer: Optional[ForceTransducer] = None
+                         ) -> WiForceSystem:
     """Assemble the paper's default deployment in one call.
 
     Sensor at 50 cm from both reader antennas (Fig. 12), indoor
     clutter, OFDM sounding at the requested carrier, harmonic-domain
-    calibration at the paper's five locations.
+    calibration at the paper's five locations over 16 forces spanning
+    :data:`FORCE_RANGE`, and two phase groups averaged per reading.
 
     Args:
         carrier_frequency: 900 MHz or 2.4 GHz in the paper.
-        link: Override the deployment geometry.
         seed: Seed for all stochastic parts (clutter, noise).
-        calibration_forces: Force samples for the cubic calibration.
         transducer: Reuse an existing transducer (its contact map is
             the expensive part).
-        groups_per_capture: Phase groups averaged per reading.
     """
     from repro.channel.multipath import indoor_channel
     from repro.channel.propagation import BackscatterLink
@@ -110,17 +106,14 @@ def build_default_system(carrier_frequency: float = 900e6,
     if transducer is None:
         transducer = ForceTransducer(design)
     tag = WiForceTag(transducer)
-    if link is None:
-        link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
+    link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
     clutter = indoor_channel(carrier_frequency, rng=rng)
     config = OFDMSounderConfig(carrier_frequency=carrier_frequency)
     sounder = FastSounder(config, tag, link, clutter, rng=rng)
-    if calibration_forces is None:
-        calibration_forces = np.linspace(FORCE_RANGE[0], FORCE_RANGE[1], 16)
     model = calibrate_harmonic_observable(
-        tag, carrier_frequency, CALIBRATION_LOCATIONS, calibration_forces)
-    reader = WiForceReader(sounder, model,
-                           groups_per_capture=groups_per_capture)
+        tag, carrier_frequency, CALIBRATION_LOCATIONS,
+        np.linspace(FORCE_RANGE[0], FORCE_RANGE[1], 16))
+    reader = WiForceReader(sounder, model, groups_per_capture=2)
     return WiForceSystem(
         design=design,
         transducer=transducer,

@@ -6,7 +6,6 @@ Commands:
     calibrate   Build the cubic sensor model and save it as JSON.
     read        Simulate wireless reads of one press with a saved model.
     demo        One-command end-to-end demo (build, calibrate, read).
-    report      Run every paper-figure runner, write REPORT.md.
     gateway     Serve the inference service over HTTP/WebSocket sockets.
     chaos       Run the serve campaign under an armed fault plan.
     obs-report  Summarize the observability manifest of a bench run.
@@ -70,30 +69,27 @@ def _cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_tag(fast: bool):
-    from repro.sensor.geometry import default_sensor_design
-    from repro.sensor.tag import WiForceTag
-    from repro.sensor.transduction import ForceTransducer
+def _transducer(fast: bool):
+    from repro.experiments.scenarios import default_transducer, fast_transducer
 
-    design = default_sensor_design()
-    if fast:
-        transducer = ForceTransducer(design, force_points=20,
-                                     location_points=25)
-    else:
-        transducer = ForceTransducer(design)
-    return WiForceTag(transducer)
+    return fast_transducer() if fast else default_transducer()
+
+
+def _build_tag(fast: bool):
+    from repro.sensor.tag import WiForceTag
+
+    return WiForceTag(_transducer(fast))
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from repro import CALIBRATION_LOCATIONS, FORCE_RANGE
     from repro.core.calibration import calibrate_harmonic_observable
 
     logger.info("calibrating at %.0f MHz (%s contact map)",
                 args.carrier / 1e6, "fast" if args.fast else "full")
-    tag = _build_tag(args.fast)
-    locations = (0.020, 0.030, 0.040, 0.050, 0.060)
-    forces = np.linspace(0.5, 8.0, 16)
-    model = calibrate_harmonic_observable(tag, args.carrier, locations,
-                                          forces)
+    model = calibrate_harmonic_observable(
+        _build_tag(args.fast), args.carrier, CALIBRATION_LOCATIONS,
+        np.linspace(*FORCE_RANGE, 16))
     model.save(args.output)
     print(f"Saved sensor model to {args.output}")
     return 0
@@ -131,14 +127,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     logger.info("building the default deployment (this calibrates the "
                 "sensor model; ~15 s)")
-    transducer = None
-    if args.fast:
-        from repro.sensor.geometry import default_sensor_design
-        from repro.sensor.transduction import ForceTransducer
-        transducer = ForceTransducer(default_sensor_design(),
-                                     force_points=20, location_points=25)
     system = build_default_system(carrier_frequency=args.carrier,
-                                  seed=args.seed, transducer=transducer)
+                                  seed=args.seed,
+                                  transducer=_transducer(args.fast))
     system.reader.capture_baseline()
     for force, location in ((2.0, 0.030), (5.0, 0.050)):
         reading = system.reader.read(TagState(force, location),
@@ -149,33 +140,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import generate_report
-
-    logger.info("running every paper-figure runner (%s mode)",
-                "fast" if args.fast else "full")
-    path = generate_report(args.output, fast=args.fast)
-    print(f"Wrote {path}")
-    return 0
-
-
-def _parse_tenants(specs: List[str]):
-    """``name:token[:rate[:burst]]`` specs -> Tenant list."""
-    from repro.errors import ConfigurationError
+def _tenant(spec: str):
+    """A ``--tenant`` value, ``name:token[:rate[:burst]]``, as a Tenant."""
     from repro.gateway import Tenant
 
-    tenants = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) < 2 or not all(parts[:2]):
-            raise ConfigurationError(
-                f"--tenant needs name:token[:rate[:burst]], got "
-                f"{spec!r}")
-        rate = float(parts[2]) if len(parts) > 2 else 200.0
-        burst = int(parts[3]) if len(parts) > 3 else 50
-        tenants.append(Tenant(name=parts[0], token=parts[1],
-                              rate_per_s=rate, burst=burst))
-    return tenants
+    try:
+        name, token, *quota = spec.split(":")
+        if not token or len(quota) > 2:
+            raise ValueError("empty token or more than four fields")
+        # ConfigurationError, raised on a bad quota, is a ValueError.
+        return Tenant(name, token, *(parse(value) for parse, value
+                                     in zip((float, int), quota)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not NAME:TOKEN[:RATE[:BURST]] ({exc})") from None
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
@@ -184,12 +162,11 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro.gateway import Gateway, TenantTable
     from repro.serve import BatchPolicy, InferenceService
 
-    tenants = _parse_tenants(args.tenant)
-    if not tenants and not args.anonymous:
+    if not args.tenant and not args.anonymous:
         logger.error("no --tenant given; pass --anonymous to serve "
                      "without auth (loopback demos only)")
         return 1
-    table = TenantTable(tenants, allow_anonymous=args.anonymous)
+    table = TenantTable(args.tenant, allow_anonymous=args.anonymous)
     service = InferenceService(
         policy=BatchPolicy(max_batch=args.max_batch,
                            max_delay_s=args.max_delay_ms * 1e-3),
@@ -434,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=1)
     demo.add_argument("--fast", action="store_true")
 
-    reproduce = sub.add_parser(
-        "report", help="run all paper-figure runners, write REPORT.md")
-    reproduce.add_argument("--output", default="REPORT.md")
-    reproduce.add_argument("--full", dest="fast", action="store_false",
-                           help="full-resolution transducers (slower)")
-
     gateway = sub.add_parser(
         "gateway",
         help="serve the inference service over HTTP/WebSocket")
@@ -448,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--port", type=int, default=8790,
                          help="bind port (default 8790; 0 = ephemeral)")
     gateway.add_argument(
-        "--tenant", action="append", default=[],
+        "--tenant", action="append", default=[], type=_tenant,
         metavar="NAME:TOKEN[:RATE[:BURST]]",
         help="register a tenant credential (repeatable)")
     gateway.add_argument(
@@ -542,7 +513,6 @@ _COMMANDS = {
     "calibrate": _cmd_calibrate,
     "read": _cmd_read,
     "demo": _cmd_demo,
-    "report": _cmd_report,
     "gateway": _cmd_gateway,
     "chaos": _cmd_chaos,
     "obs-report": _cmd_obs_report,

@@ -99,7 +99,6 @@ def ascii_plot(series: Sequence[Tuple[str, np.ndarray, np.ndarray]],
 
 
 def ascii_cdf(samples_by_label: Sequence[Tuple[str, Sequence[float]]],
-              width: int = 64, height: int = 16,
               x_label: str = "|error|") -> str:
     """Render empirical CDFs of absolute errors (the paper's Figs. 13-14
     presentation)."""
@@ -112,5 +111,4 @@ def ascii_cdf(samples_by_label: Sequence[Tuple[str, Sequence[float]]],
             )
         probabilities = np.arange(1, values.size + 1) / values.size
         series.append((label, values, probabilities))
-    return ascii_plot(series, width=width, height=height,
-                      x_label=x_label, y_label="CDF")
+    return ascii_plot(series, x_label=x_label, y_label="CDF")

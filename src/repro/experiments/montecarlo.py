@@ -27,8 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import CALIBRATION_LOCATIONS
 from repro.core.calibration import calibrate_harmonic_observable
-from repro.core.estimator import ForceLocationEstimator
 from repro.core.pipeline import WiForceReader
 from repro.channel.multipath import indoor_channel
 from repro.channel.propagation import BackscatterLink
@@ -132,7 +132,7 @@ def _fabricated_unit(unit: int, carrier: float, seed: int,
 
 def _transfer_trial(unit: int, carrier: float, seed: int,
                     tolerances: FabricationTolerances,
-                    fast: bool = True) -> Tuple[float, float]:
+                    fast: bool) -> Tuple[float, float]:
     """One toleranced unit read with the nominal calibration."""
     _, sounder, rng = _fabricated_unit(unit, carrier, seed, tolerances)
     nominal_model = calibrated_model(carrier, fast=fast)
@@ -146,10 +146,8 @@ def _per_unit_trial(unit: int, carrier: float, seed: int,
     """One toleranced unit read with its own calibration."""
     tag, sounder, rng = _fabricated_unit(unit, carrier, seed, tolerances)
     model = calibrate_harmonic_observable(
-        tag, carrier, (0.020, 0.030, 0.040, 0.050, 0.060),
-        np.linspace(0.5, 8.0, 12))
+        tag, carrier, CALIBRATION_LOCATIONS, np.linspace(0.5, 8.0, 12))
     reader = WiForceReader(sounder, model)
-    reader.estimator = ForceLocationEstimator(model)
     return _protocol(reader, rng)
 
 
@@ -167,20 +165,18 @@ def _campaign(label: str, trial, argument_lists,
     )
 
 
-def environment_campaign(trials: int = 8, carrier: float = 900e6,
-                         fast: bool = True, seed: int = 101,
+def environment_campaign(trials: int = 8, fast: bool = True,
                          executor: Optional[CampaignExecutor] = None
                          ) -> CampaignResult:
-    """Accuracy across random indoor environments (clutter draws)."""
+    """Accuracy across random indoor environments (clutter draws) at
+    900 MHz."""
     return _campaign(
         "environment", _environment_trial,
-        [(trial, carrier, fast, seed) for trial in range(trials)],
+        [(trial, 900e6, fast, 101) for trial in range(trials)],
         executor)
 
 
-def acquisition_campaign(trials: int = 8, carrier: float = 900e6,
-                         fast: bool = True, seed: int = 101,
-                         window_s: float = 0.1,
+def acquisition_campaign(trials: int = 8, window_s: float = 0.1,
                          executor: Optional[CampaignExecutor] = None
                          ) -> CampaignResult:
     """The environment campaign paced at hardware acquisition rate.
@@ -193,26 +189,25 @@ def acquisition_campaign(trials: int = 8, carrier: float = 900e6,
     workers measures executor concurrency and orchestration overhead
     on any machine, where a purely compute-bound campaign would just
     measure the host's core count.  Results are bit-identical to
-    :func:`environment_campaign` with the same trial arguments.
+    :func:`environment_campaign` with the same trial arguments
+    (reduced-resolution transducer).
     """
     return _campaign(
         "acquisition", _acquisition_trial,
-        [(trial, carrier, fast, seed, window_s) for trial in range(trials)],
+        [(trial, 900e6, True, 101, window_s) for trial in range(trials)],
         executor)
 
 
 def calibration_transfer_campaign(
-    units: int = 4, carrier: float = 900e6, seed: int = 211,
-    tolerances: FabricationTolerances = FabricationTolerances(),
-    executor: Optional[CampaignExecutor] = None,
+    units: int = 4, executor: Optional[CampaignExecutor] = None,
     fast: bool = True,
 ) -> CampaignResult:
     """Read *toleranced* units with the *nominal* unit's calibration.
 
     Each trial fabricates a unit with manufacturing deviations, deploys
-    it, and inverts its wireless phases with the nominal model — the
-    zero-per-unit-calibration scenario.  The residual error quantifies
-    how much per-unit trimming buys.
+    it at 900 MHz, and inverts its wireless phases with the nominal
+    model — the zero-per-unit-calibration scenario.  The residual error
+    quantifies how much per-unit trimming buys.
 
     Args:
         fast: Calibrate the nominal model on the reduced-resolution
@@ -221,15 +216,15 @@ def calibration_transfer_campaign(
             model — much slower cold, but its contact tables and fit
             come from the artifact cache on every run after the first.
     """
+    tolerances = FabricationTolerances()
     return _campaign(
         "calibration-transfer", _transfer_trial,
-        [(unit, carrier, seed, tolerances, fast) for unit in range(units)],
+        [(unit, 900e6, 211, tolerances, fast) for unit in range(units)],
         executor)
 
 
 def per_unit_calibration_campaign(
-    units: int = 4, carrier: float = 900e6, seed: int = 211,
-    tolerances: FabricationTolerances = FabricationTolerances(),
+    units: int = 4, seed: int = 211,
     executor: Optional[CampaignExecutor] = None,
 ) -> CampaignResult:
     """The same toleranced units, each with its own calibration.
@@ -239,7 +234,8 @@ def per_unit_calibration_campaign(
     Uses the same seeds as :func:`calibration_transfer_campaign` so the
     two are unit-for-unit comparable.
     """
+    tolerances = FabricationTolerances()
     return _campaign(
         "per-unit-calibration", _per_unit_trial,
-        [(unit, carrier, seed, tolerances) for unit in range(units)],
+        [(unit, 900e6, seed, tolerances) for unit in range(units)],
         executor)

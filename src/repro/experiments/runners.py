@@ -9,7 +9,7 @@ factors, crossovers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -75,17 +75,17 @@ class TransductionResult:
         return float(self.thin_phase_deg.max() - self.thin_phase_deg.min())
 
 
-def run_fig04(fast: bool = True, carrier: float = 2.4e9,
-              location: float = 0.040) -> TransductionResult:
-    """Fig. 4c: the soft beam is what makes the line force sensitive."""
+def run_fig04(fast: bool = True) -> TransductionResult:
+    """Fig. 4c: the soft beam is what makes the line force sensitive
+    (presses at 40 mm, read at 2.4 GHz)."""
     forces = np.linspace(0.5, 6.0, 12)
     soft = _transducer(fast)
     thin = thin_trace_transducer()
     soft_phase = np.array([
-        soft.differential_phases(carrier, float(f), location).port1
+        soft.differential_phases(2.4e9, float(f), 0.040).port1
         for f in forces])
     thin_phase = np.array([
-        thin.differential_phases(carrier, float(f), location).port1
+        thin.differential_phases(2.4e9, float(f), 0.040).port1
         for f in forces])
     return TransductionResult(
         forces=forces,
@@ -113,22 +113,22 @@ class BeamProfilesResult:
         return float(profile.max() - profile.min())
 
 
-def run_fig05(fast: bool = True, carrier: float = 2.4e9,
-              locations: Sequence[float] = (0.020, 0.040, 0.060)
-              ) -> BeamProfilesResult:
-    """Fig. 5b: symmetric response at the centre, asymmetric off-centre."""
+def run_fig05(fast: bool = True) -> BeamProfilesResult:
+    """Fig. 5b: symmetric response at the centre, asymmetric off-centre
+    (presses at 20, 40 and 60 mm, read at 2.4 GHz)."""
     transducer = _transducer(fast)
+    locations = (0.020, 0.040, 0.060)
     forces = np.linspace(0.5, 8.0, 16)
     port1 = np.zeros((len(locations), forces.size))
     port2 = np.zeros_like(port1)
     for i, location in enumerate(locations):
         for j, force in enumerate(forces):
-            phases = transducer.differential_phases(carrier, float(force),
-                                                    float(location))
+            phases = transducer.differential_phases(2.4e9, float(force),
+                                                    location)
             port1[i, j] = phases.port1
             port2[i, j] = phases.port2
     return BeamProfilesResult(
-        locations=tuple(float(loc) for loc in locations),
+        locations=locations,
         forces=forces,
         port1_deg=np.degrees(np.unwrap(port1, axis=1)),
         port2_deg=np.degrees(np.unwrap(port2, axis=1)),
@@ -172,20 +172,19 @@ def _tone_value(offsets: np.ndarray, spectrum: np.ndarray,
     return complex(spectrum[index])
 
 
-def run_fig07(fast: bool = True, carrier: float = 900e6,
-              force: float = 0.0, location: float = 0.040
-              ) -> IntermodulationResult:
+def run_fig07(fast: bool = True) -> IntermodulationResult:
     """Figs. 7-8: duty-cycled clocks keep the tone identities clean.
 
-    The corruption is worst in the *untouched* state (the default
-    here): with no shorting points the line conducts end to end, so
-    whenever both naive switches are on the ends couple through the
-    line and cross-modulate — exactly the leakage Fig. 7 illustrates.
-    The untouched phase is also the differential measurement's
-    reference, so corrupting it corrupts every reading.
+    The corruption is worst in the *untouched* state (the one read
+    here, at 900 MHz): with no shorting points the line conducts end
+    to end, so whenever both naive switches are on the ends couple
+    through the line and cross-modulate — exactly the leakage Fig. 7
+    illustrates.  The untouched phase is also the differential
+    measurement's reference, so corrupting it corrupts every reading.
     """
     transducer = _transducer(fast)
-    state = TagState(force, location)
+    carrier = 900e6
+    state = TagState(0.0, 0.040)
     base = 1e3
     results = {}
     for name, scheme in (("wiforce", wiforce_clocking(base)),
@@ -289,31 +288,29 @@ class Table1Result:
 
 
 def run_table1(carrier: float = 900e6, fast: bool = True,
-               locations: Sequence[float] = EVALUATION_LOCATIONS,
-               force_points: int = 8,
-               seed: Optional[int] = 11) -> Table1Result:
+               force_points: int = 8) -> Table1Result:
     """Table 1: wireless phases track VNA/model curves at 20/40/55/60 mm."""
     transducer = _transducer(fast)
     model = calibrated_model(carrier, fast=fast)
-    reader = build_wireless_scenario(carrier, seed=seed, fast=fast)
+    reader = build_wireless_scenario(carrier, seed=11, fast=fast)
     reader.capture_baseline()
     forces = np.linspace(1.0, 8.0, force_points)
 
-    shape = (len(locations), forces.size)
+    shape = (len(EVALUATION_LOCATIONS), forces.size)
     vna1 = np.zeros(shape)
     vna2 = np.zeros(shape)
     model1 = np.zeros(shape)
     model2 = np.zeros(shape)
     wireless1 = np.zeros(shape)
     wireless2 = np.zeros(shape)
-    for i, location in enumerate(locations):
+    for i, location in enumerate(EVALUATION_LOCATIONS):
         for j, force in enumerate(forces):
             port = transducer.differential_phases(carrier, float(force),
-                                                  float(location))
+                                                  location)
             vna1[i, j], vna2[i, j] = port.port1, port.port2
             model1[i, j], model2[i, j] = model.predict(float(force),
-                                                       float(location))
-            reading = reader.read(TagState(float(force), float(location)))
+                                                       location)
+            reading = reader.read(TagState(float(force), location))
             wireless1[i, j] = reading.phi1
             wireless2[i, j] = reading.phi2
 
@@ -322,7 +319,7 @@ def run_table1(carrier: float = 900e6, fast: bool = True,
 
     return Table1Result(
         carrier=carrier,
-        locations=tuple(float(loc) for loc in locations),
+        locations=EVALUATION_LOCATIONS,
         forces=forces,
         vna_port1_deg=wrapdeg(vna1),
         model_port1_deg=wrapdeg(model1),
@@ -358,7 +355,6 @@ class WirelessAccuracyResult:
 
 
 def run_wireless_accuracy(carrier: float = 900e6, fast: bool = True,
-                          locations: Sequence[float] = EVALUATION_LOCATIONS,
                           force_points: int = 6, repeats: int = 2,
                           seed: int = 5) -> WirelessAccuracyResult:
     """Figs. 13-14 protocol: presses at 20/40/55/60 mm, 0.5-8 N."""
@@ -370,11 +366,11 @@ def run_wireless_accuracy(carrier: float = 900e6, fast: bool = True,
     force_errors: List[float] = []
     location_errors: List[float] = []
     per_location: Dict[float, Tuple[List[float], List[float]]] = {
-        float(loc): ([], []) for loc in locations}
-    for location in locations:
+        location: ([], []) for location in EVALUATION_LOCATIONS}
+    for location in EVALUATION_LOCATIONS:
         for force in forces:
             for _ in range(repeats):
-                press = rig.press(float(force), float(location))
+                press = rig.press(float(force), location)
                 reading = reader.read(
                     TagState(press.applied_force, press.applied_location),
                     rebaseline=True)
@@ -382,8 +378,8 @@ def run_wireless_accuracy(carrier: float = 900e6, fast: bool = True,
                 location_error = reading.location - press.commanded_location
                 force_errors.append(force_error)
                 location_errors.append(location_error)
-                per_location[float(location)][0].append(force_error)
-                per_location[float(location)][1].append(location_error)
+                per_location[location][0].append(force_error)
+                per_location[location][1].append(location_error)
     return WirelessAccuracyResult(
         carrier=carrier,
         force_errors=np.array(force_errors),
@@ -411,10 +407,8 @@ class TissueResult:
         return median_absolute_error(self.force_errors)
 
 
-def run_tissue(fast: bool = True, carrier: float = 900e6,
-               location: float = 0.060, force_points: int = 6,
-               repeats: int = 2, seed: int = 9,
-               extra_tag_path_loss_db: float = 14.0) -> TissueResult:
+def run_tissue(fast: bool = True, force_points: int = 6,
+               repeats: int = 2) -> TissueResult:
     """Fig. 16: sensing at 60 mm through the muscle/fat/skin phantom.
 
     Without the metal plate the direct path saturates the USRP's 60 dB
@@ -422,17 +416,19 @@ def run_tissue(fast: bool = True, carrier: float = 900e6,
     verifies that failure); with the plate (direct path attenuated
     ~45 dB) the sensing works with slightly elevated error.
 
-    ``extra_tag_path_loss_db`` models the additional per-pass insertion
-    / refraction / misalignment losses of the physical phantom setup
-    beyond the planar-slab transmission (the paper reports ~110 dB
-    two-way loss; the plain slab model is more optimistic).
+    An extra 14 dB per pass models the insertion / refraction /
+    misalignment losses of the physical phantom setup beyond the
+    planar-slab transmission (the paper reports ~110 dB two-way loss;
+    the plain slab model is more optimistic).
     """
+    carrier = 900e6
+    location = 0.060
     phantom = body_phantom()
-    one_way = phantom.one_way_loss_db(carrier) + extra_tag_path_loss_db
+    one_way = phantom.one_way_loss_db(carrier) + 14.0
     transducer = _transducer(fast)
     tag = WiForceTag(transducer)
     model = calibrated_model(carrier, fast=fast)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(9)
     config = OFDMSounderConfig(carrier_frequency=carrier)
 
     # Without the metal plate: full direct path, tag buried below the
@@ -498,17 +494,16 @@ class FingertipResult:
         return bool(np.all(np.diff(self.level_estimates) > 0.0))
 
 
-def run_fingertip(fast: bool = True, carrier: float = 2.4e9,
-                  seed: int = 21) -> FingertipResult:
+def run_fingertip(fast: bool = True) -> FingertipResult:
     """Fig. 17: localization within a fingertip width; levels tracked.
 
     The operator lifts the finger between force levels (as in the
     paper's level-by-level protocol), giving the reader an untouched
     gap to re-reference in — which bounds the tag-oscillator phase
-    wander per level.
+    wander per level.  Read at 2.4 GHz.
     """
-    rng = np.random.default_rng(seed)
-    reader = build_wireless_scenario(carrier, seed=seed, fast=fast)
+    rng = np.random.default_rng(21)
+    reader = build_wireless_scenario(2.4e9, seed=21, fast=fast)
     profile = FingertipProfile(rng=rng)
     presses = profile.generate()
     locations = []
@@ -581,34 +576,32 @@ def _distance_trial(rng_seed: int, tx_to_tag: float, tag_to_rx: float,
                                np.random.default_rng(rng_seed))
 
 
-def run_distance(fast: bool = True, carrier: float = 900e6,
-                 tx_rx_separation: float = 4.0,
-                 positions: Sequence[float] = (1.0, 1.5, 2.0),
-                 separations: Sequence[float] = (2.0, 4.0, 10.0, 30.0),
-                 groups: int = 8, seed: int = 3) -> DistanceResult:
+def run_distance(fast: bool = True, groups: int = 8) -> DistanceResult:
     """Fig. 18: sensor swept along a 4 m TX..RX line, plus a total-range
-    sweep with the sensor at the midpoint (the up-to-5 m reach claim).
+    sweep with the sensor at the midpoint (the up-to-5 m reach claim),
+    both at 900 MHz.
 
     Both sweeps run through one :class:`CampaignExecutor` batch; every
     geometry is seeded independently so sharding cannot change the
     numbers.
     """
+    positions = (1.0, 1.5, 2.0)
+    separations = (2.0, 4.0, 10.0, 30.0)
     arguments = [
-        (seed + index, tx_rx_separation - from_rx, from_rx,
-         tx_rx_separation, carrier, fast, groups)
+        (3 + index, 4.0 - from_rx, from_rx, 4.0, 900e6, fast, groups)
         for index, from_rx in enumerate(positions)
     ] + [
-        (seed + 100 + index, separation / 2.0, separation / 2.0,
-         separation, carrier, fast, groups)
+        (103 + index, separation / 2.0, separation / 2.0,
+         separation, 900e6, fast, groups)
         for index, separation in enumerate(separations)
     ]
     results = CampaignExecutor().map(_distance_trial, arguments)
     stabilities = results[:len(positions)]
     range_stabilities = results[len(positions):]
     return DistanceResult(
-        positions_from_rx=np.asarray(list(positions), dtype=float),
+        positions_from_rx=np.array(positions),
         stability_deg=np.array(stabilities),
-        separations=np.asarray(list(separations), dtype=float),
+        separations=np.array(separations),
         separation_stability_deg=np.array(range_stabilities),
     )
 
@@ -627,12 +620,12 @@ class ImpedanceRatioResult:
     optimal_ratio_wide: float
 
 
-def run_impedance_ratio(carrier: float = 2.4e9,
-                        ratio_points: int = 41) -> ImpedanceRatioResult:
-    """Fig. 19: wide ground shifts the optimal w:h from ~5:1 to ~4:1."""
-    ratios = np.linspace(2.0, 8.0, ratio_points)
+def run_impedance_ratio() -> ImpedanceRatioResult:
+    """Fig. 19: wide ground shifts the optimal w:h from ~5:1 to ~4:1
+    (insertion loss at 2.4 GHz)."""
+    ratios = np.linspace(2.0, 8.0, 41)
     height = 0.63e-3
-    frequency = np.array([carrier])
+    frequency = np.array([2.4e9])
     narrow = np.zeros(ratios.size)
     wide = np.zeros(ratios.size)
     for index, ratio in enumerate(ratios):
@@ -702,12 +695,12 @@ class BaselineComparisonResult:
         return self.strain_error_multipath / self.strain_error_clean
 
 
-def run_baseline_comparison(fast: bool = True, carrier: float = 900e6,
-                            seed: int = 13) -> BaselineComparisonResult:
-    """WiForce vs the RFID-touch and RSS-strain baselines."""
-    rng = np.random.default_rng(seed)
+def run_baseline_comparison(fast: bool = True) -> BaselineComparisonResult:
+    """WiForce vs the RFID-touch and RSS-strain baselines at 900 MHz."""
+    carrier = 900e6
+    rng = np.random.default_rng(13)
     accuracy = run_wireless_accuracy(carrier, fast=fast, force_points=4,
-                                     repeats=1, seed=seed)
+                                     repeats=1, seed=13)
     rfid = RFIDTouchArray(rng=rng)
     touch_locations = [float(loc) for loc in EVALUATION_LOCATIONS] * 4
     rfid_errors = rfid.location_errors(touch_locations)
@@ -746,16 +739,16 @@ class AveragingAblationResult:
         return self.single_subcarrier_std_deg / self.averaged_std_deg
 
 
-def run_averaging_ablation(fast: bool = True, carrier: float = 900e6,
-                           captures: int = 24,
-                           seed: int = 17) -> AveragingAblationResult:
+def run_averaging_ablation(fast: bool = True,
+                           captures: int = 24) -> AveragingAblationResult:
     """Phase repeatability with and without subcarrier averaging.
 
-    Uses a long-range deployment with the oscillator jitter turned off
-    so receiver noise — the error source subcarrier averaging attacks —
-    dominates the phase error.
+    Uses a long-range deployment at 900 MHz with the oscillator jitter
+    turned off so receiver noise — the error source subcarrier
+    averaging attacks — dominates the phase error.
     """
-    rng = np.random.default_rng(seed)
+    carrier = 900e6
+    rng = np.random.default_rng(17)
     transducer = _transducer(fast)
     tag = WiForceTag(transducer)
     link = BackscatterLink(tx_to_tag=3.0, tag_to_rx=3.0, tx_to_rx=6.0)
@@ -798,9 +791,9 @@ class SwitchAblationResult:
             / max(self.absorptive_baseline_tone, 1e-30)))
 
 
-def run_switch_ablation(fast: bool = True,
-                        carrier: float = 900e6) -> SwitchAblationResult:
-    """The untouched reference tone vanishes with absorptive switches."""
+def run_switch_ablation(fast: bool = True) -> SwitchAblationResult:
+    """The untouched 900 MHz reference tone vanishes with absorptive
+    switches."""
     from dataclasses import replace
 
     from repro.rf.switch import ABSORPTIVE_SWITCH
@@ -816,7 +809,7 @@ def run_switch_ablation(fast: bool = True,
     absorptive_tag = WiForceTag(absorptive_transducer)
 
     def baseline_tone(tag: WiForceTag) -> float:
-        grid = np.array([carrier])
+        grid = np.array([900e6])
         states = tag.state_reflections(grid, TagState())
         difference = states[(True, False)][0] - states[(False, False)][0]
         return float(np.abs(difference))
@@ -886,12 +879,11 @@ def _form_factor_trial(index: int, scale: float, base_carrier: float,
     return carrier, swing, median, median / length
 
 
-def run_form_factor(scales: Sequence[float] = (1.0, 0.5),
-                    base_carrier: float = 2.4e9, seed: int = 77
+def run_form_factor(scales: Sequence[float] = (1.0, 0.5)
                     ) -> FormFactorResult:
     """Shrink the sensor, raise the carrier, keep the performance.
 
-    Each scaled unit is read at ``base_carrier / scale`` so its
+    Each scaled unit is read at ``2.4 GHz / scale`` so its
     electrical length is unchanged; the paper's argument is that the
     phase transduction — and therefore the *relative* localization
     accuracy — carries over to the smaller form factor.  The scales
@@ -899,7 +891,7 @@ def run_form_factor(scales: Sequence[float] = (1.0, 0.5),
     """
     results = CampaignExecutor().map(
         _form_factor_trial,
-        [(index, float(scale), base_carrier, seed)
+        [(index, float(scale), 2.4e9, 77)
          for index, scale in enumerate(scales)])
     carriers, swings, medians, relative = (
         zip(*results) if results else ((), (), (), ()))

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.channel.multipath import MultipathChannel, indoor_channel
+from repro.channel.multipath import indoor_channel
 from repro.channel.propagation import BackscatterLink
 from repro.core.calibration import SensorModel, calibrate_harmonic_observable
 from repro.core.pipeline import WiForceReader
@@ -27,9 +27,6 @@ from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.geometry import default_sensor_design, thin_trace_design
 from repro.sensor.tag import WiForceTag
 from repro.sensor.transduction import ForceTransducer
-
-#: The paper's calibration locations (section 4.2) [m].
-CALIBRATION_LOCATIONS = (0.020, 0.030, 0.040, 0.050, 0.060)
 
 #: Densified calibration grid used by the shared models: same span as
 #: the paper's five locations, 2.5 mm pitch.  Linear interpolation
@@ -75,34 +72,31 @@ def calibrated_model(carrier_frequency: float,
 
 def build_wireless_scenario(carrier_frequency: float = 900e6,
                             link: Optional[BackscatterLink] = None,
-                            clutter: Optional[MultipathChannel] = None,
                             seed: Optional[int] = None,
                             fast: bool = False,
                             groups_per_capture: int = 2,
-                            tx_power_dbm: float = 10.0,
-                            clock_offset_ppm: float = 20.0) -> WiForceReader:
+                            tx_power_dbm: float = 10.0) -> WiForceReader:
     """A ready-to-read deployment (Fig. 12 geometry by default).
+
+    The environment is random indoor clutter drawn from ``seed``, and
+    the tag's crystal runs 20 ppm off (an unsynchronized Arduino
+    clock, section 4.4).
 
     Args:
         carrier_frequency: 900 MHz or 2.4 GHz.
         link: Deployment geometry; defaults to the paper's 1 m TX-RX
             with the sensor 50 cm from each.
-        clutter: Environment multipath; defaults to random indoor
-            clutter drawn from ``seed``.
         seed: Seed for clutter and receiver noise.
         fast: Use the reduced-resolution transducer (tests).
         groups_per_capture: Phase groups averaged per reading.
         tx_power_dbm: Reader transmit power.
-        clock_offset_ppm: Tag crystal frequency error (unsynchronized
-            Arduino clock, section 4.4).
     """
     rng = np.random.default_rng(seed)
     transducer = fast_transducer() if fast else default_transducer()
-    tag = WiForceTag(transducer, clock_offset_ppm=clock_offset_ppm)
+    tag = WiForceTag(transducer, clock_offset_ppm=20.0)
     if link is None:
         link = BackscatterLink(tx_to_tag=0.5, tag_to_rx=0.5, tx_to_rx=1.0)
-    if clutter is None:
-        clutter = indoor_channel(carrier_frequency, rng=rng)
+    clutter = indoor_channel(carrier_frequency, rng=rng)
     config = OFDMSounderConfig(carrier_frequency=carrier_frequency,
                                tx_power_dbm=tx_power_dbm)
     sounder = FastSounder(config, tag, link, clutter, rng=rng)

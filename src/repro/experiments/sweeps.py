@@ -4,7 +4,8 @@ Beyond reproducing the paper's figures, a downstream adopter needs to
 know how the accuracy moves with the knobs they control: transmit
 power, integration time (groups per reading), environment clutter, and
 calibration density.  Each sweep runs the Figs. 13-14 protocol at a
-reduced scale across one knob and reports the median errors.
+reduced scale at 900 MHz across one knob and reports the median
+errors.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class SweepResult:
         return {value: location for value, _, location in self.points}
 
 
-def _measure(reader: WiForceReader, rng: np.random.Generator,
-             presses: int = 9) -> Tuple[float, float]:
+def _measure(reader: WiForceReader,
+             rng: np.random.Generator) -> Tuple[float, float]:
     rig = GroundTruthRig(rng=rng)
     force_errors = []
     location_errors = []
@@ -63,28 +64,27 @@ def _measure(reader: WiForceReader, rng: np.random.Generator,
             median_absolute_error(location_errors))
 
 
-def sweep_tx_power(carrier: float = 900e6, fast: bool = True,
-                   powers_dbm: Sequence[float] = (-10.0, 0.0, 10.0),
-                   seed: int = 41) -> SweepResult:
+def sweep_tx_power(fast: bool = True,
+                   powers_dbm: Sequence[float] = (-10.0, 0.0, 10.0)
+                   ) -> SweepResult:
     """Accuracy vs reader transmit power."""
     points = []
     for index, power in enumerate(powers_dbm):
-        rng = np.random.default_rng(seed + index)
-        reader = build_wireless_scenario(carrier, seed=seed + index,
+        rng = np.random.default_rng(41 + index)
+        reader = build_wireless_scenario(900e6, seed=41 + index,
                                          fast=fast, tx_power_dbm=float(power))
         force, location = _measure(reader, rng)
         points.append((float(power), force, location))
     return SweepResult(knob="tx_power_dbm", points=tuple(points))
 
 
-def sweep_integration(carrier: float = 900e6, fast: bool = True,
-                      groups: Sequence[int] = (1, 2, 4),
-                      seed: int = 43) -> SweepResult:
+def sweep_integration(fast: bool = True,
+                      groups: Sequence[int] = (1, 2, 4)) -> SweepResult:
     """Accuracy vs phase groups averaged per reading."""
     points = []
     for index, count in enumerate(groups):
-        rng = np.random.default_rng(seed + index)
-        reader = build_wireless_scenario(carrier, seed=seed + index,
+        rng = np.random.default_rng(43 + index)
+        reader = build_wireless_scenario(900e6, seed=43 + index,
                                          fast=fast,
                                          groups_per_capture=int(count))
         force, location = _measure(reader, rng)
@@ -92,26 +92,26 @@ def sweep_integration(carrier: float = 900e6, fast: bool = True,
     return SweepResult(knob="groups_per_capture", points=tuple(points))
 
 
-def sweep_range(carrier: float = 900e6, fast: bool = True,
-                separations: Sequence[float] = (1.0, 2.0, 4.0),
-                seed: int = 47) -> SweepResult:
+def sweep_range(fast: bool = True,
+                separations: Sequence[float] = (1.0, 2.0, 4.0)
+                ) -> SweepResult:
     """Accuracy vs deployment scale (TX-RX separation, tag midway)."""
     points = []
     for index, separation in enumerate(separations):
-        rng = np.random.default_rng(seed + index)
+        rng = np.random.default_rng(47 + index)
         link = BackscatterLink(tx_to_tag=separation / 2.0,
                                tag_to_rx=separation / 2.0,
                                tx_to_rx=separation)
-        reader = build_wireless_scenario(carrier, link=link,
-                                         seed=seed + index, fast=fast)
+        reader = build_wireless_scenario(900e6, link=link,
+                                         seed=47 + index, fast=fast)
         force, location = _measure(reader, rng)
         points.append((float(separation), force, location))
     return SweepResult(knob="tx_rx_separation_m", points=tuple(points))
 
 
-def sweep_calibration_density(carrier: float = 900e6, fast: bool = True,
-                              location_counts: Sequence[int] = (3, 5, 9),
-                              seed: int = 53) -> SweepResult:
+def sweep_calibration_density(fast: bool = True,
+                              location_counts: Sequence[int] = (3, 5, 9)
+                              ) -> SweepResult:
     """Accuracy vs number of calibrated locations (the paper uses 5)."""
     transducer = fast_transducer() if fast else default_transducer()
     tag = WiForceTag(transducer)
@@ -119,10 +119,10 @@ def sweep_calibration_density(carrier: float = 900e6, fast: bool = True,
     points = []
     for index, count in enumerate(location_counts):
         locations = np.linspace(0.020, 0.060, int(count))
-        model = calibrate_harmonic_observable(tag, carrier, locations,
+        model = calibrate_harmonic_observable(tag, 900e6, locations,
                                               forces)
-        rng = np.random.default_rng(seed + index)
-        reader = build_wireless_scenario(carrier, seed=seed + index,
+        rng = np.random.default_rng(53 + index)
+        reader = build_wireless_scenario(900e6, seed=53 + index,
                                          fast=fast)
         reader.model = model
         # Rebuild the estimator against the new model cleanly.

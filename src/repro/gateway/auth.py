@@ -21,6 +21,7 @@ event-loop clock), so quota behavior is deterministic under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
@@ -55,9 +56,9 @@ class Tenant:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
-        if self.rate_per_s <= 0.0:
+        if not (math.isfinite(self.rate_per_s) and self.rate_per_s > 0.0):
             raise ConfigurationError(
-                f"rate_per_s must be > 0, got {self.rate_per_s}")
+                f"rate_per_s must be finite and > 0, got {self.rate_per_s}")
         if self.burst < 1:
             raise ConfigurationError(
                 f"burst must be >= 1, got {self.burst}")
@@ -76,9 +77,10 @@ class TokenBucket:
     """
 
     def __init__(self, rate_per_s: float, capacity: float):
-        if rate_per_s <= 0.0 or capacity <= 0.0:
+        if not all(math.isfinite(value) and value > 0.0
+                   for value in (rate_per_s, capacity)):
             raise ConfigurationError(
-                "token bucket rate and capacity must be > 0")
+                "token bucket rate and capacity must be finite and > 0")
         self.rate_per_s = float(rate_per_s)
         self.capacity = float(capacity)
         self.tokens = float(capacity)

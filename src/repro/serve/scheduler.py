@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
@@ -68,9 +69,10 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_s < 0.0:
+        if not (math.isfinite(self.max_delay_s) and self.max_delay_s >= 0.0):
             raise ServeError(
-                f"max_delay_s must be >= 0, got {self.max_delay_s}")
+                f"max_delay_s must be finite and >= 0, got "
+                f"{self.max_delay_s}")
         if self.max_queue < 1:
             raise ServeError(f"max_queue must be >= 1, got {self.max_queue}")
 

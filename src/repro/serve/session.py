@@ -21,6 +21,7 @@ session has no baseline of its own to fit.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,7 +72,6 @@ class SensorSession:
         self.samples: List[TrackedSample] = []
         self.last_seen = 0.0
         self.consecutive_faults = 0
-        self.quarantines = 0
         self.quarantined = False
 
     def correct(self, time: float, phi1: float,
@@ -104,7 +104,6 @@ class SensorSession:
 
         The flag holds until the next ``"ok"`` result.
         """
-        self.quarantines += 1
         self.consecutive_faults = 0
         self.quarantined = True
         obs = active()
@@ -167,9 +166,10 @@ class SessionManager:
         if max_sessions is not None and max_sessions < 1:
             raise ServeError(
                 f"max_sessions must be >= 1, got {max_sessions}")
-        if idle_ttl_s is not None and idle_ttl_s <= 0.0:
+        if idle_ttl_s is not None and not (math.isfinite(idle_ttl_s)
+                                           and idle_ttl_s > 0.0):
             raise ServeError(
-                f"idle_ttl_s must be > 0, got {idle_ttl_s}")
+                f"idle_ttl_s must be finite and > 0, got {idle_ttl_s}")
         self._factory = (model_factory if model_factory is not None
                          else default_model_factory)
         self.max_sessions = max_sessions
@@ -271,7 +271,3 @@ class SessionManager:
     def get(self, sensor_id: str) -> Optional[SensorSession]:
         """The existing session for ``sensor_id``, or None."""
         return self._sessions.get(sensor_id)
-
-    def close(self, sensor_id: str) -> Optional[SensorSession]:
-        """Drop a session (its model stays cached); returns it."""
-        return self._sessions.pop(sensor_id, None)

@@ -48,6 +48,20 @@ class TestParser:
             build_parser().parse_args(["read", "--force", "1",
                                        "--location", "0.04"])
 
+    @pytest.mark.parametrize("spec", ["a", "a:b:x", "a:b:nan", "a:b:1:0"])
+    def test_bad_tenant_spec_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["gateway", "--tenant", spec])
+        assert excinfo.value.code == 2
+        assert repr(spec) in capsys.readouterr().err
+
+    def test_tenant_spec_builds_a_tenant(self):
+        args = build_parser().parse_args(
+            ["gateway", "--tenant", "a:b:5:7"])
+        [tenant] = args.tenant
+        assert (tenant.name, tenant.token, tenant.rate_per_s,
+                tenant.burst) == ("a", "b", 5.0, 7)
+
 
 class TestCommands:
     def test_info_runs(self, capsys):
@@ -60,15 +74,6 @@ class TestCommands:
         assert main(["power"]) == 0
         output = capsys.readouterr().out
         assert "uW" in output
-
-    def test_report_parses(self):
-        args = build_parser().parse_args(["report", "--output", "r.md"])
-        assert args.command == "report"
-        assert args.fast is True
-
-    def test_report_full_flag(self):
-        args = build_parser().parse_args(["report", "--full"])
-        assert args.fast is False
 
     def test_calibrate_then_read(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -18,8 +18,7 @@ ROOT = Path(__file__).parent.parent
 
 class TestDocFilesExist:
     @pytest.mark.parametrize("name", [
-        "README.md", "DESIGN.md", "EXPERIMENTS.md", "REPORT.md",
-        "docs/ALGORITHM.md",
+        "README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ALGORITHM.md",
     ])
     def test_present_and_nonempty(self, name):
         path = ROOT / name

@@ -27,7 +27,7 @@ from repro.core.estimator import (
     BatchForceLocationEstimate,
     ForceLocationEstimator,
 )
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.gateway import (
     Gateway,
@@ -35,6 +35,7 @@ from repro.gateway import (
     HandshakeRejected,
     Tenant,
     TenantTable,
+    TokenBucket,
     WebSocketClient,
 )
 from repro.serve import (
@@ -458,6 +459,14 @@ class TestAuthAndQuotas:
                     payload=_request("s", 0).to_dict())
 
         assert asyncio.run(scenario()).status == 200
+
+    def test_non_finite_quota_rate_is_rejected(self):
+        # A NaN rate would refill the bucket to full on every request.
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                Tenant(name="t", token="k", rate_per_s=rate)
+            with pytest.raises(ConfigurationError):
+                TokenBucket(rate, 1.0)
 
     def test_request_quota_sheds_with_rejected_quality(self,
                                                        model_900):

@@ -8,7 +8,9 @@ on an artifact-cache miss, so the serving path must not import it.
 The surface checks run in a fresh interpreter and assert on
 ``sys.modules``, never on wall time.  A static import graph checks
 that ``src/`` holds only code a program runs: a module that only
-tests reach belongs under ``tests/``.
+tests reach belongs under ``tests/``.  A scan of every call checks
+that each default of an experiment function is one some call
+overrides.
 """
 
 import ast
@@ -50,6 +52,9 @@ OFFLINE = ("scipy", "repro.baselines", "repro.experiments.runners",
 ENTRY_MODULES = ("repro.__main__", "repro.cli", "repro.gateway.server")
 ENTRY_DIRS = ("examples", "e2e_bench", "benchmarks")
 
+#: Where a call can pass an experiment parameter.
+CALLER_DIRS = ("src", "tests") + ENTRY_DIRS
+
 
 def _modules_after(statements: str) -> list:
     """``sys.modules`` of a fresh interpreter after ``statements``."""
@@ -72,6 +77,12 @@ def _source(module: str):
         if path.is_file():
             return path
     return None
+
+
+def _module_name(path: Path) -> str:
+    """The dotted name of the ``src/`` module at ``path``."""
+    return (".".join(path.relative_to(SRC).with_suffix("").parts)
+            .removesuffix(".__init__"))
 
 
 def _export_table(package: str) -> dict:
@@ -180,6 +191,33 @@ def _uses(tree: ast.Module, module: str = "") -> set:
     return names
 
 
+def _calls(tree: ast.AST):
+    """Every call in ``tree``, including those in the Python source a
+    string constant holds (the script a child interpreter runs)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                yield from _calls(ast.parse(node.value))
+            except (SyntaxError, ValueError):
+                pass
+
+
+def _defaulted(function: ast.FunctionDef):
+    """``(name, position)`` of each parameter of ``function`` with a
+    default; the position is None for a keyword-only one."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    first = len(positional) - len(arguments.defaults)
+    for position, argument in enumerate(positional[first:], start=first):
+        yield argument.arg, position
+    for argument, default in zip(arguments.kwonlyargs,
+                                 arguments.kw_defaults):
+        if default is not None:
+            yield argument.arg, None
+
+
 def _definitions(tree: ast.Module):
     """``(qualified name, name)`` of each public top-level function or
     class of ``tree`` and each public method of those classes."""
@@ -210,8 +248,7 @@ class TestImportSurface:
     def test_every_module_is_reached_from_an_entry_point(self):
         """A module only tests import is a test oracle or dead code."""
         reached = _reached()
-        modules = {".".join(path.relative_to(SRC).with_suffix("").parts)
-                   .removesuffix(".__init__")
+        modules = {_module_name(path)
                    for path in (SRC / "repro").rglob("*.py")}
         unreached = sorted(modules - reached)
         assert not unreached, f"only tests import {', '.join(unreached)}"
@@ -234,6 +271,38 @@ class TestImportSurface:
                         if name not in used)
         assert not unused, (f"{len(unused)} definitions only tests use: "
                             + ", ".join(unused))
+
+    def test_every_experiment_parameter_is_passed(self):
+        """A default no call overrides is a constant of the protocol:
+        it belongs in the body, not in the signature."""
+        passes = {}
+        for directory in CALLER_DIRS:
+            for path in (ROOT / directory).rglob("*.py"):
+                for call in _calls(ast.parse(path.read_text())):
+                    name = getattr(call.func, "id",
+                                   getattr(call.func, "attr", None))
+                    starred = (any(isinstance(argument, ast.Starred)
+                                   for argument in call.args)
+                               or any(keyword.arg is None
+                                      for keyword in call.keywords))
+                    passes.setdefault(name, []).append(
+                        (len(call.args), {keyword.arg
+                                          for keyword in call.keywords},
+                         starred))
+        paths = sorted((SRC / "repro" / "experiments").glob("*.py"))
+        paths.append(SRC / "repro" / "__init__.py")
+        unpassed = [
+            f"{_module_name(path)}.{node.name}({name})"
+            for path in paths for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            for name, position in _defaulted(node)
+            if not any(starred or name in keywords
+                       or (position is not None and position < count)
+                       for count, keywords, starred
+                       in passes.get(node.name, ()))]
+        assert not unpassed, (f"{len(unpassed)} parameters no call "
+                              "passes: " + ", ".join(unpassed))
 
 
 class TestExportTables:

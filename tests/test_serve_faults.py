@@ -124,12 +124,13 @@ class TestStallDegradation:
 class TestQuarantine:
     def test_streak_quarantines_and_ok_lifts(self, estimator):
         session = SensorSession("q-0", SensorConfig(), estimator)
-        for _ in range(QUARANTINE_AFTER - 1):
+        with observed() as registry:
+            for _ in range(QUARANTINE_AFTER - 1):
+                session.note_quality("degraded")
+            assert not session.quarantined
             session.note_quality("degraded")
-        assert not session.quarantined
-        session.note_quality("degraded")
         assert session.quarantined
-        assert session.quarantines == 1
+        assert registry.snapshot()["counters"]["fault.quarantines"] == 1
         # A clean result lifts the quarantine immediately.
         session.note_quality("ok")
         assert not session.quarantined
@@ -141,7 +142,7 @@ class TestQuarantine:
                                schedule=tuple(range(8)),
                                magnitude=0.0005))
         phi1, phi2 = press_phases[2]
-        with inject(plan):
+        with inject(plan), observed() as registry:
             responses = [
                 asyncio.run(service.estimate(
                     _request(phi1, phi2, sequence=i)))
@@ -150,4 +151,4 @@ class TestQuarantine:
         qualities = [r.quality for r in responses]
         assert qualities[:4] == ["degraded"] * 4
         assert "quarantined" in qualities[4:]
-        assert service.sessions.get("s-0").quarantines == 1
+        assert registry.snapshot()["counters"]["fault.quarantines"] == 1

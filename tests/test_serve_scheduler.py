@@ -47,8 +47,9 @@ class TestPolicy:
     def test_rejects_invalid_knobs(self):
         with pytest.raises(ServeError):
             BatchPolicy(max_batch=0)
-        with pytest.raises(ServeError):
-            BatchPolicy(max_delay_s=-0.1)
+        for delay in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ServeError):
+                BatchPolicy(max_delay_s=delay)
         with pytest.raises(ServeError):
             BatchPolicy(max_queue=0)
 

@@ -53,11 +53,10 @@ class TestModelCache:
 
     def test_get_and_close(self, manager):
         assert manager.get("ghost") is None
+        assert len(manager) == 0
         session = manager.session("sensor-a", SensorConfig())
         assert manager.get("sensor-a") is session
-        assert manager.close("sensor-a") is session
-        assert manager.get("sensor-a") is None
-        assert len(manager) == 0
+        assert len(manager) == 1
 
 
 class TestBaselineCorrection:
@@ -159,8 +158,9 @@ class TestEviction:
     def test_eviction_bounds_are_validated(self, model_900):
         with pytest.raises(ServeError):
             self._manager(model_900, max_sessions=0)
-        with pytest.raises(ServeError):
-            self._manager(model_900, idle_ttl_s=0.0)
+        for ttl in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ServeError):
+                self._manager(model_900, idle_ttl_s=ttl)
 
     def test_service_exposes_eviction_knobs(self, model_900):
         import asyncio
