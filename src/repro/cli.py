@@ -156,9 +156,24 @@ def _tenant(spec: str):
             f"{spec!r} is not NAME:TOKEN[:RATE[:BURST]] ({exc})") from None
 
 
+#: The ``repro gateway`` flag behind each serving-constructor argument,
+#: keyed by the name the constructor's error message starts with.
+_GATEWAY_FLAGS = {"max_batch": "--max-batch", "max_delay_s": "--max-delay-ms",
+                  "max_sessions": "--max-sessions",
+                  "idle_ttl_s": "--idle-ttl-s"}
+
+
+def _usage_error(flag: str, exc: Exception) -> int:
+    """Report a flag the serving constructors reject, as argparse
+    would: one stderr line, exit status 2."""
+    print(f"repro gateway: error: argument {flag}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.errors import ConfigurationError, ServeError
     from repro.gateway import Gateway, TenantTable
     from repro.serve import BatchPolicy, InferenceService
 
@@ -166,12 +181,18 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         logger.error("no --tenant given; pass --anonymous to serve "
                      "without auth (loopback demos only)")
         return 1
-    table = TenantTable(args.tenant, allow_anonymous=args.anonymous)
-    service = InferenceService(
-        policy=BatchPolicy(max_batch=args.max_batch,
-                           max_delay_s=args.max_delay_ms * 1e-3),
-        max_sessions=args.max_sessions,
-        idle_ttl_s=args.idle_ttl_s)
+    try:
+        table = TenantTable(args.tenant, allow_anonymous=args.anonymous)
+    except ConfigurationError as exc:
+        return _usage_error("--tenant", exc)
+    try:
+        service = InferenceService(
+            policy=BatchPolicy(max_batch=args.max_batch,
+                               max_delay_s=args.max_delay_ms * 1e-3),
+            max_sessions=args.max_sessions,
+            idle_ttl_s=args.idle_ttl_s)
+    except ServeError as exc:
+        return _usage_error(_GATEWAY_FLAGS[str(exc).split()[0]], exc)
     gateway = Gateway(service, tenants=table, host=args.host,
                       port=args.port)
 

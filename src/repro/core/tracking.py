@@ -12,8 +12,9 @@ sensor is touched.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
@@ -199,45 +200,79 @@ class StreamingTracker:
                      min_groups: int = 1) -> List[TouchEvent]:
         """Segment a tracked stream into touch events.
 
-        An empty stream, or one where no sample crosses the touch
-        threshold, has no contact segments and yields ``[]`` rather
-        than assuming at least one touch happened.
+        A fold of :class:`TouchSegmenter` over the stream, so a batch
+        run and a serving session share one segmentation rule.  An
+        empty stream, or one where no sample crosses the touch
+        threshold, has no contact segments and yields ``[]``.
 
         Args:
             samples: Output of :meth:`process`.
             min_groups: Minimum touched groups for a valid event
                 (debounce).
         """
-        samples = list(samples)
-        if not samples or not any(s.touched for s in samples):
-            return []
-        events: List[TouchEvent] = []
-        current: Optional[List[TrackedSample]] = None
+        segmenter = TouchSegmenter()
         for sample in samples:
-            if sample.touched:
-                if current is None:
-                    current = []
-                current.append(sample)
-            elif current is not None:
-                if len(current) >= min_groups:
-                    events.append(StreamingTracker._event_from(current))
-                current = None
-        if current is not None and len(current) >= min_groups:
-            events.append(StreamingTracker._event_from(current))
+            segmenter.add(sample)
+        return segmenter.events(min_groups)
+
+
+class TouchSegmenter:
+    """One-pass press/hold/release segmentation of tracked samples.
+
+    A run of touched samples is one press; the first untouched sample
+    after it releases the press.  Only the press in progress is kept —
+    its onset, its latest time and its forces and locations as float
+    columns — plus one ``(touched groups, TouchEvent)`` record per
+    released press, so each sample costs O(1) work and no memory once
+    its press is released.  A release builds its event once; the
+    debounce (``min_groups``) filters the records at query time.
+    """
+
+    def __init__(self) -> None:
+        self.onset = 0.0
+        self.latest = 0.0
+        self.forces = array("d")
+        self.locations = array("d")
+        self.released: List[Tuple[int, TouchEvent]] = []
+
+    def add(self, sample: TrackedSample) -> None:
+        """Fold one sample into the press in progress."""
+        if sample.touched:
+            if not self.forces:
+                self.onset = sample.time
+            self.latest = sample.time
+            self.forces.append(sample.force)
+            self.locations.append(sample.location)
+        elif self.forces:
+            self.released.append((len(self.forces), self._held()))
+            del self.forces[:]
+            del self.locations[:]
+
+    def closed_events(self, min_groups: int = 1,
+                      start: int = 0) -> List[TouchEvent]:
+        """Events of the presses released from record ``start`` on that
+        lasted at least ``min_groups`` touched groups."""
+        return [event for groups, event in self.released[start:]
+                if groups >= min_groups]
+
+    def events(self, min_groups: int = 1) -> List[TouchEvent]:
+        """:meth:`closed_events` plus the press in progress, once it
+        has ``min_groups`` touched groups (its release is then the
+        latest sample's time)."""
+        events = self.closed_events(min_groups)
+        if self.forces and len(self.forces) >= min_groups:
+            events.append(self._held())
         return events
 
-    @staticmethod
-    def _event_from(samples: List[TrackedSample]) -> TouchEvent:
-        if not samples:
-            raise EstimationError("cannot build a touch event from an "
-                                  "empty contact segment")
-        forces = np.array([s.force for s in samples])
-        locations = np.array([s.location for s in samples])
+    def _held(self) -> TouchEvent:
+        """The press in progress as an event."""
+        forces = np.array(self.forces)
+        locations = np.array(self.locations)
         weights = forces / forces.sum() if forces.sum() > 0 else None
         mean_location = float(np.average(locations, weights=weights))
         return TouchEvent(
-            onset=samples[0].time,
-            release=samples[-1].time,
+            onset=self.onset,
+            release=self.latest,
             peak_force=float(forces.max()),
             mean_location=mean_location,
         )

@@ -11,8 +11,8 @@ in-process :class:`repro.serve.service.InferenceService`.  Routes:
   ``{"type": "subscribe", "sensor_id": ...}`` opens a per-sensor
   touch-event subscription that pushes
   ``{"type": "touch_event", ...}`` messages as presses complete.
-* ``GET /v1/touch_events?sensor_id=...`` — the session's segmented
-  touch events so far.
+* ``GET /v1/touch_events?sensor_id=...`` — every touch event since
+  the session opened, the press still held included.
 * ``GET /healthz`` / ``GET /metrics`` — liveness and the shared
   registry in Prometheus text format (unauthenticated; everything
   else requires a tenant credential).
@@ -28,8 +28,11 @@ and asserts the connection is the only casualty.
 
 Touch-event streaming contract: an event is pushed once it is
 *closed* — the sensor's latest served sample is untouched, so the
-event's onset/release/peak are final.  A still-open press is withheld
-until the release sample arrives, which makes the pushed stream
+event's onset/release/peak are final.  A session keeps only the press
+still held plus one record per released press; each subscription
+keeps a cursor into those records, so a push reads only the presses
+released since the last one.  A still-open press is withheld until
+the release sample arrives, which makes the pushed stream
 bit-identical to a post-hoc ``touch_events`` query over the same
 samples.  When eviction drops a sensor's session and a later request
 reopens it, the new session's events are pushed from index 0 again.
@@ -74,13 +77,15 @@ _DRAIN_TIMEOUT_S = 5.0
 class _Subscription:
     """One sensor subscription on one connection.
 
-    ``emitted`` counts the events already pushed from the session that
+    ``cursor`` counts the release records already read, and
+    ``emitted`` the events already pushed, from the session that
     ``counted`` refers to; the reference is weak, so an evicted session
     is freed rather than held by its subscribers.
     """
 
     min_groups: int = 1
     emitted: int = 0
+    cursor: int = 0
     counted: Optional["weakref.ReferenceType[SensorSession]"] = None
 
 
@@ -709,13 +714,15 @@ class Gateway:
                     # from 0, as the GET list does.
                     subscription.counted = weakref.ref(session)
                     subscription.emitted = 0
-                events = session.closed_touch_events(
-                    min_groups=subscription.min_groups)
-                fresh = events[subscription.emitted:]
+                    subscription.cursor = 0
+                fresh = session.closed_touch_events(
+                    min_groups=subscription.min_groups,
+                    start=subscription.cursor)
+                subscription.cursor = len(session.segmenter.released)
                 if not fresh:
                     continue
                 base = subscription.emitted
-                subscription.emitted = len(events)
+                subscription.emitted += len(fresh)
                 for index, event in enumerate(fresh):
                     if conn.closed:
                         break

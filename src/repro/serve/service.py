@@ -7,9 +7,9 @@ together.  Per request it
    reusing the calibrated model via the config-keyed cache),
 2. awaits the micro-batch scheduler (requests from every sensor that
    shares a config coalesce into one ``invert_batch`` call),
-3. records the tracked sample into the session history and returns an
-   :class:`EstimateResponse` carrying the estimate plus batching
-   telemetry.
+3. folds the tracked sample into the session's touch segmentation
+   and returns an :class:`EstimateResponse` carrying the estimate plus
+   batching telemetry.
 
 Phases arrive baseline-referenced: the reader fits the untouched
 reference and the tag clock's drift, so the service inverts them as
@@ -140,7 +140,11 @@ class InferenceService:
 
     def touch_events(self, sensor_id: str,
                      min_groups: int = 1) -> List[TouchEvent]:
-        """Touch events segmented from one sensor's served history.
+        """Every touch event of one sensor's session, in order.
+
+        The session keeps the press still held plus one record per
+        released press, so the query lists the released events and the
+        held press, not a re-scan of every served reading.
 
         Raises:
             ServeError: No session exists for ``sensor_id`` (queries

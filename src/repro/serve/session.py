@@ -10,8 +10,10 @@ stream between requests:
   requests coalesce into one micro-batch group);
 * the streak of non-``"ok"`` results that quarantines it (see
   :meth:`SensorSession.note_quality`);
-* the tracked history, from which touch events are segmented by
-  :meth:`repro.core.tracking.StreamingTracker.touch_events`.
+* its touch segmentation, a :class:`repro.core.tracking.TouchSegmenter`
+  that keeps the press still held plus one record per released press,
+  so a reading costs O(1) work however old the session is, and memory
+  grows by one record per press instead of one sample per reading.
 
 Phases arrive already referenced to the sensor's untouched baseline:
 the reader fits that reference and the tag clock's drift
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.calibration import SensorModel
 from repro.core.estimator import ForceLocationEstimator
-from repro.core.tracking import StreamingTracker, TouchEvent, TrackedSample
+from repro.core.tracking import TouchEvent, TouchSegmenter, TrackedSample
 from repro.errors import ServeError
 from repro.obs.registry import active
 from repro.serve.protocol import SensorConfig
@@ -69,7 +72,7 @@ class SensorSession:
         self.sensor_id = sensor_id
         self.config = config
         self.estimator = estimator
-        self.samples: List[TrackedSample] = []
+        self.segmenter = TouchSegmenter()
         self.last_seen = 0.0
         self.consecutive_faults = 0
         self.quarantined = False
@@ -110,31 +113,31 @@ class SensorSession:
         if obs is not None:
             obs.counter("fault.quarantines").increment()
 
+    @property
+    def samples(self) -> array:
+        """The force column of the press still held: one row per
+        touched group the next segmentation scans (empty between
+        presses)."""
+        return self.segmenter.forces
+
     def record(self, sample: TrackedSample) -> None:
-        """Append one tracked sample to the session history."""
-        self.samples.append(sample)
+        """Fold one tracked sample into the session's segmentation."""
+        self.segmenter.add(sample)
 
     def touch_events(self, min_groups: int = 1) -> List[TouchEvent]:
-        """Segment the session history into touch events."""
-        return StreamingTracker.touch_events(self.samples,
-                                             min_groups=min_groups)
+        """Every event since the session opened, the press still held
+        included once it has ``min_groups`` touched groups."""
+        return self.segmenter.events(min_groups)
 
-    def closed_touch_events(self, min_groups: int = 1) -> List[TouchEvent]:
-        """The events of released presses only.
+    def closed_touch_events(self, min_groups: int = 1,
+                            start: int = 0) -> List[TouchEvent]:
+        """The events of released presses only, from release record
+        ``start`` on (a cursor into ``segmenter.released``).
 
-        :meth:`touch_events` also lists the press still held at the end
-        of the history, once it has ``min_groups`` touched groups; that
+        :meth:`touch_events` also lists the press still held; that
         event is left out here.
         """
-        events = self.touch_events(min_groups=min_groups)
-        held = 0
-        for sample in reversed(self.samples):
-            if not sample.touched:
-                break
-            held += 1
-        if held and held >= min_groups:
-            return events[:-1]
-        return events
+        return self.segmenter.closed_events(min_groups, start)
 
 
 class SessionManager:
@@ -147,7 +150,7 @@ class SessionManager:
     drops any session that has not served a request for that long.
     Both default to *off*, preserving the unbounded in-process
     behavior; the network gateway turns them on.  Evicting a session
-    discards its history and quarantine state only — the calibrated
+    discards its touch events and quarantine state only — the calibrated
     model stays cached per config, so a returning sensor re-opens
     cheaply.
 

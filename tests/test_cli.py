@@ -1,5 +1,6 @@
 """CLI tests (python -m repro ...)."""
 
+import asyncio
 import json
 
 import pytest
@@ -54,6 +55,26 @@ class TestParser:
             build_parser().parse_args(["gateway", "--tenant", spec])
         assert excinfo.value.code == 2
         assert repr(spec) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--anonymous", "--max-delay-ms", "nan"], "--max-delay-ms"),
+        (["--anonymous", "--idle-ttl-s", "inf"], "--idle-ttl-s"),
+        (["--anonymous", "--max-batch", "0"], "--max-batch"),
+        (["--anonymous", "--max-sessions", "0"], "--max-sessions"),
+        (["--tenant", "a:t", "--tenant", "b:t"], "--tenant"),
+    ])
+    def test_bad_serving_setting_is_a_usage_error(self, argv, flag, capsys,
+                                                  monkeypatch):
+        def serve(coroutine):
+            coroutine.close()
+            raise AssertionError("the gateway started")
+
+        monkeypatch.setattr(asyncio, "run", serve)
+        assert main(["gateway", "--port", "0", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"argument {flag}: " in err
+        assert "Traceback" not in err
 
     def test_tenant_spec_builds_a_tenant(self):
         args = build_parser().parse_args(

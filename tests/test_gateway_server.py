@@ -408,6 +408,70 @@ class TestStreamingParity:
         assert [push["event"] for push in after] == events
         assert [push["index"] for push in after] == [0]
 
+    def test_reopened_session_pushes_presses_released_over_http(
+            self, model_900):
+        """Presses a reopened session releases between two pushes (here
+        over HTTP, which pushes nothing) are all pushed by the next one:
+        the subscription's cursor restarts with the new session."""
+        press = [(0.5, 0.4), (0.6, 0.5), (0.0, 0.0)]
+
+        async def scenario():
+            gateway = Gateway(_service(model_900, max_sessions=1),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await client.send_json({"type": "subscribe",
+                                        "sensor_id": "a"})
+                assert (await client.recv_json())["type"] \
+                    == "subscribed"
+
+                async def pushes(first, phases):
+                    """Stream ``phases`` for "a" over the socket from
+                    sequence ``first``; the events pushed meanwhile."""
+                    pushed = []
+                    for sequence, (phi1, phi2) in enumerate(phases, first):
+                        _, events = await estimate_over_ws(
+                            client, _request("a", sequence, phi1,
+                                             phi2).to_dict())
+                        pushed.extend(events)
+                    # The last push precedes the answer to a ping.
+                    await client.send_json({"type": "ping"})
+                    while True:
+                        message = await client.recv_json(timeout=5.0)
+                        if message["type"] == "pong":
+                            return pushed
+                        pushed.append(message)
+
+                before = await pushes(0, press)
+
+                async def post(sensor_id, sequence, phi1, phi2):
+                    response = await http_request(
+                        host, port, "POST", "/v1/estimate",
+                        payload=_request(sensor_id, sequence, phi1,
+                                         phi2).to_dict(),
+                        token="token-0")
+                    assert response.status == 200
+
+                await post("b", 0, 0.0, 0.0)  # evicts "a"
+                for sequence, (phi1, phi2) in enumerate(press * 2, 10):
+                    await post("a", sequence, phi1, phi2)
+                after = await pushes(20, [(0.0, 0.0)])
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET", "/v1/touch_events?sensor_id=a",
+                    token="token-0")
+                return before, after, queried, gateway.service
+
+        before, after, queried, service = asyncio.run(scenario())
+        assert service.sessions.evictions == 2
+        assert [push["index"] for push in before] == [0]
+        events = queried.json()["events"]
+        assert len(events) == 2
+        assert [push["event"] for push in after] == events
+        assert [push["index"] for push in after] == [0, 1]
+
     def test_touch_events_unknown_sensor_404(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.tracking import TrackedSample
@@ -89,6 +91,25 @@ class TestHistoryAndEvents:
         session = manager.session("sensor-a", SensorConfig())
         assert session.touch_events() == []
 
+    def test_session_memory_is_bounded(self, manager):
+        session = manager.session("sensor-a", SensorConfig())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(20_000):
+                session.record(self._sample(0.036 * index, False))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        # Presses of 3 and 5 groups, released, then 4 groups still held.
+        flags = [True] * 3 + [False] + [True] * 5 + [False] + [True] * 4
+        for index, touched in enumerate(flags, 20_000):
+            session.record(self._sample(0.036 * index, touched, 2.0, 0.04))
+        assert len(session.samples) == 4
+        assert len(session.closed_touch_events()) == 2
+        assert len(session.touch_events()) == 3
+
 
 class TestEviction:
     @staticmethod
@@ -150,10 +171,11 @@ class TestEviction:
         session.record(TrackedSample(time=0.0, phi1=0.1, phi2=0.2,
                                      touched=True, force=1.0,
                                      location=0.03))
+        assert len(session.touch_events()) == 1
         manager.session("b", SensorConfig())
         reopened = manager.session("a", SensorConfig())
         assert reopened is not session
-        assert reopened.samples == []
+        assert reopened.touch_events() == []
 
     def test_eviction_bounds_are_validated(self, model_900):
         with pytest.raises(ServeError):
