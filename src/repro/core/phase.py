@@ -11,12 +11,14 @@ averaging gain.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.errors import EstimationError
-from repro.core.harmonics import HarmonicMatrix
+
+if TYPE_CHECKING:  # annotations only: serving sessions never load the reader
+    from repro.core.harmonics import HarmonicMatrix
 
 ArrayLike = Union[np.ndarray]
 

@@ -14,17 +14,19 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
 from repro.core.calibration import SensorModel
 from repro.core.estimator import ForceLocationEstimator
-from repro.core.harmonics import HarmonicExtractor
 from repro.core.phase import differential_phase
 from repro.errors import EstimationError, ReaderError
 from repro.obs.registry import active, maybe_span
-from repro.reader.sounder import ChannelEstimateStream
+
+if TYPE_CHECKING:  # annotations only: serving sessions never load the reader
+    from repro.core.harmonics import HarmonicExtractor
+    from repro.reader.sounder import ChannelEstimateStream
 
 
 @dataclass(frozen=True)

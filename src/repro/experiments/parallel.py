@@ -52,8 +52,6 @@ import os
 import pickle
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -299,6 +297,11 @@ class CampaignExecutor:
         """
         reason = ""
         if self.workers > 1 and entries:
+            # Imported here, not at module level: only a sharded run
+            # needs the pool machinery, so the serial path and a process
+            # that only imports the runners never load multiprocessing.
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 return self._execution(self._run_pool(entries, parent_tp),
                                        "parallel", self.workers, start)
@@ -322,6 +325,11 @@ class CampaignExecutor:
         :class:`BrokenProcessPool` once :data:`MAX_RESPAWNS` rebuilds
         have been spent (the caller's serial fallback takes over).
         """
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
+
         chunk_size = self._resolve_chunk(len(entries))
         inj = fault_armed()
         shipped = (parent_tp, is_enabled(),

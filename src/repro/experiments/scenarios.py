@@ -14,19 +14,18 @@ warm if any earlier process built the same spec."""
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.channel.multipath import indoor_channel
-from repro.channel.propagation import BackscatterLink
 from repro.core.calibration import SensorModel, calibrate_harmonic_observable
-from repro.core.pipeline import WiForceReader
-from repro.reader.batch import FastSounder
-from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.geometry import default_sensor_design, thin_trace_design
 from repro.sensor.tag import WiForceTag
 from repro.sensor.transduction import ForceTransducer
+
+if TYPE_CHECKING:
+    from repro.channel.propagation import BackscatterLink
+    from repro.core.pipeline import WiForceReader
 
 #: Densified calibration grid used by the shared models: same span as
 #: the paper's five locations, 2.5 mm pitch.  Linear interpolation
@@ -91,6 +90,14 @@ def build_wireless_scenario(carrier_frequency: float = 900e6,
         groups_per_capture: Phase groups averaged per reading.
         tx_power_dbm: Reader transmit power.
     """
+    # The reader and channel simulation load here, not at module level:
+    # the gateway imports this module only to calibrate served models.
+    from repro.channel.multipath import indoor_channel
+    from repro.channel.propagation import BackscatterLink
+    from repro.core.pipeline import WiForceReader
+    from repro.reader.batch import FastSounder
+    from repro.reader.waveform import OFDMSounderConfig
+
     rng = np.random.default_rng(seed)
     transducer = fast_transducer() if fast else default_transducer()
     tag = WiForceTag(transducer, clock_offset_ppm=20.0)

@@ -10,9 +10,10 @@ degradation"):
 * :mod:`repro.faults.inject` — the site registry and the per-process
   armed :class:`FaultInjector`; unarmed, every hook is a one-call
   no-op and results are bit-identical to an uninstrumented build.
-* :mod:`repro.faults.retry` — bounded :func:`retry_async` with
-  seeded exponential backoff, which the inference service wraps
-  around scheduler backpressure.
+* :mod:`repro.faults.retry` — bounded ``retry_async`` with seeded
+  exponential backoff, which the inference service wraps around
+  scheduler backpressure.  It is not re-exported here: it needs
+  asyncio, and callers import it from its module.
 
 The chaos harness lives in :mod:`repro.faults.chaos` (imported
 lazily — it pulls in the serve stack) and backs the
@@ -23,8 +24,11 @@ lazily — it pulls in the serve stack) and backs the
 # repro._lazy.lazy_exports: the function ``inject`` has the name of the
 # submodule that defines it, and importing that submodule binds the
 # module object to the name on this package, so a lazy table would
-# hand out the module instead of the function.  The three modules
-# imported here are on the serving path anyway.
+# hand out the module instead of the function.  Every process that
+# touches the artifact cache runs this file (``repro.cache.store``
+# imports ``repro.faults.inject``), offline campaigns included, so it
+# imports only ``inject`` and ``plan``, which need no event loop; the
+# asyncio-based retry is imported from ``repro.faults.retry``.
 from repro.faults.inject import (
     SITES,
     FaultEvent,
@@ -35,7 +39,6 @@ from repro.faults.inject import (
     validate_plan,
 )
 from repro.faults.plan import FaultPlan, FaultSpec, unit_draw
-from repro.faults.retry import RetryPolicy, retry_async
 
 __all__ = [
     "SITES",
@@ -43,11 +46,9 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
     "armed",
     "disarm",
     "inject",
-    "retry_async",
     "unit_draw",
     "validate_plan",
 ]

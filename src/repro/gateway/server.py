@@ -4,7 +4,8 @@
 in-process :class:`repro.serve.service.InferenceService`.  Routes:
 
 * ``POST /v1/estimate`` — one :class:`EstimateRequest` JSON body in,
-  one :class:`EstimateResponse` JSON body out.
+  one :class:`EstimateResponse` JSON body out; a press the reading
+  releases is pushed to the sensor's subscribers, as over the stream.
 * ``GET /v1/stream`` — WebSocket upgrade to the streaming session:
   JSON text messages ``{"type": "estimate", "request": {...}}`` are
   answered with ``{"type": "estimate", "response": {...}}``, and
@@ -157,6 +158,9 @@ class Gateway:
         self.slo_monitor = SloMonitor(default_slos())
         self._server: Optional[asyncio.AbstractServer] = None
         self._open = 0
+        #: The handler task and writer of every connection still open.
+        self._connections: Dict["asyncio.Task",
+                                asyncio.StreamWriter] = {}
         self._subscribers: Dict[str, Set[_WsConnection]] = {}
 
     # ------------------------------------------------------------------
@@ -181,10 +185,22 @@ class Gateway:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting, close every open connection, wait for their
+        handlers to finish, then close the listening socket.
+
+        A connection left open would stall the stop on Python 3.12.1+,
+        whose ``Server.wait_closed`` waits for every connection to
+        drop, and a handler still running when the event loop ends is
+        cancelled, which the loop reports as an error.
+        """
         if self._server is None:
             return
         self._server.close()
+        while self._connections:
+            handlers = set(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.wait(handlers)
         await self._server.wait_closed()
         self._server = None
 
@@ -228,6 +244,9 @@ class Gateway:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         """One TCP connection: HTTP request loop, maybe WS upgrade."""
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
+        handler.add_done_callback(self._connections.pop)
         if self._open >= self.limits.max_connections:
             self._count("gateway.connections_refused")
             self._respond(
@@ -385,6 +404,7 @@ class Gateway:
             self.telemetry.histogram(
                 "gateway.request_seconds").observe(loop.time() - start)
             self._count("gateway.responses")
+            await self._push_touch_events(estimate_request.sensor_id)
         elif path == "/v1/touch_events":
             sensor_id = request.query.get("sensor_id", "")
             if not sensor_id:

@@ -146,39 +146,37 @@ class PressureKernel:
 
 @lru_cache(maxsize=64)
 def _assembled_operator(nodes: int, dx: float, bending_stiffness: float,
-                        foundation: float
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+                        foundation: float) -> np.ndarray:
     """Assemble the FD bending operator once per (grid, EI, k_f).
 
     The operator depends only on the grid and the beam's bending
     stiffness — not on the applied load — so one assembly serves every
     ``(force, location)`` solve of a :class:`ContactMap` build *and*
     every solver instance with the same discretisation (Monte-Carlo
-    campaigns construct hundreds of them).  Returns read-only
-    ``(stencil, banded)`` arrays; per-solve mutation always happens on
+    campaigns construct hundreds of them).  The pentadiagonal stencil
+    is assembled in ``solve_banded``'s (5, n) layout: row ``2 - k``
+    holds diagonal ``k``, entry ``(i, i + k)`` in column ``i + k``.
+    Returns a read-only array; per-solve mutation always happens on
     copies.
     """
     n = int(nodes)
     coefficient = bending_stiffness / dx ** 4
-    matrix = np.zeros((n, n))
+    banded = np.zeros((5, n))
     interior = np.arange(2, n - 2)
     for offset, weight in ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0),
                            (2, 1.0)):
-        matrix[interior, interior + offset] = weight
+        banded[2 - offset, interior + offset] = weight
     # Nodes adjacent to the supports: w''=0 with w=0 at the support
     # implies the ghost value w[-1] = -w[1].
-    matrix[1, 1:4] = (5.0, -4.0, 1.0)
-    matrix[n - 2, n - 4: n - 1] = (1.0, -4.0, 5.0)
+    banded[(2, 1, 0), (1, 2, 3)] = (5.0, -4.0, 1.0)
+    banded[(4, 3, 2), (n - 4, n - 3, n - 2)] = (1.0, -4.0, 5.0)
     # Supports themselves are Dirichlet rows (w = 0).
-    matrix *= coefficient
-    inner = np.arange(1, n - 1)
-    matrix[inner, inner] += foundation
-    matrix[0, 0] = 1.0
-    matrix[n - 1, n - 1] = 1.0
-    banded = GapContactSolver._to_banded(matrix)
-    matrix.setflags(write=False)
+    banded *= coefficient
+    banded[2, 1:n - 1] += foundation
+    banded[2, 0] = 1.0
+    banded[2, n - 1] = 1.0
     banded.setflags(write=False)
-    return matrix, banded
+    return banded
 
 
 class GapContactSolver:
@@ -234,7 +232,7 @@ class GapContactSolver:
         self._foundation = float(foundation_stiffness)
         self._x = np.linspace(0.0, beam.length, self._n)
         self._dx = self._x[1] - self._x[0]
-        self._stencil, self._banded = _assembled_operator(
+        self._banded = _assembled_operator(
             self._n, float(self._dx), float(beam.bending_stiffness),
             self._foundation)
 
@@ -254,19 +252,6 @@ class GapContactSolver:
     def beam(self) -> CompositeBeam:
         """The beam being solved."""
         return self._beam
-
-    @staticmethod
-    def _to_banded(matrix: np.ndarray) -> np.ndarray:
-        """Pack the pentadiagonal stencil into solve_banded layout."""
-        n = matrix.shape[0]
-        banded = np.zeros((5, n))
-        for offset in range(-2, 3):
-            diagonal = np.diagonal(matrix, offset)
-            if offset >= 0:
-                banded[2 - offset, offset:] = diagonal
-            else:
-                banded[2 - offset, : n + offset] = diagonal
-        return banded
 
     @property
     def foundation_stiffness(self) -> float:

@@ -9,5 +9,7 @@ reader calibrates in the wireless observable; :mod:`.calibration`
 fits the noise-free sensor-port models the tests compare against.
 :mod:`.twoport` inverts the program's ABCD-to-S conversion.
 :mod:`.grid` is the exhaustive grid-search inverse the estimator's
-Gauss-Newton solver is gated against.
+Gauss-Newton solver is gated against.  :mod:`.fd_operator` assembles
+the contact solver's FD operator densely, the reference its banded
+assembly must equal bit for bit.
 """

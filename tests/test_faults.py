@@ -13,14 +13,13 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     armed,
     disarm,
     inject,
-    retry_async,
     unit_draw,
     validate_plan,
 )
+from repro.faults.retry import RetryPolicy, retry_async
 
 
 class TestUnitDraw:

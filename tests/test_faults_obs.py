@@ -14,13 +14,8 @@ import asyncio
 from pathlib import Path
 
 from repro.errors import QueueFullError
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    retry_async,
-)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.retry import RetryPolicy, retry_async
 from repro.obs import to_prometheus
 from repro.obs.registry import observed
 from repro.serve import BatchPolicy, EstimateRequest, InferenceService

@@ -30,6 +30,7 @@ from repro.core.estimator import (
 from repro.errors import ConfigurationError, ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.gateway import (
+    ConnectionClosed,
     Gateway,
     GatewayLimits,
     HandshakeRejected,
@@ -410,9 +411,9 @@ class TestStreamingParity:
 
     def test_reopened_session_pushes_presses_released_over_http(
             self, model_900):
-        """Presses a reopened session releases between two pushes (here
-        over HTTP, which pushes nothing) are all pushed by the next one:
-        the subscription's cursor restarts with the new session."""
+        """Presses a reopened session releases over HTTP are pushed as
+        they are released, indexed from 0: the subscription's cursor
+        restarts with the new session."""
         press = [(0.5, 0.4), (0.6, 0.5), (0.0, 0.0)]
 
         async def scenario():
@@ -471,6 +472,44 @@ class TestStreamingParity:
         assert len(events) == 2
         assert [push["event"] for push in after] == events
         assert [push["index"] for push in after] == [0, 1]
+
+    def test_http_estimates_push_released_presses(self, model_900):
+        """A press and its release sent over HTTP reach a WebSocket
+        subscriber with no further WebSocket traffic, as the GET list
+        has them."""
+        press = [(0.5, 0.4), (0.6, 0.5), (0.0, 0.0)]
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await client.send_json({"type": "subscribe",
+                                        "sensor_id": "s"})
+                assert (await client.recv_json())["type"] \
+                    == "subscribed"
+                for sequence, (phi1, phi2) in enumerate(press):
+                    response = await http_request(
+                        host, port, "POST", "/v1/estimate",
+                        payload=_request("s", sequence, phi1,
+                                         phi2).to_dict(),
+                        token="token-0")
+                    assert response.status == 200
+                pushed = await client.recv_json(timeout=5.0)
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET", "/v1/touch_events?sensor_id=s",
+                    token="token-0")
+                return pushed, queried
+
+        pushed, queried = asyncio.run(scenario())
+        events = queried.json()["events"]
+        assert len(events) == 1
+        assert pushed["type"] == "touch_event"
+        assert pushed["index"] == 0
+        assert pushed["event"] == events[0]
 
     def test_touch_events_unknown_sensor_404(self, model_900):
         async def scenario():
@@ -1139,6 +1178,34 @@ class TestWsProtocolSurface:
         assert snapshot["counters"]["gateway.ws_sessions"] == 1
         assert "gateway.internal_errors" \
             not in snapshot["counters"]
+
+
+class TestLifecycle:
+    def test_stop_closes_open_connections(self, model_900):
+        """Stopping with a client still connected closes its connection
+        and ends its handler, so the stop returns promptly and the
+        loop reports no error when it shuts down."""
+        errors = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context))
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            host, port = await gateway.start()
+            client = await WebSocketClient.connect(
+                host, port, token="token-0")
+            await client.send_json({"type": "ping"})
+            assert (await client.recv_json())["type"] == "pong"
+            await asyncio.wait_for(gateway.stop(), 5.0)
+            with pytest.raises(ConnectionClosed):
+                await client.recv_json(timeout=5.0)
+            await client.close()
+            return gateway
+
+        gateway = asyncio.run(scenario())
+        assert errors == []
+        assert gateway._connections == {}
 
 
 class TestClientContracts:

@@ -4,7 +4,9 @@ Every package ``__init__`` except :mod:`repro.faults` exports through
 one ``{submodule: names}`` table (:func:`repro._lazy.lazy_exports`), so
 importing a package loads none of its submodules and a process loads
 only the modules it uses.  scipy backs only the contact solve that runs
-on an artifact-cache miss, so the serving path must not import it.
+on an artifact-cache miss, so the serving path must not import it, nor
+the reader and channel simulation a served request never runs; an
+offline campaign loads neither the event loop nor the process pool.
 The surface checks run in a fresh interpreter and assert on
 ``sys.modules``, never on wall time.  A static import graph checks
 that ``src/`` holds only code a program runs: a module that only
@@ -45,6 +47,21 @@ OFFLINE = ("scipy", "repro.baselines", "repro.experiments.runners",
            "repro.experiments.montecarlo", "repro.experiments.sweeps",
            "repro.reader.fmcw", "repro.reader.uwb")
 
+#: The simulated reader and channel: a served request arrives as
+#: phases, so only the scenario builders' deployments run them.
+READER_STACK = ("repro.reader", "repro.channel", "repro.core.harmonics",
+                "repro.core.pipeline")
+
+#: What an offline campaign imports: the paper-figure runners, the
+#: Monte-Carlo campaigns and sweeps, and the artifact cache.
+CAMPAIGN = ("repro.experiments.runners", "repro.experiments.montecarlo",
+            "repro.experiments.sweeps", "repro.cache.store")
+
+#: What only serving or a sharded run needs: the event loop (with the
+#: ssl and subprocess layers asyncio loads) and the process pool.
+EVENT_LOOP_AND_POOL = ("asyncio", "ssl", "multiprocessing",
+                       "concurrent.futures.process")
+
 #: Where a program enters the package: the CLI behind ``python -m
 #: repro``, the gateway server, and every script of these directories
 #: (the examples, the end-to-end benchmark, the paper-figure and perf
@@ -65,6 +82,13 @@ def _modules_after(statements: str) -> list:
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, check=True, timeout=120)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def _under(loaded: list, packages: tuple) -> list:
+    """The modules of ``loaded`` that are, or sit under, ``packages``."""
+    return [name for name in loaded
+            if any(name == package or name.startswith(package + ".")
+                   for package in packages)]
 
 
 def _source(module: str):
@@ -241,9 +265,20 @@ class TestImportSurface:
 
     def test_serving_path_loads_no_offline_module(self):
         loaded = _modules_after("\n".join(f"import {m}" for m in SERVING))
-        assert [name for name in loaded
-                if any(name == offline or name.startswith(offline + ".")
-                       for offline in OFFLINE)] == []
+        assert _under(loaded, OFFLINE) == []
+
+    def test_serving_path_loads_no_reader_stack(self):
+        """Sessions, the tracker and the scenario builders name the
+        reader types only in annotations or inside the function that
+        builds a deployment."""
+        loaded = _modules_after("\n".join(f"import {m}" for m in SERVING))
+        assert _under(loaded, READER_STACK) == []
+
+    def test_campaign_loads_no_event_loop_or_process_pool(self):
+        """The async retry is imported from its own module, and the
+        pool machinery loads on the first sharded run."""
+        loaded = _modules_after("\n".join(f"import {m}" for m in CAMPAIGN))
+        assert _under(loaded, EVENT_LOOP_AND_POOL) == []
 
     def test_every_module_is_reached_from_an_entry_point(self):
         """A module only tests import is a test oracle or dead code."""

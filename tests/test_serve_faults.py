@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.estimator import ForceLocationEstimator
 from repro.errors import QueueFullError
-from repro.faults import FaultPlan, FaultSpec, RetryPolicy, inject
+from repro.faults import FaultPlan, FaultSpec, inject
+from repro.faults.retry import RetryPolicy
 from repro.obs.registry import observed
 from repro.serve import (
     BatchPolicy,
