@@ -253,9 +253,10 @@ class Histogram:
 class Span:
     """A trace span (context manager) with parent/child structure.
 
-    Measures wall-clock duration with ``perf_counter`` and hands one
-    event dict back to its registry on exit (which forwards it to the
-    sink, the flight recorder, and a per-stage histogram).
+    Measures wall-clock duration with ``perf_counter`` and hands
+    itself back to its registry on exit, which records it in a
+    per-stage histogram and the flight recorder, and renders its event
+    dict for a sink that is not the :class:`NullSink`.
 
     On entry the span resolves its :class:`repro.obs.trace.TraceContext`
     — an explicit ``context`` wins, else a child of the explicit

@@ -8,6 +8,12 @@ a ``gateway.internal_errors`` increment or a chaos-harness crash — the
 ring is dumped as JSONL so the events *leading up to* the failure
 survive for post-mortem.
 
+A span exit is kept as one flat tuple (:meth:`FlightRecorder.record_span`),
+not a dict: the event dict is rendered only when something reads it —
+:meth:`FlightRecorder.snapshot`, :meth:`FlightRecorder.dump`, or a
+registry sink that is not the ``NullSink`` (:func:`span_event`).  Log
+and fault events are stored as the dicts they render to.
+
 Dump format: line one is a header
 (``{"kind": "header", "schema": 1, "reason": ..., "pid": ...,
 "created_unix": ..., "events": N}``), then one JSON object per event
@@ -25,18 +31,27 @@ Dumps are opt-in: they go to an explicit directory
 only when ``REPRO_RECORDER`` is truthy — ``./flight-recordings``.
 With none of those set, triggers still record the wide event but
 write nothing, so test suites that intentionally provoke failures do
-not litter the working tree.
+not litter the working tree.  A dump that cannot be written logs one
+warning and returns ``None``: the gateway dumps from its zero-crash
+boundary, before it answers the failed request.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from collections import deque
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+
+if TYPE_CHECKING:
+    from repro.obs.instruments import Span
+
+logger = logging.getLogger(__name__)
 
 #: Directory for automatic dumps (setting it enables them).
 RECORDER_DIR_ENV = "REPRO_RECORDER_DIR"
@@ -64,6 +79,54 @@ def _slug(text: str) -> str:
     return "-".join(part for part in cleaned.split("-") if part) or "dump"
 
 
+#: A span record is ``(seq, name, duration_s, error, error_message,
+#: trace_id, span_id, parent_span_id, start_unix, link_ids)`` followed
+#: by the attribute keys and values, alternating.  The trace fields
+#: are ``None`` for an unsampled span; ``link_ids`` alternates the
+#: trace and span IDs of its sampled links.
+_SPAN_HEAD = 10
+
+_UNSAMPLED = (None, None, None, None, ())
+
+
+def span_event(record: tuple) -> dict:
+    """The event dict of one span record, without ``seq`` or ``kind``
+    (what a registry sink receives)."""
+    (_, name, duration_s, error, message, trace_id, span_id,
+     parent_span_id, start_unix, link_ids) = record[:_SPAN_HEAD]
+    event = {
+        "span": name,
+        "duration_s": duration_s,
+        "status": "ok" if error is None else "error",
+        "error": error,
+    }
+    if error is not None:
+        event["error_message"] = message
+    if trace_id is not None:
+        event["trace_id"] = trace_id
+        event["span_id"] = span_id
+        event["parent_span_id"] = parent_span_id
+        event["start_unix"] = start_unix
+        if link_ids:
+            event["links"] = [{"trace_id": link_ids[index],
+                               "span_id": link_ids[index + 1]}
+                              for index in range(0, len(link_ids), 2)]
+    attributes = record[_SPAN_HEAD:]
+    for index in range(0, len(attributes), 2):
+        event[attributes[index]] = attributes[index + 1]
+    return event
+
+
+def _render(entry) -> dict:
+    """One ring entry as its event dict (a fresh copy)."""
+    if type(entry) is dict:
+        return dict(entry)
+    event = {"seq": entry[0]}
+    event.update(span_event(entry))
+    event["kind"] = "span"
+    return event
+
+
 class FlightRecorder:
     """Bounded ring buffer of recent events with JSONL dumps.
 
@@ -81,8 +144,9 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self.directory = Path(directory) if directory is not None else None
         self.max_dumps = int(max_dumps)
-        self.dumps: List[Path] = []
-        self._events: "deque[dict]" = deque(maxlen=self.capacity)
+        self._dumps_spent = 0
+        self._events: "deque[Union[dict, tuple]]" = deque(
+            maxlen=self.capacity)
         self._sequence = 0
 
     def __len__(self) -> int:
@@ -101,8 +165,36 @@ class FlightRecorder:
         event["kind"] = kind
         self._events.append(event)
 
+    def record_span(self, span: "Span",
+                    exc: Optional[BaseException]) -> tuple:
+        """Append one exited span as a flat record and return it.
+
+        The attributes are copied into the record at exit, as the
+        event dict used to copy them; no dict is built here.
+        """
+        self._sequence += 1
+        if exc is None:
+            error = message = None
+        else:
+            error, message = type(exc).__name__, str(exc)
+        context = span.context
+        if context is not None and context.sampled:
+            trace_fields = (context.trace_id, context.span_id,
+                            span.parent_span_id, span.start_unix,
+                            tuple(chain.from_iterable(
+                                (link.trace_id, link.span_id)
+                                for link in span.links if link.sampled)))
+        else:
+            trace_fields = _UNSAMPLED
+        record = (self._sequence, span.name, span.duration_s, error,
+                  message, *trace_fields,
+                  *chain.from_iterable(span.attributes.items()))
+        self._events.append(record)
+        return record
+
     def record_span_event(self, event: dict) -> None:
-        """Feed one registry span event into the ring."""
+        """Feed one span event dict into the ring (what campaign
+        workers ship home)."""
         self.record("span", event)
 
     def note(self, event: str, **fields) -> None:
@@ -125,8 +217,9 @@ class FlightRecorder:
         self.record("fault", payload)
 
     def snapshot(self) -> List[dict]:
-        """The current ring contents, oldest first (copies)."""
-        return [dict(event) for event in self._events]
+        """The current ring contents as event dicts, oldest first
+        (fresh copies)."""
+        return [_render(entry) for entry in self._events]
 
     def clear(self) -> None:
         """Drop all buffered events (the sequence keeps counting)."""
@@ -148,17 +241,19 @@ class FlightRecorder:
     def dump(self, reason: str,
              directory: Optional[Union[str, Path]] = None
              ) -> Optional[Path]:
-        """Write the ring as JSONL; returns the path (None if gated).
+        """Write the ring as JSONL; returns the path (None if not written).
 
-        ``None`` means dumps are disabled (no directory resolved) or
-        this recorder already spent its ``max_dumps`` budget.
+        ``None`` means dumps are disabled (no directory resolved), this
+        recorder already spent its ``max_dumps`` budget, or the write
+        failed.  A failed write logs one warning and spends one dump of
+        the budget, so a crash loop stops retrying a broken disk.
         """
         target = self._resolve_directory(directory)
-        if target is None or len(self.dumps) >= self.max_dumps:
+        if target is None or self._dumps_spent >= self.max_dumps:
             return None
-        target.mkdir(parents=True, exist_ok=True)
         name = (f"flight-{_slug(reason)}-{os.getpid()}-"
-                f"{len(self.dumps):03d}.jsonl")
+                f"{self._dumps_spent:03d}.jsonl")
+        self._dumps_spent += 1
         path = target / name
         header = {
             "kind": "header",
@@ -169,10 +264,15 @@ class FlightRecorder:
             "events": len(self._events),
         }
         lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(event, sort_keys=True, default=str)
-                     for event in self._events)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.dumps.append(path)
+        lines.extend(json.dumps(_render(entry), sort_keys=True, default=str)
+                     for entry in self._events)
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            logger.warning("flight-recorder dump %r not written to %s: "
+                           "%s", reason, target, exc)
+            return None
         return path
 
     def trigger(self, reason: str, **fields) -> Optional[Path]:

@@ -34,7 +34,7 @@ from repro.obs.instruments import (
     Span,
     TelemetrySink,
 )
-from repro.obs.recorder import flight_recorder
+from repro.obs.recorder import flight_recorder, span_event
 
 #: Environment variable that turns observation on at CLI startup.
 OBS_ENV = "REPRO_OBS"
@@ -90,8 +90,10 @@ class Registry:
 
         On exit the span's duration lands in the per-stage histogram
         ``span.<name>.seconds`` (how per-stage latency stats survive
-        into snapshots) and one event dict goes to the sink and the
-        flight recorder.  ``context`` / ``parent`` / ``links`` pin the
+        into snapshots) and one flat record goes to the flight
+        recorder; the span's event dict is built only for a sink that
+        is not the :class:`NullSink`, or when the recorder is read.
+        ``context`` / ``parent`` / ``links`` pin the
         span's place in the trace tree explicitly; by default it
         nests under the ambient :func:`repro.obs.trace.current_context`.
         """
@@ -100,31 +102,14 @@ class Registry:
 
     def _record_span(self, span: Span, exc: Optional[BaseException]
                      ) -> None:
-        """Span exit hook: emit the event, keep the stage histogram."""
+        """Span exit hook: keep the stage histogram, append the span's
+        flat record to the flight recorder, and render its event dict
+        only for a sink that keeps it."""
         self.histogram(f"span.{span.name}.seconds").observe(
             span.duration_s)
-        event = {
-            "span": span.name,
-            "duration_s": span.duration_s,
-            "status": "ok" if exc is None else "error",
-            "error": None if exc is None else type(exc).__name__,
-        }
-        if exc is not None:
-            event["error_message"] = str(exc)
-        context = span.context
-        if context is not None and context.sampled:
-            event["trace_id"] = context.trace_id
-            event["span_id"] = context.span_id
-            event["parent_span_id"] = span.parent_span_id
-            event["start_unix"] = span.start_unix
-            links = [{"trace_id": link.trace_id,
-                      "span_id": link.span_id}
-                     for link in span.links if link.sampled]
-            if links:
-                event["links"] = links
-        event.update(span.attributes)
-        self.sink.emit(event)
-        flight_recorder().record_span_event(event)
+        record = flight_recorder().record_span(span, exc)
+        if not isinstance(self.sink, NullSink):
+            self.sink.emit(span_event(record))
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one.

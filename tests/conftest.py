@@ -101,3 +101,12 @@ def composite_beam():
 def rng():
     """Deterministic random source per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def unwritable_directory(tmp_path):
+    """A directory path under a regular file: creating it fails even
+    for root, which file permissions would not stop."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    return blocker / "dumps"

@@ -11,5 +11,6 @@ fits the noise-free sensor-port models the tests compare against.
 :mod:`.grid` is the exhaustive grid-search inverse the estimator's
 Gauss-Newton solver is gated against.  :mod:`.fd_operator` assembles
 the contact solver's FD operator densely, the reference its banded
-assembly must equal bit for bit.
+assembly must equal bit for bit.  :mod:`.span_events` builds the span
+event dicts that the flight recorder's flat span records must render.
 """

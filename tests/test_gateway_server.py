@@ -39,6 +39,7 @@ from repro.gateway import (
     TokenBucket,
     WebSocketClient,
 )
+from repro.obs.recorder import RECORDER_DIR_ENV, recording
 from repro.serve import (
     BatchPolicy,
     EstimateRequest,
@@ -134,6 +135,52 @@ def _strict_json(data):
         raise AssertionError(f"non-strict JSON token {token!r} on the wire")
 
     return json.loads(data, parse_constant=refuse)
+
+
+def _assert_http_internal_error(model):
+    """POST one estimate that inverts to NaN: a strict-JSON 500, one
+    counted internal error, and the gateway keeps serving."""
+    async def scenario():
+        gateway = Gateway(_service(model), tenants=TenantTable(_tenants(1)))
+        async with gateway:
+            host, port = gateway.address
+            response = await http_request(
+                host, port, "POST", "/v1/estimate",
+                payload=_request("s", 0).to_dict(), token="token-0")
+            health = await http_request(host, port, "GET", "/healthz")
+            return response, health, _internal_errors(gateway)
+
+    response, health, internal_errors = asyncio.run(scenario())
+    assert response.status == 500
+    assert _strict_json(response.body) == {"error": "internal gateway error"}
+    assert health.status == 200
+    assert internal_errors == 1
+
+
+def _assert_ws_internal_error(model):
+    """Send one WS estimate that inverts to NaN: a strict-JSON
+    ``internal`` envelope, one counted internal error, and the
+    connection keeps serving."""
+    async def scenario():
+        gateway = Gateway(_service(model), tenants=TenantTable(_tenants(1)))
+        async with gateway:
+            host, port = gateway.address
+            client = await WebSocketClient.connect(host, port,
+                                                   token="token-0")
+            await client.send_json({"type": "estimate",
+                                    "request": _request("s", 0).to_dict()})
+            frame = await asyncio.wait_for(client._recv_frame(), 5.0)
+            await client.send_json({"type": "ping"})
+            pong = await client.recv_json(5.0)
+            await client.close()
+            return frame, pong, _internal_errors(gateway)
+
+    frame, pong, internal_errors = asyncio.run(scenario())
+    error = _strict_json(frame.payload)
+    assert (error["type"], error["code"]) == ("error", "internal")
+    assert (error["sensor_id"], error["sequence"]) == ("s", 0)
+    assert pong["type"] == "pong"
+    assert internal_errors == 1
 
 
 class TestStreamingParity:
@@ -809,25 +856,19 @@ class TestHttpSurface:
         """A NaN estimate answers 500 in strict JSON and is counted."""
         monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
                             _nan_batch)
+        _assert_http_internal_error(model_900)
 
-        async def scenario():
-            gateway = Gateway(_service(model_900),
-                              tenants=TenantTable(_tenants(1)))
-            async with gateway:
-                host, port = gateway.address
-                response = await http_request(
-                    host, port, "POST", "/v1/estimate",
-                    payload=_request("s", 0).to_dict(), token="token-0")
-                health = await http_request(host, port, "GET",
-                                            "/healthz")
-                return response, health, _internal_errors(gateway)
-
-        response, health, internal_errors = asyncio.run(scenario())
-        assert response.status == 500
-        assert _strict_json(response.body) == {
-            "error": "internal gateway error"}
-        assert health.status == 200
-        assert internal_errors == 1
+    def test_unwritable_dump_directory_still_answers_500(
+            self, model_900, monkeypatch, unwritable_directory):
+        """The flight-recorder dump at the zero-crash boundary fails,
+        and the client still gets its 500."""
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            _nan_batch)
+        monkeypatch.setenv(RECORDER_DIR_ENV, str(unwritable_directory))
+        with recording() as recorder:
+            _assert_http_internal_error(model_900)
+        assert [event["event"] for event in recorder.snapshot()
+                if event["kind"] == "log"] == ["gateway.internal_errors"]
 
     def test_out_of_span_hint_400_spares_its_batch(self, model_900):
         async def scenario():
@@ -1005,29 +1046,19 @@ class TestWsProtocolSurface:
         JSON, is counted, and the connection keeps serving."""
         monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
                             _nan_batch)
+        _assert_ws_internal_error(model_900)
 
-        async def scenario():
-            gateway = Gateway(_service(model_900),
-                              tenants=TenantTable(_tenants(1)))
-            async with gateway:
-                host, port = gateway.address
-                client = await WebSocketClient.connect(
-                    host, port, token="token-0")
-                await client.send_json({"type": "estimate",
-                                        "request": _request("s", 0)
-                                        .to_dict()})
-                frame = await asyncio.wait_for(client._recv_frame(), 5.0)
-                await client.send_json({"type": "ping"})
-                pong = await client.recv_json(5.0)
-                await client.close()
-                return frame, pong, _internal_errors(gateway)
-
-        frame, pong, internal_errors = asyncio.run(scenario())
-        error = _strict_json(frame.payload)
-        assert (error["type"], error["code"]) == ("error", "internal")
-        assert (error["sensor_id"], error["sequence"]) == ("s", 0)
-        assert pong["type"] == "pong"
-        assert internal_errors == 1
+    def test_unwritable_dump_directory_still_answers_internal(
+            self, model_900, monkeypatch, unwritable_directory):
+        """The flight-recorder dump at the zero-crash boundary fails,
+        and the client still gets its ``internal`` envelope."""
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            _nan_batch)
+        monkeypatch.setenv(RECORDER_DIR_ENV, str(unwritable_directory))
+        with recording() as recorder:
+            _assert_ws_internal_error(model_900)
+        assert [event["event"] for event in recorder.snapshot()
+                if event["kind"] == "log"] == ["gateway.internal_errors"]
 
     def test_error_envelope_echo_is_strict_json(self, model_900):
         """An ``Infinity`` sequence is refused without being echoed back

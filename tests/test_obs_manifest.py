@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+
+import pytest
 
 from repro.obs import (
     SCHEMA_VERSION,
@@ -15,9 +19,24 @@ from repro.obs import (
 
 
 class TestGitSha:
-    def test_resolves_in_this_repo(self):
-        sha = git_sha()
-        assert sha != "unknown"
+    def test_resolves_in_this_repo(self, tmp_path):
+        """A throwaway repository, so the test also passes from a source
+        export that has no ``.git``."""
+        if shutil.which("git") is None:
+            pytest.skip("no git executable")
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=repro", "-c",
+                 "user.email=repro@example.invalid", "-c",
+                 "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "empty")
+        sha = git_sha(tmp_path)
+        assert sha == git("rev-parse", "HEAD")
         assert len(sha) == 40
         int(sha, 16)  # hex
 
