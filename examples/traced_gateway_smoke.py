@@ -86,7 +86,7 @@ def main(argv=None):
     with observed(sink=MemorySink()) as registry:
         service = InferenceService(
             policy=BatchPolicy(max_batch=4, max_delay_s=0.001),
-            model_factory=lambda config: model, registry=registry)
+            model_factory=lambda config: model)
         tenants = TenantTable([Tenant(name="smoke",
                                       token="smoke-token")])
 

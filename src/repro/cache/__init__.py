@@ -29,6 +29,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "keys": ("KEY_SCHEMA_VERSION", "canonicalize", "key_digest"),
     "store": ("ArtifactCache", "CACHE_DIR_ENV", "CACHE_ENV", "CacheConfig",
-              "CacheStats", "FORMAT_VERSION", "clear", "config_from_env",
-              "directory_stats", "get_cache", "prune"),
+              "FORMAT_VERSION", "clear", "config_from_env", "directory_stats",
+              "get_cache", "prune"),
 })

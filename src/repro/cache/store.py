@@ -17,12 +17,12 @@ In front of the disk tier sits a bounded in-memory LRU holding the
 *encoded* payloads; the ``decode`` hook runs on every hit so callers
 always receive a fresh object they may mutate freely.
 
-All cache activity is recorded twice: on the instance's
-:class:`CacheStats` (always on — what ``repro cache stats`` prints for
-the live process) and, when observation is enabled, on the shared
-:mod:`repro.obs` registry (``cache.*`` counters plus a
-``cache.load_seconds`` histogram), so campaign and bench manifests
-carry hit rates with zero extra plumbing.
+When observation is enabled, cache activity is recorded on the shared
+:mod:`repro.obs` registry (``cache.*`` counters plus
+``cache.load_seconds`` and ``cache.store_seconds`` histograms), so
+campaign and bench manifests carry hit rates with zero extra plumbing.
+``repro cache stats`` prints :func:`directory_stats`, the on-disk
+entry counts and sizes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import pickle
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -63,24 +63,6 @@ _SUFFIX = ".pkl"
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass
-class CacheStats:
-    """Per-process cache activity counters (always recorded)."""
-
-    requests: int = 0
-    hits: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    errors: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (stable key order)."""
-        return asdict(self)
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -128,7 +110,6 @@ class ArtifactCache:
         self.directory = Path(directory)
         self.enabled = bool(enabled)
         self.memory_entries = int(memory_entries)
-        self.stats = CacheStats()
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
 
     # -- public API -----------------------------------------------------
@@ -163,22 +144,15 @@ class ArtifactCache:
         start = time.perf_counter()
         payload, tier = self._load(namespace, digest)
         obs = active()
-        self.stats.requests += 1
         if obs is not None:
             obs.counter("cache.requests").increment()
         if tier is not None:
-            elapsed = time.perf_counter() - start
-            self.stats.hits += 1
-            if tier == "memory":
-                self.stats.memory_hits += 1
-            else:
-                self.stats.disk_hits += 1
             if obs is not None:
                 obs.counter("cache.hits").increment()
                 obs.counter(f"cache.{tier}_hits").increment()
-                obs.histogram("cache.load_seconds").observe(elapsed)
+                obs.histogram("cache.load_seconds").observe(
+                    time.perf_counter() - start)
             return decode(payload) if decode is not None else payload
-        self.stats.misses += 1
         if obs is not None:
             obs.counter("cache.misses").increment()
         value = compute()
@@ -233,7 +207,6 @@ class ArtifactCache:
         if not ok:
             # Truncated or corrupt artifact: count it, drop the file so
             # the rewrite below is clean, and recompute.
-            self.stats.errors += 1
             obs = active()
             if obs is not None:
                 obs.counter("cache.errors").increment()
@@ -243,7 +216,6 @@ class ArtifactCache:
             except OSError:
                 pass
             return None, None
-        self.stats.bytes_read += len(raw)
         obs = active()
         if obs is not None:
             obs.counter("cache.bytes_read").increment(len(raw))
@@ -258,7 +230,9 @@ class ArtifactCache:
         try:
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            self.stats.errors += 1
+            obs = active()
+            if obs is not None:
+                obs.counter("cache.errors").increment()
             logger.warning("cache payload for %s/%s is not picklable; "
                            "kept in memory only", namespace, digest[:12])
             return
@@ -270,7 +244,6 @@ class ArtifactCache:
             os.replace(temp, path)
         except OSError as exc:
             # An unwritable disk degrades the cache to memory-only.
-            self.stats.errors += 1
             obs = active()
             if obs is not None:
                 obs.counter("cache.errors").increment()
@@ -281,8 +254,6 @@ class ArtifactCache:
             except OSError:
                 pass
             return
-        self.stats.writes += 1
-        self.stats.bytes_written += len(raw)
         obs = active()
         if obs is not None:
             obs.counter("cache.writes").increment()

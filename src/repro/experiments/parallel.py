@@ -417,11 +417,6 @@ class CampaignExecutor:
         obs.counter("campaign.trials").increment(len(execution.results))
         if execution.fallback_reason:
             obs.counter("campaign.serial_fallbacks").increment()
-        trial_hist = obs.histogram("campaign.trial_seconds")
-        for seconds in execution.trial_seconds:
-            trial_hist.observe(seconds)
-        obs.histogram("campaign.wall_seconds").observe(
-            execution.wall_seconds)
         busy = sum(execution.trial_seconds)
         capacity = execution.workers * execution.wall_seconds
         if capacity > 0.0:

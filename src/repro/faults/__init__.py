@@ -1,6 +1,6 @@
 """``repro.faults`` — deterministic fault injection and degradation.
 
-Three layers (see DESIGN.md, "Fault injection & graceful
+Two layers (see DESIGN.md, "Fault injection & graceful
 degradation"):
 
 * :mod:`repro.faults.plan` — declarative, seeded
@@ -10,14 +10,12 @@ degradation"):
 * :mod:`repro.faults.inject` — the site registry and the per-process
   armed :class:`FaultInjector`; unarmed, every hook is a one-call
   no-op and results are bit-identical to an uninstrumented build.
-* :mod:`repro.faults.retry` — bounded ``retry_async`` with seeded
-  exponential backoff, which the inference service wraps around
-  scheduler backpressure.  It is not re-exported here: it needs
-  asyncio, and callers import it from its module.
 
-The chaos harness lives in :mod:`repro.faults.chaos` (imported
-lazily — it pulls in the serve stack) and backs the
-``python -m repro chaos`` CLI.
+The degradation paths live with their consumers: the inference
+service, for one, retries scheduler backpressure twice after fixed
+delays (:data:`repro.serve.service.RETRY_DELAYS_S`).  The chaos
+harness lives in :mod:`repro.faults.chaos` (imported lazily — it
+pulls in the serve stack) and backs the ``python -m repro chaos`` CLI.
 """
 
 # The one package that exports eagerly instead of through
@@ -27,8 +25,7 @@ lazily — it pulls in the serve stack) and backs the
 # hand out the module instead of the function.  Every process that
 # touches the artifact cache runs this file (``repro.cache.store``
 # imports ``repro.faults.inject``), offline campaigns included, so it
-# imports only ``inject`` and ``plan``, which need no event loop; the
-# asyncio-based retry is imported from ``repro.faults.retry``.
+# imports only ``inject`` and ``plan``, which need no event loop.
 from repro.faults.inject import (
     SITES,
     FaultEvent,

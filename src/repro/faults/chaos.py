@@ -29,7 +29,6 @@ from typing import List, Optional, Union
 from repro.errors import QueueFullError, ServeError
 from repro.faults.inject import inject
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.retry import RetryPolicy
 from repro.obs.manifest import stamp_report
 from repro.obs.recorder import recording
 from repro.obs.registry import observed
@@ -200,7 +199,6 @@ def run_chaos(plan: Optional[FaultPlan] = None,
               profile: Optional[LoadProfile] = None,
               seed: Optional[int] = None,
               model_factory: Optional[ModelFactory] = None,
-              retry_policy: Optional[RetryPolicy] = None,
               transport: str = "inprocess") -> dict:
     """Run the serve campaign under ``plan``; returns the report.
 
@@ -210,7 +208,6 @@ def run_chaos(plan: Optional[FaultPlan] = None,
         seed: Overrides the plan seed (``repro chaos --seed``), so one
             committed plan file replays under many seeds.
         model_factory: Config -> model override for the session cache.
-        retry_policy: Service-side backpressure retry budget.
         transport: ``"inprocess"`` calls the service directly (the
             default); ``"gateway"`` routes every request through a
             real loopback :class:`repro.gateway.Gateway` socket, so
@@ -241,9 +238,7 @@ def run_chaos(plan: Optional[FaultPlan] = None,
     )
     with recording() as recorder, observed() as registry:
         service = InferenceService(policy=policy,
-                                   model_factory=model_factory,
-                                   registry=registry,
-                                   retry_policy=retry_policy)
+                                   model_factory=model_factory)
         estimator = service.sessions.estimator(profile.config)
         requests = generate_requests(estimator.model, profile)
         with inject(plan) as injector:

@@ -14,7 +14,7 @@ in-process :class:`repro.serve.service.InferenceService`.  Routes:
   ``{"type": "touch_event", ...}`` messages as presses complete.
 * ``GET /v1/touch_events?sensor_id=...`` — every touch event since
   the session opened, the press still held included.
-* ``GET /healthz`` / ``GET /metrics`` — liveness and the shared
+* ``GET /healthz`` / ``GET /metrics`` — liveness and the process
   registry in Prometheus text format (unauthenticated; everything
   else requires a tenant credential).
 
@@ -60,6 +60,7 @@ from repro.gateway.auth import Tenant, TenantTable
 from repro.gateway.http import GatewayLimits, HttpRequest
 from repro.obs import trace
 from repro.obs.recorder import flight_recorder
+from repro.obs.registry import process_registry
 from repro.obs.slo import SloMonitor, default_slos
 from repro.serve.protocol import EstimateRequest, wire_id, wire_int
 from repro.serve.service import InferenceService
@@ -149,7 +150,6 @@ class Gateway:
                  host: str = "127.0.0.1", port: int = 0,
                  limits: Optional[GatewayLimits] = None):
         self.service = service
-        self.telemetry = service.telemetry
         self.tenants = (tenants if tenants is not None
                         else TenantTable(allow_anonymous=True))
         self.limits = limits if limits is not None else GatewayLimits()
@@ -220,8 +220,9 @@ class Gateway:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        self.telemetry.counter(name).increment()
+    @staticmethod
+    def _count(name: str) -> None:
+        process_registry().counter(name).increment()
 
     def _internal_error(self, where: str) -> None:
         """The zero-crash boundary tripped: count it and dump the
@@ -257,7 +258,7 @@ class Gateway:
             return
         self._open += 1
         self._count("gateway.connections")
-        self.telemetry.gauge("gateway.open_connections").set(self._open)
+        process_registry().gauge("gateway.open_connections").set(self._open)
         try:
             await self._request_loop(reader, writer)
         except (ConnectionError, TimeoutError):
@@ -267,7 +268,7 @@ class Gateway:
             logger.exception("unhandled error on gateway connection")
         finally:
             self._open -= 1
-            self.telemetry.gauge("gateway.open_connections").set(
+            process_registry().gauge("gateway.open_connections").set(
                 self._open)
             await self._close_writer(writer)
 
@@ -305,13 +306,13 @@ class Gateway:
         remote = trace.parse_traceparent(
             request.header("traceparent") or None)
         context = trace.request_context(remote)
-        with self.telemetry.span(
+        with process_registry().span(
                 "gateway.request",
                 {"path": path, "method": request.method},
                 context=context, parent=remote):
             if path == "/healthz":
                 statuses = self.slo_monitor.observe(
-                    self.telemetry.snapshot())
+                    process_registry().snapshot())
                 healthy = all(status["ok"] and not status["alerting"]
                               for status in statuses)
                 self._respond(writer, 200, {
@@ -322,7 +323,7 @@ class Gateway:
             elif path == "/metrics":
                 from repro.obs.exporters import to_prometheus
 
-                body = to_prometheus(self.telemetry.snapshot()).encode()
+                body = to_prometheus(process_registry().snapshot()).encode()
                 writer.write(http.render_response(
                     200, body,
                     content_type="text/plain; version=0.0.4",
@@ -368,7 +369,6 @@ class Gateway:
                 }, context, headers={"retry-after": "1"},
                     close=wants_close)
                 return
-            start = loop.time()
             try:
                 estimate_request = EstimateRequest.from_json(
                     request.body.decode("utf-8", errors="replace"))
@@ -401,8 +401,6 @@ class Gateway:
                               {"error": "internal gateway error"},
                               context, close=wants_close)
                 return
-            self.telemetry.histogram(
-                "gateway.request_seconds").observe(loop.time() - start)
             self._count("gateway.responses")
             await self._push_touch_events(estimate_request.sensor_id)
         elif path == "/v1/touch_events":
@@ -608,8 +606,6 @@ class Gateway:
         value, a fresh root otherwise — and every reply (estimate or
         error envelope) echoes its ``trace_id``.
         """
-        loop = asyncio.get_running_loop()
-        start = loop.time()
         remote = trace.parse_traceparent(message.get("traceparent"))
         context = trace.request_context(remote)
         payload = message.get("request")
@@ -622,7 +618,8 @@ class Gateway:
                 if isinstance(value, (str, int)) or (
                         isinstance(value, float) and math.isfinite(value)):
                     echo[key] = value
-        if not self.tenants.admit(conn.tenant, start):
+        if not self.tenants.admit(conn.tenant,
+                                  asyncio.get_running_loop().time()):
             self._count("gateway.rate_limited")
             await conn.send_json(dict(echo, **{
                 "type": "error", "code": "quota",
@@ -630,7 +627,7 @@ class Gateway:
                 "error": f"tenant {conn.tenant.name!r} exceeded its "
                          "request quota"}))
             return
-        with self.telemetry.span(
+        with process_registry().span(
                 "gateway.request",
                 {"path": "/v1/stream", "method": "WS"},
                 context=context, parent=remote):
@@ -668,8 +665,6 @@ class Gateway:
                     "type": "error", "code": "internal",
                     "error": "internal gateway error"}))
                 return
-        self.telemetry.histogram("gateway.request_seconds").observe(
-            loop.time() - start)
         self._count("gateway.responses")
         await self._push_touch_events(request.sensor_id)
 

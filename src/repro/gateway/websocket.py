@@ -96,9 +96,10 @@ def _apply_mask(payload: bytes, key: bytes) -> bytes:
                 len(payload), "big")
 
 
-def encode_frame(opcode: int, payload: bytes = b"", fin: bool = True,
+def encode_frame(opcode: int, payload: bytes = b"",
                  mask_key: Optional[bytes] = None) -> bytes:
-    """Serialize one frame; ``mask_key`` (4 bytes) masks client->server.
+    """Serialize one final (unfragmented) frame; ``mask_key`` (4 bytes)
+    masks client->server.
 
     Raises:
         ProtocolError: Unknown opcode, oversized control payload, or a
@@ -113,7 +114,7 @@ def encode_frame(opcode: int, payload: bytes = b"", fin: bool = True,
     if mask_key is not None and len(mask_key) != 4:
         raise ProtocolError("mask key must be exactly 4 bytes")
     head = bytearray()
-    head.append((0x80 if fin else 0x00) | opcode)
+    head.append(0x80 | opcode)
     mask_bit = 0x80 if mask_key is not None else 0x00
     length = len(payload)
     if length <= 125:

@@ -29,7 +29,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "recorder": ("FlightRecorder", "flight_recorder", "recording",
                  "set_flight_recorder"),
     "registry": ("Registry", "active", "disable", "enable", "enable_from_env",
-                 "is_enabled", "maybe_span", "observed", "set_registry"),
+                 "is_enabled", "maybe_span", "observed", "process_registry",
+                 "set_registry"),
     "slo": ("Slo", "SloMonitor", "default_slos"),
     "trace": ("TraceContext", "current_context", "current_traceparent",
               "new_trace_id", "parse_traceparent", "trace_sampled"),

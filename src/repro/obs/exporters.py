@@ -15,7 +15,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _metric_name(name: str, prefix: str) -> str:
-    """``serve.latency_seconds`` -> ``repro_serve_latency_seconds``."""
+    """``serve.queue_seconds`` -> ``repro_serve_queue_seconds``."""
     sanitized = _NAME_RE.sub("_", name)
     if prefix:
         sanitized = f"{prefix}_{sanitized}"

@@ -20,17 +20,17 @@ ROOT_LOGGER = "repro"
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
 
 
-def configure_logging(level: Union[int, str] = "warning",
-                      stream=None) -> logging.Logger:
+def configure_logging(level: Union[int, str] = "warning"
+                      ) -> logging.Logger:
     """Point the ``repro`` hierarchy at one stderr handler.
 
     Idempotent: repeated calls reconfigure the same handler instead of
-    stacking duplicates.  Returns the root ``repro`` logger.
+    stacking duplicates.  Returns the root ``repro`` logger.  The
+    handler writes to ``sys.stderr`` so CLI stdout stays
+    machine-parseable.
 
     Args:
         level: Name (``"debug"`` .. ``"critical"``) or numeric level.
-        stream: Handler target; default ``sys.stderr`` so CLI stdout
-            stays machine-parseable.
     """
     if isinstance(level, str):
         resolved = logging.getLevelName(level.upper())
@@ -40,8 +40,7 @@ def configure_logging(level: Union[int, str] = "warning",
     logger = logging.getLogger(ROOT_LOGGER)
     logger.setLevel(level)
     logger.propagate = False
-    handler = logging.StreamHandler(
-        stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(_FORMAT))
     for existing in list(logger.handlers):
         logger.removeHandler(existing)

@@ -297,17 +297,15 @@ def set_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
 
 
 @contextmanager
-def recording(capacity: int = DEFAULT_CAPACITY,
-              directory: Optional[Union[str, Path]] = None,
-              max_dumps: int = DEFAULT_MAX_DUMPS
+def recording(capacity: int = DEFAULT_CAPACITY
               ) -> Iterator[FlightRecorder]:
     """Scope a fresh process-wide recorder for one ``with`` block.
 
     What the chaos harness (and tests) use so one run's ring cannot
-    leak stale events into another run's dump.
+    leak stale events into another run's dump.  Its dumps go where the
+    environment points them, at most :data:`DEFAULT_MAX_DUMPS`.
     """
-    fresh = FlightRecorder(capacity=capacity, directory=directory,
-                           max_dumps=max_dumps)
+    fresh = FlightRecorder(capacity=capacity)
     previous = set_flight_recorder(fresh)
     try:
         yield fresh

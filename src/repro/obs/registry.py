@@ -7,14 +7,18 @@ estimator, tracker, campaign executor, inference service — record
 into the same place, so a single snapshot observes everything from a
 single sensor press to a million-request load test.
 
-Observation is **off by default**: instrumented code calls
-:func:`active`, gets ``None``, and skips all instrument work — one
-function call and a branch of overhead (asserted < 5% on
-``invert_batch`` in ``benchmarks/test_perf_estimator.py``).  Turn it
-on globally with :func:`enable` (or ``REPRO_OBS=1`` via
-:func:`enable_from_env`), or scoped with the :func:`observed` context
-manager, which swaps in a fresh registry and restores the previous
-state on exit (what tests and the benchmark harnesses use).
+The serving stack (inference service, micro-batch scheduler, gateway)
+always records, into the registry :func:`process_registry` returns at
+the moment it records.  Every other layer's observation is **off by
+default**: instrumented code calls :func:`active`, gets ``None``, and
+skips all instrument work — one function call and a branch of
+overhead (asserted < 5% on ``invert_batch`` in
+``benchmarks/test_perf_estimator.py``).  Turn it on globally with
+:func:`enable` (or ``REPRO_OBS=1`` via :func:`enable_from_env`), or
+scoped with the :func:`observed` context manager, which swaps in a
+fresh registry and restores the previous state on exit (what tests and
+the benchmark harnesses use).  Either way the gated layers land in the
+same registry as the serving stack's instruments.
 """
 
 from __future__ import annotations
@@ -195,6 +199,15 @@ def enable_from_env(environ: Optional[dict] = None) -> bool:
     return _enabled
 
 
+def process_registry() -> Registry:
+    """The process-wide registry, whether or not observation is on.
+
+    What the serving stack records into; :func:`observed` and
+    :func:`set_registry` redirect it as they redirect the gated layers.
+    """
+    return _registry
+
+
 def active() -> Optional[Registry]:
     """The default registry when observation is on, else ``None``.
 
@@ -224,15 +237,12 @@ _NULL_SPAN = _NullSpan()
 
 
 def maybe_span(name: str, attributes: Optional[dict] = None,
-               context: Optional[trace.TraceContext] = None,
-               parent: Optional[trace.TraceContext] = None,
-               links: Optional[Sequence[trace.TraceContext]] = None):
+               parent: Optional[trace.TraceContext] = None):
     """A real span when observation is on, else a shared no-op."""
     obs = active()
     if obs is None:
         return _NULL_SPAN
-    return obs.span(name, attributes, context=context, parent=parent,
-                    links=links)
+    return obs.span(name, attributes, parent=parent)
 
 
 @contextmanager

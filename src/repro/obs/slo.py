@@ -12,12 +12,12 @@ An :class:`Slo` names an objective in one of two shapes:
 :func:`evaluate_slo` is a pure function returning one objective's
 status dict (compliance, target, error-budget remaining, ok flag).
 :class:`SloMonitor` adds time: it keeps a bounded deque of
-(timestamp, snapshot) samples and computes **multi-window burn
-rates** — the rate at which the error budget is being consumed over a
-short and a long trailing window.  An objective *alerts* only when
-every window with data burns above its factor, the standard
-fast-burn/slow-burn pairing that ignores both ancient history and
-single-sample blips.
+(timestamp, per-objective ``(bad, total)``) samples and computes
+**multi-window burn rates** — the rate at which the error budget is
+being consumed over a short and a long trailing window.  An objective
+*alerts* only when every window with data burns above its factor, the
+standard fast-burn/slow-burn pairing that ignores both ancient history
+and single-sample blips.
 
 Surface: the ``GET /healthz`` detail on the gateway.
 """
@@ -101,7 +101,11 @@ def evaluate_slo(slo: Slo, snapshot: dict) -> dict:
     An objective with no traffic yet is compliant by definition
     (``no_data: True``) — empty services do not page.
     """
-    bad, total = _bad_total(slo, snapshot)
+    return _status(slo, *_bad_total(slo, snapshot))
+
+
+def _status(slo: Slo, bad: float, total: float) -> dict:
+    """:func:`evaluate_slo` from the objective's event counts."""
     status = {
         "name": slo.name,
         "kind": slo.kind,
@@ -126,21 +130,28 @@ def evaluate_slo(slo: Slo, snapshot: dict) -> dict:
     return status
 
 
+#: One monitor sample: (timestamp, each objective's (bad, total)).
+_Sample = Tuple[float, Tuple[Tuple[float, float], ...]]
+
+
 class SloMonitor:
-    """Burn-rate evaluation over a rolling window of snapshots.
+    """Burn-rate evaluation over a rolling window of samples.
 
     Feed it registry snapshots (:meth:`observe`) at whatever cadence
     the caller polls — the gateway does so on every ``/healthz`` hit —
     and it answers point-in-time compliance plus per-window burn
     rates computed from counter *deltas* between the oldest in-window
-    sample and the newest.
+    sample and the newest.  A sample keeps only each objective's
+    ``(bad, total)`` event counts, not the snapshot, so the monitor
+    holds at most ``max_samples`` small tuples whatever the registry
+    holds.
 
     Args:
         slos: Objectives to track.
         windows: (seconds, max burn factor) pairs; alerting requires
             every window with data to burn above its factor.
         clock: Monotonic time source (injectable for tests).
-        max_samples: Bound on retained snapshots.
+        max_samples: Bound on retained samples.
     """
 
     def __init__(self, slos: Sequence[Slo],
@@ -151,28 +162,29 @@ class SloMonitor:
         self.windows = tuple((float(seconds), float(factor))
                              for seconds, factor in windows)
         self._clock = clock
-        self._samples: "deque[Tuple[float, dict]]" = deque(
-            maxlen=max_samples)
+        self._samples: "deque[_Sample]" = deque(maxlen=max_samples)
 
     def observe(self, snapshot: dict) -> List[dict]:
         """Record one snapshot sample and return fresh statuses."""
-        self._samples.append((self._clock(), snapshot))
+        self._samples.append((self._clock(), tuple(
+            _bad_total(slo, snapshot) for slo in self.slos)))
         return self.evaluate()
 
-    def _window_burn(self, slo: Slo, window_s: float,
+    def _window_burn(self, index: int, window_s: float,
                      max_factor: float) -> dict:
+        slo = self.slos[index]
         now, newest = self._samples[-1]
         oldest = None
-        for stamp, snapshot in self._samples:
+        for stamp, counts in self._samples:
             if now - stamp <= window_s:
-                oldest = (stamp, snapshot)
+                oldest = (stamp, counts)
                 break
         burn = {"window_s": window_s, "max_burn_rate": max_factor,
                 "burn_rate": None, "alerting": False}
         if oldest is None or oldest[0] == now:
             return burn
-        bad_new, total_new = _bad_total(slo, newest)
-        bad_old, total_old = _bad_total(slo, oldest[1])
+        bad_new, total_new = newest[index]
+        bad_old, total_old = oldest[1][index]
         delta_total = total_new - total_old
         if delta_total <= 0.0:
             return burn
@@ -189,9 +201,9 @@ class SloMonitor:
                          alerting=False) for slo in self.slos]
         _, newest = self._samples[-1]
         statuses = []
-        for slo in self.slos:
-            status = evaluate_slo(slo, newest)
-            burns = [self._window_burn(slo, seconds, factor)
+        for index, slo in enumerate(self.slos):
+            status = _status(slo, *newest[index])
+            burns = [self._window_burn(index, seconds, factor)
                      for seconds, factor in self.windows]
             measured = [b for b in burns if b["burn_rate"] is not None]
             status["burn"] = burns
@@ -211,6 +223,6 @@ def default_slos() -> Tuple[Slo, ...]:
             description="gateway operations that never hit the "
                         "internal-error boundary"),
         Slo(name="serve-latency", kind="latency", target=0.99,
-            histogram="serve.latency_seconds", threshold_s=0.3,
+            histogram="span.serve.estimate.seconds", threshold_s=0.3,
             description="end-to-end estimates under 300 ms (p99)"),
     )

@@ -45,7 +45,7 @@ from repro.errors import QueueFullError, ServeError
 from repro.faults.inject import FaultEvent, armed as fault_armed
 from repro.obs import trace
 from repro.obs.instruments import BATCH_BUCKETS
-from repro.obs.registry import Registry as Telemetry
+from repro.obs.registry import process_registry
 
 logger = logging.getLogger(__name__)
 
@@ -130,18 +130,15 @@ class MicroBatchScheduler:
     Requests are grouped by ``key`` (one calibrated estimator per key —
     samples from different sensor models can never share an
     ``invert_batch`` call).  Single event-loop use only; the service
-    owns exactly one scheduler.
+    owns exactly one scheduler.  Its instruments land in the process
+    registry.
 
     Args:
         policy: Batching knobs (see :class:`BatchPolicy`).
-        telemetry: Instrument registry; a private one is created when
-            not given.
     """
 
-    def __init__(self, policy: Optional[BatchPolicy] = None,
-                 telemetry: Optional[Telemetry] = None):
+    def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy if policy is not None else BatchPolicy()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._groups: Dict[Hashable, _Group] = {}
         self._pending_total = 0
 
@@ -167,7 +164,7 @@ class MicroBatchScheduler:
             QueueFullError: The bounded queue is full (backpressure).
         """
         loop = asyncio.get_running_loop()
-        self.telemetry.counter("serve.requests").increment()
+        process_registry().counter("serve.requests").increment()
         quality = "ok"
         inj = fault_armed()
         if inj is not None:
@@ -175,7 +172,7 @@ class MicroBatchScheduler:
             if fault is not None:
                 quality = await self._apply_fault(fault)
         if self._pending_total >= self.policy.max_queue:
-            self.telemetry.counter("serve.rejected").increment()
+            process_registry().counter("serve.rejected").increment()
             raise QueueFullError(
                 f"micro-batch queue is full ({self.policy.max_queue} "
                 f"pending); retry later or shed load"
@@ -213,7 +210,7 @@ class MicroBatchScheduler:
         ``"degraded"`` so consumers know the latency budget was blown.
         """
         if fault.kind == "reject":
-            self.telemetry.counter("serve.rejected").increment()
+            process_registry().counter("serve.rejected").increment()
             raise QueueFullError(
                 "injected backpressure fault (serve.scheduler/reject); "
                 "retry later or shed load")
@@ -239,18 +236,18 @@ class MicroBatchScheduler:
             return
         loop = asyncio.get_running_loop()
         size = len(entries)
-        self.telemetry.counter("serve.batches").increment()
-        self.telemetry.histogram("serve.batch_size",
-                                 BATCH_BUCKETS).observe(size)
+        registry = process_registry()
+        registry.counter("serve.batches").increment()
+        registry.histogram("serve.batch_size", BATCH_BUCKETS).observe(size)
         member_contexts = [entry.trace_ctx for entry in entries
                            if entry.trace_ctx is not None]
-        with self.telemetry.span(
+        with registry.span(
                 "serve.flush", {"batch_size": size},
                 parent=member_contexts[0] if member_contexts else None,
                 links=member_contexts) as span:
             try:
-                with self.telemetry.span("estimator.invert_batch",
-                                         {"batch_size": size}):
+                with registry.span("estimator.invert_batch",
+                                   {"batch_size": size}):
                     estimates = self._invert_batched(group.estimator,
                                                      entries)
             except Exception as exc:
@@ -261,11 +258,11 @@ class MicroBatchScheduler:
                     "micro-batch flush of %d requests failed (%s: %s); "
                     "degrading to per-request scalar inversion",
                     size, type(exc).__name__, exc)
-                self.telemetry.counter("serve.batch_fallbacks").increment()
+                registry.counter("serve.batch_fallbacks").increment()
                 self._resolve_scalar(group.estimator, entries, loop)
                 return
         now = loop.time()
-        queue_hist = self.telemetry.histogram("serve.queue_seconds")
+        queue_hist = registry.histogram("serve.queue_seconds")
         for entry, estimate in zip(entries, estimates):
             waited = now - entry.enqueued
             queue_hist.observe(waited)

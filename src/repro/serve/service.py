@@ -17,24 +17,34 @@ they come.
 
 The service is transport-agnostic: ``estimate`` takes and returns the
 protocol dataclasses, and a transport adapter owns the wire codec.
-Telemetry covers the full request path — admission counters,
-end-to-end latency histograms, and the scheduler's batch/queue
-instruments share one registry, exported by :meth:`telemetry_snapshot`.
+Telemetry covers the full request path — admission counters, the
+``serve.estimate`` span that times each request (one that raises
+included), and the scheduler's batch/queue instruments — and lands in
+the process registry (:func:`repro.obs.registry.process_registry`),
+exported by :meth:`telemetry_snapshot`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.core.estimator import ForceLocationEstimator
 from repro.core.tracking import TouchEvent, TrackedSample
 from repro.errors import (EstimationError, ProtocolError, QueueFullError,
                           ServeError)
-from repro.faults.retry import RetryPolicy, retry_async
-from repro.obs.registry import Registry
+from repro.obs.registry import active, process_registry
 from repro.serve.protocol import EstimateRequest, EstimateResponse
-from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
+from repro.serve.scheduler import (BatchPolicy, MicroBatchScheduler,
+                                   ScheduledEstimate)
 from repro.serve.session import ModelFactory, SessionManager
+
+#: Backoff before each retry of a submit the scheduler refused with
+#: :class:`QueueFullError` [s]; the third refusal reaches the caller.
+#: These are the jittered delays the committed chaos baseline
+#: (``benchmarks/results/BENCH_chaos.json``) was recorded with, so its
+#: replay stays bit-identical.
+RETRY_DELAYS_S = (0.0010688843703050097, 0.0021031817611761212)
 
 
 class InferenceService:
@@ -43,36 +53,24 @@ class InferenceService:
     Args:
         policy: Micro-batching knobs (see :class:`BatchPolicy`).
         model_factory: Config -> model builder for the session cache.
-        registry: Share an existing :class:`repro.obs.Registry` (e.g.
-            the one ``repro.obs.enable()`` returns) so the service's
-            instruments land next to the reader/estimator/campaign
-            ones; default is a private registry, keeping services
-            isolated.
-        retry_policy: Bounded retry budget applied when the scheduler
-            answers :class:`QueueFullError` — transient backpressure
-            (a momentarily full queue, an injected rejection) is
-            retried with seeded exponential backoff before the error
-            reaches the caller.  ``attempts=1`` disables retrying.
         max_sessions / idle_ttl_s: Session-eviction bounds forwarded
             to the :class:`SessionManager` (both off by default; the
             network gateway turns them on so connect/disconnect churn
             cannot grow memory without bound).
+
+    Transient backpressure (a momentarily full queue, an injected
+    rejection) is retried after each delay of :data:`RETRY_DELAYS_S`
+    before the :class:`QueueFullError` reaches the caller.
     """
 
     def __init__(self, policy: Optional[BatchPolicy] = None,
                  model_factory: Optional[ModelFactory] = None,
-                 registry: Optional[Registry] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  max_sessions: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None):
-        self.telemetry = registry if registry is not None else Registry()
         self.sessions = SessionManager(model_factory,
                                        max_sessions=max_sessions,
                                        idle_ttl_s=idle_ttl_s)
-        self.scheduler = MicroBatchScheduler(policy,
-                                             telemetry=self.telemetry)
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy())
+        self.scheduler = MicroBatchScheduler(policy)
 
     async def estimate(self, request: EstimateRequest) -> EstimateResponse:
         """Serve one request (may park awaiting its micro-batch).
@@ -86,11 +84,12 @@ class InferenceService:
         """
         loop = asyncio.get_running_loop()
         start = loop.time()
-        with self.telemetry.span(
+        registry = process_registry()
+        with registry.span(
                 "serve.estimate",
                 {"sensor_id": request.sensor_id,
                  "sequence": request.sequence}):
-            with self.telemetry.span(
+            with registry.span(
                     "serve.session", {"sensor_id": request.sensor_id}):
                 session = self.sessions.session(request.sensor_id,
                                                 request.config)
@@ -103,21 +102,9 @@ class InferenceService:
                     raise ProtocolError(str(exc)) from exc
                 phi1, phi2 = session.correct(request.time, request.phi1,
                                              request.phi2)
-            retried = False
-
-            def _saw_retry(attempt: int, exc: BaseException) -> None:
-                nonlocal retried
-                retried = True
-
-            scheduled = await retry_async(
-                lambda: self.scheduler.submit(
-                    session.estimator, phi1, phi2,
-                    location_hint=request.location_hint,
-                    key=session.config),
-                policy=self.retry_policy,
-                retry_on=(QueueFullError,),
-                name="serve.submit",
-                on_retry=_saw_retry)
+            scheduled, retried = await self._submit(
+                session.estimator, phi1, phi2, request.location_hint,
+                session.config)
             quality = scheduled.quality
             if retried and quality == "ok":
                 quality = "recovered"
@@ -129,14 +116,37 @@ class InferenceService:
                 time=request.time, phi1=phi1, phi2=phi2,
                 touched=estimate.touched, force=estimate.force,
                 location=estimate.location, quality=quality))
-        latency = loop.time() - start
-        self.telemetry.histogram("serve.latency_seconds").observe(latency)
-        self.telemetry.counter("serve.responses").increment()
+        process_registry().counter("serve.responses").increment()
         return EstimateResponse(
             sensor_id=request.sensor_id, sequence=request.sequence,
             time=request.time, estimate=estimate,
-            batch_size=scheduled.batch_size, latency_s=latency,
-            quality=quality)
+            batch_size=scheduled.batch_size,
+            latency_s=loop.time() - start, quality=quality)
+
+    async def _submit(self, estimator: ForceLocationEstimator,
+                      phi1: float, phi2: float,
+                      location_hint: Optional[float], key: Hashable,
+                      ) -> Tuple[ScheduledEstimate, bool]:
+        """Submit one inversion, retrying scheduler backpressure.
+
+        Returns the result and whether a retry was needed.  The third
+        :class:`QueueFullError` propagates; any other error propagates
+        at once.
+        """
+        for attempt, delay in enumerate(RETRY_DELAYS_S + (None,)):
+            try:
+                scheduled = await self.scheduler.submit(
+                    estimator, phi1, phi2, location_hint=location_hint,
+                    key=key)
+            except QueueFullError:
+                if delay is None:
+                    raise
+                obs = active()
+                if obs is not None:
+                    obs.counter("fault.retries.serve.submit").increment()
+                await asyncio.sleep(delay)
+            else:
+                return scheduled, attempt > 0
 
     def touch_events(self, sensor_id: str,
                      min_groups: int = 1) -> List[TouchEvent]:
@@ -160,8 +170,9 @@ class InferenceService:
         self.scheduler.flush_all()
 
     def telemetry_snapshot(self) -> Dict:
-        """Counters/histograms plus session-cache stats (JSON-ready)."""
-        snapshot = self.telemetry.snapshot()
+        """The process registry's counters/histograms plus
+        session-cache stats (JSON-ready)."""
+        snapshot = process_registry().snapshot()
         snapshot["sessions"] = {
             "count": len(self.sessions),
             "model_builds": self.sessions.model_builds,

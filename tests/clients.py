@@ -93,3 +93,28 @@ async def estimate_over_ws(client: WebSocketClient,
             pushed.append(message)
             continue
         return message, pushed
+
+
+class RefusingScheduler:
+    """Stands in for a service's micro-batch scheduler: ``submit``
+    raises ``error`` on its first ``refusals`` calls (every call when
+    ``None``), then answers ``None``; ``calls`` counts the submits."""
+
+    def __init__(self, error: BaseException,
+                 refusals: Optional[int] = None):
+        self.error = error
+        self.refusals = refusals
+        self.calls = 0
+
+    async def submit(self, *args, **kwargs) -> None:
+        self.calls += 1
+        if self.refusals is None or self.calls <= self.refusals:
+            raise self.error
+
+
+def submit_through(scheduler: RefusingScheduler) -> Tuple[None, bool]:
+    """One service submit, retries included, against ``scheduler``:
+    the result and whether a retry was needed."""
+    service = InferenceService()
+    service.scheduler = scheduler
+    return asyncio.run(service._submit(None, 0.5, 0.4, None, "key"))

@@ -8,6 +8,9 @@ The artifact cache is redirected to a per-session temp directory (see
 ``_hermetic_artifact_cache``) so the suite neither reads a developer's
 warm ``~/.cache/repro`` nor leaves artifacts behind — every run
 exercises the true cold path exactly once, then its own warm path.
+Each test records into a fresh process registry
+(``_fresh_process_registry``), so one test's serving counters never
+show in another's.
 """
 
 from __future__ import annotations
@@ -36,6 +39,23 @@ def _hermetic_artifact_cache(tmp_path_factory):
         yield
     finally:
         os.environ.pop(CACHE_DIR_ENV, None)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_process_registry():
+    """Swap in a fresh process registry for one test.
+
+    The serving stack records into the process registry whether or not
+    observation is on; the fixture leaves observation as it is (off).
+    """
+    from repro.obs.registry import Registry, set_registry
+
+    previous = set_registry(Registry())
+    try:
+        yield
+    finally:
+        set_registry(previous)
+
 
 from repro.experiments.scenarios import (
     calibrated_model,

@@ -56,6 +56,15 @@ def cache(tmp_path):
     return ArtifactCache(tmp_path / "cache")
 
 
+@pytest.fixture()
+def counts():
+    """Observe the test; ``counts(name)`` reads the ``cache.<name>``
+    counter (0 when it never incremented)."""
+    with observed() as registry:
+        yield lambda name: registry.snapshot()["counters"].get(
+            f"cache.{name}", 0)
+
+
 # -- key canonicalization ------------------------------------------------
 
 
@@ -105,7 +114,7 @@ class TestCanonicalize:
 
 
 class TestTiers:
-    def test_miss_then_memory_then_disk(self, cache):
+    def test_miss_then_memory_then_disk(self, cache, counts):
         calls = []
         value = cache.get_or_compute("ns", 1, {"k": 1},
                                      lambda: calls.append(1) or 42)
@@ -113,12 +122,12 @@ class TestTiers:
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: calls.append(1) or 42) == 42
         assert len(calls) == 1
-        assert cache.stats.memory_hits == 1
+        assert counts("memory_hits") == 1
         cache._memory.clear()
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: calls.append(1) or 42) == 42
         assert len(calls) == 1
-        assert cache.stats.disk_hits == 1
+        assert counts("disk_hits") == 1
 
     def test_memory_tier_is_bounded_lru(self, tmp_path):
         cache = ArtifactCache(tmp_path, memory_entries=4)
@@ -136,11 +145,11 @@ class TestTiers:
         assert first == second
         assert first is not second  # callers may mutate freely
 
-    def test_version_bump_invalidates(self, cache):
+    def test_version_bump_invalidates(self, cache, counts):
         cache.get_or_compute("ns", 1, {"k": 1}, lambda: "v1")
         assert cache.get_or_compute("ns", 2, {"k": 1},
                                     lambda: "v2") == "v2"
-        assert cache.stats.misses == 2
+        assert counts("misses") == 2
 
 
 # -- robustness ----------------------------------------------------------
@@ -157,32 +166,32 @@ class TestRobustness:
         [path] = _artifact_files(cache)
         return path
 
-    def test_truncated_artifact_recomputes(self, cache):
+    def test_truncated_artifact_recomputes(self, cache, counts):
         path = self._seed(cache)
         path.write_bytes(path.read_bytes()[:30])
         value = cache.get_or_compute("ns", 1, {"k": 1},
                                      lambda: {"v": 7})
         assert value == {"v": 7}
-        assert cache.stats.errors == 1
-        assert cache.stats.misses == 2
+        assert counts("errors") == 1
+        assert counts("misses") == 2
 
-    def test_flipped_bit_recomputes(self, cache):
+    def test_flipped_bit_recomputes(self, cache, counts):
         path = self._seed(cache)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: {"v": 7}) == {"v": 7}
-        assert cache.stats.errors == 1
+        assert counts("errors") == 1
 
-    def test_garbage_file_recomputes(self, cache):
+    def test_garbage_file_recomputes(self, cache, counts):
         path = self._seed(cache)
         path.write_bytes(b"not an artifact at all")
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: {"v": 7}) == {"v": 7}
-        assert cache.stats.errors == 1
+        assert counts("errors") == 1
 
-    def test_unpicklable_body_recomputes(self, cache):
+    def test_unpicklable_body_recomputes(self, cache, counts):
         path = self._seed(cache)
         from repro.cache.store import _MAGIC, _body_digest
 
@@ -190,7 +199,7 @@ class TestRobustness:
         path.write_bytes(_MAGIC + _body_digest(body) + body)
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: {"v": 7}) == {"v": 7}
-        assert cache.stats.errors == 1
+        assert counts("errors") == 1
 
     def test_corrupt_artifact_is_dropped_and_rewritten(self, cache):
         path = self._seed(cache)
@@ -200,23 +209,24 @@ class TestRobustness:
         assert cache.get_or_compute("ns", 1, {"k": 1},
                                     lambda: {"v": 0}) == {"v": 7}
 
-    def test_unwritable_directory_degrades(self, tmp_path):
+    def test_unwritable_directory_degrades(self, tmp_path, counts):
         target = tmp_path / "blocked"
         target.write_text("a file where the cache dir should be")
         cache = ArtifactCache(target)
         assert cache.get_or_compute("ns", 1, {"k": 1}, lambda: 5) == 5
-        assert cache.stats.errors == 1
+        assert counts("errors") == 1
         # The memory tier still serves.
         assert cache.get_or_compute("ns", 1, {"k": 1}, lambda: 6) == 5
 
-    def test_disabled_cache_recomputes_every_call(self, tmp_path):
+    def test_disabled_cache_recomputes_every_call(self, tmp_path,
+                                                  counts):
         cache = ArtifactCache(tmp_path, enabled=False)
         calls = []
         for _ in range(2):
             cache.get_or_compute("ns", 1, {"k": 1},
                                  lambda: calls.append(1) or 1)
         assert len(calls) == 2
-        assert cache.stats.requests == 0
+        assert counts("requests") == 0
         assert not _artifact_files(cache)
 
 
@@ -369,22 +379,31 @@ class TestObservability:
         assert counters["cache.errors"] == 1
         assert counters["cache.misses"] == 2
 
+    def test_error_counter_on_unpicklable_payload(self, cache, counts):
+        """A value that cannot be pickled stays in memory only, and
+        counts one ``cache.errors``."""
+        value = cache.get_or_compute("ns", 1, {"k": 1}, lambda: (lambda: 7))
+        assert value() == 7
+        assert counts("errors") == 1
+        assert not _artifact_files(cache)
+
 
 # -- wiring into the simulation cold paths -------------------------------
 
 
 class TestWiring:
-    def test_contact_map_round_trips_through_cache(self, tmp_path):
+    def test_contact_map_round_trips_through_cache(self, tmp_path,
+                                                   counts):
         from repro.mechanics.contact import ContactMap
 
         design = default_sensor_design()
         with temporary_cache(tmp_path) as cache:
             cold = ContactMap(design.contact_solver(nodes=81),
                               force_points=5, location_points=5)
-            assert cache.stats.misses == 1
+            assert counts("misses") == 1
             warm = ContactMap(design.contact_solver(nodes=81),
                               force_points=5, location_points=5)
-            assert cache.stats.hits == 1
+            assert counts("hits") == 1
         np.testing.assert_array_equal(cold._left, warm._left)
         np.testing.assert_array_equal(cold._right, warm._right)
 
@@ -404,7 +423,8 @@ class TestWiring:
         np.testing.assert_array_equal(cached._left, bare._left)
         np.testing.assert_array_equal(cached._right, bare._right)
 
-    def test_calibration_round_trips_through_cache(self, tmp_path):
+    def test_calibration_round_trips_through_cache(self, tmp_path,
+                                                   counts):
         from repro.core.calibration import calibrate_harmonic_observable
         from repro.sensor.tag import WiForceTag
         from repro.sensor.transduction import ForceTransducer
@@ -421,9 +441,9 @@ class TestWiring:
 
         with temporary_cache(tmp_path) as cache:
             cold = build()
-            assert cache.stats.misses == 2  # tables + calibration
+            assert counts("misses") == 2  # tables + calibration
             warm = build()
-            assert cache.stats.misses == 2
+            assert counts("misses") == 2
         assert cold.to_dict() == warm.to_dict()
 
     def test_calibration_bit_identical_without_cache(self, tmp_path,
@@ -456,13 +476,14 @@ class TestWiring:
 
         script = (
             "import json\n"
-            "from repro.cache import get_cache\n"
             "from repro.mechanics.contact import ContactMap\n"
+            "from repro.obs import observed\n"
             "from repro.sensor.geometry import default_sensor_design\n"
             "design = default_sensor_design()\n"
-            "ContactMap(design.contact_solver(nodes=81),\n"
-            "           force_points=5, location_points=5)\n"
-            "print(json.dumps(get_cache().stats.as_dict()))\n"
+            "with observed() as registry:\n"
+            "    ContactMap(design.contact_solver(nodes=81),\n"
+            "               force_points=5, location_points=5)\n"
+            "print(json.dumps(registry.snapshot()['counters']))\n"
         )
         source_root = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
@@ -473,5 +494,7 @@ class TestWiring:
                                   capture_output=True, text=True,
                                   env=env, check=True)
             runs.append(json.loads(proc.stdout))
-        assert runs[0]["misses"] == 1 and runs[0]["writes"] == 1
-        assert runs[1]["disk_hits"] == 1 and runs[1]["misses"] == 0
+        assert runs[0]["cache.misses"] == 1
+        assert runs[0]["cache.writes"] == 1
+        assert runs[1]["cache.disk_hits"] == 1
+        assert "cache.misses" not in runs[1]

@@ -1,10 +1,18 @@
 """CLI tests (python -m repro ...)."""
 
 import asyncio
+import http.client
 import json
+import os
+import queue
+import re
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -117,7 +125,7 @@ class TestObsReport:
         registry = Registry()
         registry.counter("estimator.batch_inversions").increment(8)
         registry.gauge("campaign.worker_utilization").set(0.9)
-        registry.histogram("serve.latency_seconds").observe(0.004)
+        registry.histogram("serve.queue_seconds").observe(0.004)
         with registry.span("serve.flush"):
             pass
         report = stamp_report({"service": {"throughput_rps": 1000.0}},
@@ -132,7 +140,7 @@ class TestObsReport:
         assert "schema_version : 2" in output
         assert "estimator.batch_inversions" in output
         assert "campaign.worker_utilization" in output
-        assert "serve.latency_seconds" in output
+        assert "serve.queue_seconds" in output
         assert "span.serve.flush.seconds" in output
         # Per-stage stats columns come from the snapshot histograms.
         assert "p99" in output
@@ -142,7 +150,7 @@ class TestObsReport:
                      "--prometheus"]) == 0
         output = capsys.readouterr().out
         assert "# TYPE repro_estimator_batch_inversions counter" in output
-        assert 'repro_serve_latency_seconds_bucket{le="+Inf"} 1' in output
+        assert 'repro_serve_queue_seconds_bucket{le="+Inf"} 1' in output
 
     def test_missing_file_fails(self, tmp_path):
         assert main(["obs-report", "--input",
@@ -171,3 +179,75 @@ class TestDemoCommand:
         output = capsys.readouterr().out
         assert "press 2.0 N" in output
         assert "read" in output
+
+
+class TestGatewayCommand:
+    """``repro gateway`` as an operator starts it, in its own process."""
+
+    TRACE_ID = "cafe" * 8
+
+    def _serve_one_traced_estimate(self, port):
+        """POST one estimate carrying a ``traceparent``; return the
+        ``/metrics`` page read afterwards."""
+        from repro.serve import EstimateRequest, SensorConfig
+
+        body = json.dumps(EstimateRequest(
+            sensor_id="cli-0", sequence=0, time=0.0, phi1=0.5, phi2=0.4,
+            config=SensorConfig()).to_dict())
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=60)
+        try:
+            connection.request("POST", "/v1/estimate", body=body, headers={
+                "content-type": "application/json",
+                "traceparent": f"00-{self.TRACE_ID}-{'ab' * 8}-01"})
+            response = connection.getresponse()
+            assert response.status == 200, response.read()
+            response.read()
+        finally:
+            connection.close()
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=60)
+        try:
+            connection.request("GET", "/metrics")
+            return connection.getresponse().read().decode("utf-8")
+        finally:
+            connection.close()
+
+    def test_observed_gateway_keeps_one_registry(self, tmp_path, capsys):
+        """With ``REPRO_OBS=1``, ``/metrics`` shows the serving and the
+        gated instruments side by side, and the trace export holds the
+        request's whole span tree."""
+        export = tmp_path / "spans.jsonl"
+        env = dict(os.environ, REPRO_OBS="1",
+                   REPRO_TRACE_EXPORT=str(export), PYTHONUNBUFFERED="1",
+                   PYTHONPATH=os.path.dirname(
+                       os.path.dirname(repro.__file__)))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gateway", "--anonymous",
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env)
+        lines = queue.Queue()
+        threading.Thread(target=lambda: [lines.put(line)
+                                         for line in process.stdout],
+                         daemon=True).start()
+        try:
+            banner = lines.get(timeout=120)
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            metrics = self._serve_one_traced_estimate(port)
+        finally:
+            process.terminate()
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=30)
+        assert "repro_serve_responses" in metrics
+        assert "repro_serve_session_model_builds" in metrics
+        capsys.readouterr()
+        assert main(["trace", "show", self.TRACE_ID, "--input",
+                     str(export)]) == 0
+        waterfall = capsys.readouterr().out
+        for name in ("gateway.request", "serve.estimate", "serve.flush",
+                     "estimator.invert_batch"):
+            assert name in waterfall, (name, waterfall)

@@ -1,13 +1,13 @@
-"""Fault layer units: plans, the injector registry, retries."""
+"""Fault layer units: plans, the injector registry, the service's
+backpressure retries."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError, FaultError, QueueFullError
+from repro.errors import FaultError, QueueFullError, ServeError
 from repro.faults import (
     SITES,
     FaultInjector,
@@ -19,7 +19,8 @@ from repro.faults import (
     unit_draw,
     validate_plan,
 )
-from repro.faults.retry import RetryPolicy, retry_async
+from repro.serve.service import RETRY_DELAYS_S
+from tests.clients import RefusingScheduler, submit_through
 
 
 class TestUnitDraw:
@@ -219,45 +220,20 @@ class TestArming:
 
 
 class TestRetry:
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter=1.0)
-
     def test_delays_are_seeded_and_bounded(self):
-        policy = RetryPolicy(attempts=5, base_delay_s=0.01,
-                             multiplier=2.0, max_delay_s=0.03,
-                             jitter=0.1, seed=3)
-        first = list(policy.delays())
-        second = list(policy.delays())
-        assert first == second
-        assert len(first) == 4
-        assert all(delay <= 0.03 * 1.1 for delay in first)
+        """Two retries, about 1 ms then about 2 ms apart: the delays
+        the committed chaos baseline was recorded with."""
+        assert RETRY_DELAYS_S == (0.0010688843703050097,
+                                  0.0021031817611761212)
 
     def test_budget_exhaustion_reraises_original_type(self):
-        calls = {"n": 0}
-
-        async def always_full():
-            calls["n"] += 1
-            raise QueueFullError("full")
-
+        scheduler = RefusingScheduler(QueueFullError("full"))
         with pytest.raises(QueueFullError):
-            asyncio.run(retry_async(always_full, RetryPolicy(attempts=3),
-                                    retry_on=(QueueFullError,)))
-        assert calls["n"] == 3
+            submit_through(scheduler)
+        assert scheduler.calls == 3
 
     def test_unlisted_exception_propagates_immediately(self):
-        calls = {"n": 0}
-
-        async def boom():
-            calls["n"] += 1
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError):
-            asyncio.run(retry_async(boom, RetryPolicy(attempts=5),
-                                    retry_on=(QueueFullError,)))
-        assert calls["n"] == 1
-
+        scheduler = RefusingScheduler(ServeError("nope"))
+        with pytest.raises(ServeError):
+            submit_through(scheduler)
+        assert scheduler.calls == 1

@@ -15,12 +15,12 @@ from pathlib import Path
 
 from repro.errors import QueueFullError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.faults.retry import RetryPolicy, retry_async
 from repro.obs import to_prometheus
 from repro.obs.registry import observed
 from repro.serve import BatchPolicy, EstimateRequest, InferenceService
 from repro.serve.protocol import SensorConfig
 from repro.serve.session import SensorSession
+from tests.clients import RefusingScheduler, submit_through
 
 GOLDEN = Path(__file__).parent / "data" / "obs_faults_prometheus.golden.txt"
 
@@ -34,18 +34,10 @@ def _fault_registry():
                       schedule=(0,)),)))
         injector.draw("serve.scheduler")
 
-        # Retry counter: one transient failure, then success.
-        state = {"calls": 0}
-
-        async def flaky():
-            state["calls"] += 1
-            if state["calls"] < 2:
-                raise QueueFullError("full")
-            return None
-
-        asyncio.run(retry_async(flaky, RetryPolicy(attempts=2),
-                                retry_on=(QueueFullError,),
-                                name="serve.submit"))
+        # Retry counter: the service's submit refused once, then
+        # accepted.
+        submit_through(RefusingScheduler(QueueFullError("full"),
+                                         refusals=1))
 
         # Session quarantine.
         session = SensorSession("g-0", SensorConfig(), estimator=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.core.estimator import (
     ForceLocationEstimator,
 )
 from repro.errors import ConfigurationError, ProtocolError
-from repro.faults.retry import RetryPolicy
 from repro.gateway import (
     ConnectionClosed,
     Gateway,
@@ -40,6 +40,8 @@ from repro.gateway import (
     WebSocketClient,
 )
 from repro.obs.recorder import RECORDER_DIR_ENV, recording
+from repro.obs.registry import observed, process_registry
+from repro.obs.slo import SloMonitor, default_slos
 from repro.serve import (
     BatchPolicy,
     EstimateRequest,
@@ -48,7 +50,7 @@ from repro.serve import (
     SensorConfig,
     generate_requests,
 )
-from tests.clients import estimate_over_ws, http_request
+from tests.clients import estimate_many, estimate_over_ws, http_request
 
 #: Concurrent tenants for the e2e stream test (acceptance bar: >= 8).
 N_TENANTS = 8
@@ -110,14 +112,14 @@ def _hint_service(model):
                                               max_delay_s=1.0))
 
 
-def _internal_errors(gateway):
-    return gateway.telemetry.snapshot()["counters"].get(
+def _internal_errors():
+    return process_registry().snapshot()["counters"].get(
         "gateway.internal_errors", 0)
 
 
-def _batch_fallbacks(gateway):
+def _batch_fallbacks():
     """Flushes that failed and fell back to per-request inversion."""
-    return gateway.telemetry.snapshot()["counters"].get(
+    return process_registry().snapshot()["counters"].get(
         "serve.batch_fallbacks", 0)
 
 
@@ -148,7 +150,7 @@ def _assert_http_internal_error(model):
                 host, port, "POST", "/v1/estimate",
                 payload=_request("s", 0).to_dict(), token="token-0")
             health = await http_request(host, port, "GET", "/healthz")
-            return response, health, _internal_errors(gateway)
+            return response, health, _internal_errors()
 
     response, health, internal_errors = asyncio.run(scenario())
     assert response.status == 500
@@ -173,7 +175,7 @@ def _assert_ws_internal_error(model):
             await client.send_json({"type": "ping"})
             pong = await client.recv_json(5.0)
             await client.close()
-            return frame, pong, _internal_errors(gateway)
+            return frame, pong, _internal_errors()
 
     frame, pong, internal_errors = asyncio.run(scenario())
     error = _strict_json(frame.payload)
@@ -635,7 +637,7 @@ class TestAuthAndQuotas:
                 second = await http_request(
                     host, port, "POST", "/v1/estimate",
                     payload=payload, token="small-token")
-                telemetry = gateway.telemetry.snapshot()
+                telemetry = process_registry().snapshot()
                 return first, second, telemetry
 
         first, second, telemetry = asyncio.run(scenario())
@@ -717,8 +719,7 @@ class TestAuthAndQuotas:
         service = _service(
             model_900,
             policy=BatchPolicy(max_batch=64, max_delay_s=0.05,
-                               max_queue=1),
-            retry_policy=RetryPolicy(attempts=1))
+                               max_queue=1))
         flood = 12
 
         async def scenario():
@@ -842,7 +843,7 @@ class TestHttpSurface:
                 follow_up = await http_request(
                     host, port, "POST", "/v1/estimate",
                     payload=_request("s", 1).to_dict(), token="token-0")
-                return response, follow_up, _internal_errors(gateway)
+                return response, follow_up, _internal_errors()
 
         response, follow_up, internal_errors = asyncio.run(scenario())
         assert response.status == 400
@@ -888,8 +889,8 @@ class TestHttpSurface:
                     post(_bad_hint("bad-6")),
                     *(post(_request(f"good-{index}", 0).to_dict())
                       for index in range(N_GOOD)))
-                return (alone, mixed, _batch_fallbacks(gateway),
-                        _internal_errors(gateway))
+                return (alone, mixed, _batch_fallbacks(),
+                        _internal_errors())
 
         alone, mixed, fallbacks, internal_errors = asyncio.run(scenario())
         assert [response.status for response in alone] == [400] * 6
@@ -1032,7 +1033,7 @@ class TestWsProtocolSurface:
                 reply, _ = await estimate_over_ws(
                     client, _request("s", 1).to_dict())
                 await client.close()
-                return error, reply, _internal_errors(gateway)
+                return error, reply, _internal_errors()
 
         error, reply, internal_errors = asyncio.run(scenario())
         assert error["type"] == "error"
@@ -1105,7 +1106,7 @@ class TestWsProtocolSurface:
                 reply, _ = await estimate_over_ws(
                     client, _request("s", 1).to_dict())
                 await client.close()
-                return error, refused, reply, _internal_errors(gateway)
+                return error, refused, reply, _internal_errors()
 
         error, refused, reply, internal_errors = asyncio.run(scenario())
         assert (error["code"], refused["code"]) == ("protocol", "protocol")
@@ -1138,7 +1139,7 @@ class TestWsProtocolSurface:
                 await client.send_json({"type": "ping"})
                 pong = await client.recv_json(timeout=5.0)
                 await client.close()
-                counters = gateway.telemetry.snapshot()["counters"]
+                counters = process_registry().snapshot()["counters"]
                 return replies, pong, counters
 
         replies, pong, counters = asyncio.run(scenario())
@@ -1173,8 +1174,8 @@ class TestWsProtocolSurface:
                 mixed = [await client.recv_json(5.0)
                          for _ in payloads]
                 await client.close()
-                return (alone, mixed, _batch_fallbacks(gateway),
-                        _internal_errors(gateway))
+                return (alone, mixed, _batch_fallbacks(),
+                        _internal_errors())
 
         alone, mixed, fallbacks, internal_errors = asyncio.run(scenario())
         assert [(reply["type"], reply["code"]) for reply in alone] \
@@ -1202,7 +1203,7 @@ class TestWsProtocolSurface:
                 client = await WebSocketClient.connect(
                     host, port, token="token-0")
                 await client.close()
-                snapshot = gateway.telemetry.snapshot()
+                snapshot = process_registry().snapshot()
                 return snapshot
 
         snapshot = asyncio.run(scenario())
@@ -1422,3 +1423,51 @@ class TestTraceSurface:
         assert names == {"gateway-availability", "serve-latency"}
         for status in health["slo"]:
             assert "alerting" in status and "burn" in status
+
+
+class TestHealthz:
+    def test_serve_latency_slo_counts_every_estimate(self, model_900):
+        """The ``serve-latency`` objective reads the ``serve.estimate``
+        span, which also times an estimate that raised: three served
+        and one refused for its hint make four events."""
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                payloads = [_request("s", index).to_dict()
+                            for index in range(3)] + [_bad_hint("bad")]
+                statuses = [(await http_request(
+                    host, port, "POST", "/v1/estimate", payload=payload,
+                    token="token-0")).status for payload in payloads]
+                health = await http_request(host, port, "GET", "/healthz")
+                return statuses, health.json()
+
+        statuses, health = asyncio.run(scenario())
+        assert statuses == [200, 200, 200, 400]
+        [latency] = [status for status in health["slo"]
+                     if status["name"] == "serve-latency"]
+        assert latency["events"] == 4
+        assert latency["bad_events"] == 0
+
+    def test_slo_monitor_holds_counts_not_snapshots(self, model_900):
+        """Every ``/healthz`` adds one monitor sample: 512 of them, over
+        the registry an observed service fills, grow traced memory by
+        under 256 KB."""
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs")
+        requests = [_request(f"s-{index}", 0) for index in range(32)]
+        monitor = SloMonitor(default_slos())
+        with observed() as registry:
+            asyncio.run(estimate_many(_service(model_900), requests))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(512):
+                    monitor.observe(registry.snapshot())
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert grown < 256 * 1024, grown

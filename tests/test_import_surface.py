@@ -72,6 +72,12 @@ ENTRY_DIRS = ("examples", "e2e_bench", "benchmarks")
 #: Where a call can pass an experiment parameter.
 CALLER_DIRS = ("src", "tests") + ENTRY_DIRS
 
+#: The packages whose module-level functions must see every defaulted
+#: parameter passed somewhere, besides ``repro.build_default_system``:
+#: the paper-figure protocols and the serving and observability stack.
+PARAMETER_PACKAGES = ("experiments", "obs", "serve", "gateway", "cache",
+                      "faults")
+
 
 def _modules_after(statements: str) -> list:
     """``sys.modules`` of a fresh interpreter after ``statements``."""
@@ -275,8 +281,9 @@ class TestImportSurface:
         assert _under(loaded, READER_STACK) == []
 
     def test_campaign_loads_no_event_loop_or_process_pool(self):
-        """The async retry is imported from its own module, and the
-        pool machinery loads on the first sharded run."""
+        """The artifact cache imports only the event-loop-free part of
+        :mod:`repro.faults`, and the pool machinery loads on the first
+        sharded run."""
         loaded = _modules_after("\n".join(f"import {m}" for m in CAMPAIGN))
         assert _under(loaded, EVENT_LOOP_AND_POOL) == []
 
@@ -308,8 +315,9 @@ class TestImportSurface:
                             + ", ".join(unused))
 
     def test_every_experiment_parameter_is_passed(self):
-        """A default no call overrides is a constant of the protocol:
-        it belongs in the body, not in the signature."""
+        """A default no call overrides is a constant of the protocol or
+        of the serving stack: it belongs in the body, not in the
+        signature."""
         passes = {}
         for directory in CALLER_DIRS:
             for path in (ROOT / directory).rglob("*.py"):
@@ -324,7 +332,8 @@ class TestImportSurface:
                         (len(call.args), {keyword.arg
                                           for keyword in call.keywords},
                          starred))
-        paths = sorted((SRC / "repro" / "experiments").glob("*.py"))
+        paths = sorted(path for package in PARAMETER_PACKAGES
+                       for path in (SRC / "repro" / package).glob("*.py"))
         paths.append(SRC / "repro" / "__init__.py")
         unpassed = [
             f"{_module_name(path)}.{node.name}({name})"

@@ -117,7 +117,8 @@ def test_campaign_records_trials_and_utilization():
     counters = snapshot["counters"]
     assert counters["campaign.runs"] == 1
     assert counters["campaign.trials"] == 2
-    assert snapshot["histograms"]["campaign.trial_seconds"]["count"] == 2
-    assert snapshot["histograms"]["campaign.wall_seconds"]["count"] == 1
+    assert snapshot["histograms"]["span.campaign.trial.seconds"]["count"] \
+        == 2
+    assert snapshot["histograms"]["span.campaign.run.seconds"]["count"] == 1
     utilization = snapshot["gauges"]["campaign.worker_utilization"]
     assert 0.0 < utilization <= 1.0

@@ -155,8 +155,7 @@ class TestStitchedServeTrace:
         with observed(sink=MemorySink()) as registry:
             service = InferenceService(
                 policy=BatchPolicy(max_batch=4, max_delay_s=0.001),
-                model_factory=lambda config: model_900,
-                registry=registry)
+                model_factory=lambda config: model_900)
             request = EstimateRequest(
                 sensor_id="s0", sequence=0, time=0.0,
                 phi1=0.5, phi2=0.4, config=SensorConfig())
@@ -191,8 +190,7 @@ class TestStitchedServeTrace:
         with observed(sink=MemorySink()) as registry:
             service = InferenceService(
                 policy=BatchPolicy(max_batch=3, max_delay_s=0.05),
-                model_factory=lambda config: model_900,
-                registry=registry)
+                model_factory=lambda config: model_900)
             config = SensorConfig()
             requests = [
                 EstimateRequest(sensor_id=f"s{i}", sequence=0, time=0.0,

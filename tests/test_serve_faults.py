@@ -15,7 +15,6 @@ import pytest
 from repro.core.estimator import ForceLocationEstimator
 from repro.errors import QueueFullError
 from repro.faults import FaultPlan, FaultSpec, inject
-from repro.faults.retry import RetryPolicy
 from repro.obs.registry import observed
 from repro.serve import (
     BatchPolicy,
@@ -87,9 +86,7 @@ class TestBackpressureRetry:
 
     def test_exhausted_retry_budget_sheds_as_queue_full(
             self, model_900, press_phases):
-        service = _service(model_900,
-                           retry_policy=RetryPolicy(
-                               attempts=2, base_delay_s=0.0001))
+        service = _service(model_900)
         plan = _plan(FaultSpec(site="serve.scheduler", kind="reject",
                                probability=1.0))
         phi1, phi2 = press_phases[0]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.estimator import ForceLocationEstimator
 from repro.errors import QueueFullError, ServeError
-from repro.obs import MemorySink, Registry
+from repro.obs import MemorySink, observed, process_registry
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
 
 
@@ -67,7 +67,7 @@ class TestCoalescing:
 
         results = asyncio.run(drive())
         assert [r.batch_size for r in results] == [4, 4, 4, 4]
-        counters = scheduler.telemetry.snapshot()["counters"]
+        counters = process_registry().snapshot()["counters"]
         assert counters["serve.batches"] == 1
         assert counters["serve.requests"] == 4
         assert scheduler.pending == 0
@@ -154,7 +154,7 @@ class TestBackpressure:
 
         results = asyncio.run(drive())
         assert len(results) == 2
-        counters = scheduler.telemetry.snapshot()["counters"]
+        counters = process_registry().snapshot()["counters"]
         assert counters["serve.rejected"] == 1
 
 
@@ -163,8 +163,7 @@ class TestDegradation:
                                                 press_phases):
         sink = MemorySink()
         scheduler = MicroBatchScheduler(
-            BatchPolicy(max_batch=3, max_delay_s=10.0),
-            telemetry=Registry(sink))
+            BatchPolicy(max_batch=3, max_delay_s=10.0))
         broken = _ExplodingBatcher(estimator)
 
         async def drive():
@@ -172,8 +171,9 @@ class TestDegradation:
                 scheduler.submit(broken, phi1, phi2)
                 for phi1, phi2 in press_phases[:3]))
 
-        results = asyncio.run(drive())
-        counters = scheduler.telemetry.snapshot()["counters"]
+        with observed(sink=sink) as registry:
+            results = asyncio.run(drive())
+        counters = registry.snapshot()["counters"]
         assert counters["serve.batch_fallbacks"] == 1
         for (phi1, phi2), result in zip(press_phases, results):
             assert result.batch_size == 1
@@ -201,7 +201,7 @@ class TestDegradation:
             return failed, await group(estimator, press_phases[2:4])
 
         failed, served = asyncio.run(drive())
-        counters = scheduler.telemetry.snapshot()["counters"]
+        counters = process_registry().snapshot()["counters"]
         assert counters["serve.batch_fallbacks"] == 5
         assert [result.quality for results in failed
                 for result in results] == ["degraded"] * 10

@@ -72,7 +72,8 @@ class TestServiceBasics:
         snapshot = service.telemetry_snapshot()
         assert snapshot["counters"]["serve.requests"] == 3
         assert snapshot["counters"]["serve.responses"] == 3
-        assert snapshot["histograms"]["serve.latency_seconds"]["count"] == 3
+        assert snapshot["histograms"]["span.serve.estimate.seconds"][
+            "count"] == 3
         assert snapshot["sessions"]["count"] == 3
         assert snapshot["sessions"]["model_builds"] == 1
 
