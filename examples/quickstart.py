@@ -38,8 +38,6 @@ def main() -> None:
         f"{tone:.0f} Hz -> {np.degrees(rate):.2f} deg/s"
         for tone, rate in sorted(drift.items())))
 
-    from repro.core import reading_uncertainty
-
     presses = [(2.0, 0.030), (4.5, 0.045), (7.0, 0.060), (0.0, 0.0)]
     phase_noise = np.radians(0.5)  # the paper's phase accuracy class
     print("\nReading presses over the air:")
@@ -47,8 +45,8 @@ def main() -> None:
     for force, location in presses:
         reading = reader.read(TagState(force, location), rebaseline=True)
         if reading.estimate.touched:
-            bars = reading_uncertainty(system.model, reading.estimate,
-                                       phase_noise)
+            bars = reader.estimator.error_bars(reading.estimate,
+                                               phase_noise)
             print(f"   {force:9.2f}  {location * 1e3:10.1f} | "
                   f"{reading.force:5.2f} ± {bars.force_std:.2f} N at "
                   f"{reading.location * 1e3:5.1f} ± "

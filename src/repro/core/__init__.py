@@ -15,7 +15,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                     "calibrate_harmonic_observable", "calibrate_with_rig"),
     "diagnostics": ("DiscoveredTag", "DiscoveredTone", "LinkReport",
                     "discover_tags", "link_report", "scan_tones"),
-    "estimator": ("ForceLocationEstimate", "ForceLocationEstimator"),
+    "estimator": ("ForceLocationEstimate", "ForceLocationEstimator",
+                  "ReadingUncertainty"),
     "harmonics": ("HarmonicExtractor", "HarmonicMatrix",
                   "integer_period_group_length"),
     "phase": ("differential_phase", "phase_stability_deg",
@@ -24,6 +25,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "smoothing": ("SmoothedSample", "TrackSmoother"),
     "tracking": ("StreamingTracker", "TouchEvent", "TrackedSample"),
     "twodim": ("ArraySensorPlacement", "TwoDimensionalArray"),
-    "uncertainty": ("ReadingUncertainty", "model_jacobian",
-                    "reading_uncertainty"),
 })

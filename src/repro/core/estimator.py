@@ -7,13 +7,17 @@ the best point of a fixed 25 x 25 grid over the calibrated domain, then
 refined by four damped Gauss-Newton steps on the model's analytic
 Jacobian that respect the domain's bounds.  The model is a closed form,
 so it is solved directly rather than searched.
+
+The same Jacobian gives each reading its error bars
+(:meth:`ForceLocationEstimator.error_bars`): with phase covariance
+``sigma^2 I``, ``cov(F, x) = sigma^2 (J^T J)^{-1}`` at the estimate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,6 +86,23 @@ class BatchForceLocationEstimate:
     def __iter__(self):
         for index in range(len(self)):
             yield self[index]
+
+
+@dataclass(frozen=True)
+class ReadingUncertainty:
+    """Standard errors of one reading, or of N as arrays.
+
+    Attributes:
+        force_std: 1-sigma force uncertainty [N].
+        location_std: 1-sigma location uncertainty [m].
+        conditioning: Condition number of the Jacobian with force over
+            its calibrated range and location over its span (unit-free;
+            large where the phases barely tell force from location).
+    """
+
+    force_std: Union[float, np.ndarray]
+    location_std: Union[float, np.ndarray]
+    conditioning: Union[float, np.ndarray]
 
 
 def _wrapped_error(shifted_measured, predicted: np.ndarray,
@@ -278,6 +299,56 @@ class ForceLocationEstimator:
         return BatchForceLocationEstimate(force=force, location=location,
                                           residual=residual,
                                           touched=touched)
+
+    def error_bars(self, estimates: Union[ForceLocationEstimate,
+                                          BatchForceLocationEstimate],
+                   phase_std_rad: float) -> ReadingUncertainty:
+        """Error bars of touched readings, ``cov = sigma^2 (J^T J)^-1``,
+        from the Jacobian the solver steps on at each estimate.
+
+        ``phase_std_rad`` is the per-tone phase noise [rad].  A single
+        estimate gives floats; a batch gives arrays whose row ``n``
+        equals the call on ``estimates[n]`` bit for bit.
+
+        Raises:
+            EstimationError: A row is untouched, lies outside the
+                calibrated domain (where the model extrapolates) or has
+                a singular Jacobian, or the phase noise is negative.
+        """
+        points = np.stack([np.atleast_1d(estimates.force),
+                           np.atleast_1d(estimates.location)], axis=1)
+        if not np.all(estimates.touched):
+            raise EstimationError("cannot attach error bars to a no-touch "
+                                  "reading")
+        if not phase_std_rad >= 0.0:
+            raise EstimationError(
+                f"phase std must be >= 0, got {phase_std_rad}"
+            )
+        if not np.all((points >= self._bounds[0])
+                      & (points <= self._bounds[1])):
+            raise EstimationError("estimate outside the calibrated force "
+                                  "range or location span")
+        # One closed-form 2 x 2 solve per row, in domain units: with
+        # J = [[f1, x1], [f2, x2]], J^T J = [[a, b], [b, c]] and
+        # det(J^T J) = det(J)^2.
+        (f1, x1), (f2, x2) = self._linearize(points)[1].transpose(1, 2, 0)
+        determinant = np.abs(f1 * x2 - x1 * f2)
+        if not np.all(determinant * determinant > 1e-30):
+            raise EstimationError(
+                "degenerate sensitivity: the two phases do not disambiguate "
+                "force from location at this operating point"
+            )
+        a = f1 * f1 + f2 * f2
+        b = f1 * x1 + f2 * x2
+        c = x1 * x1 + x2 * x2
+        spread = phase_std_rad / determinant
+        # J's singular-value ratio: J^T J's larger eigenvalue over det J.
+        bars = (self._scale[0] * spread * np.sqrt(c),
+                self._scale[1] * spread * np.sqrt(a),
+                (0.5 * (a + c) + np.hypot(0.5 * (a - c), b)) / determinant)
+        if isinstance(estimates, ForceLocationEstimate):
+            bars = [float(value[0]) for value in bars]
+        return ReadingUncertainty(*bars)
 
     def _linearize(self, points: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:

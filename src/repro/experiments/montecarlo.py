@@ -90,63 +90,59 @@ def _protocol(reader: WiForceReader,
             median_absolute_error(location_errors))
 
 
-def _environment_trial(trial: int, carrier: float, fast: bool,
-                       seed: int) -> Tuple[float, float]:
-    """One environment draw: fresh clutter, fresh rig, same protocol."""
-    rng = np.random.default_rng(seed + trial)
-    reader = build_wireless_scenario(carrier, seed=seed + trial, fast=fast)
+def _environment_trial(trial: int, fast: bool) -> Tuple[float, float]:
+    """One environment draw at 900 MHz: fresh clutter, fresh rig, same
+    protocol."""
+    rng = np.random.default_rng(101 + trial)
+    reader = build_wireless_scenario(900e6, seed=101 + trial, fast=fast)
     return _protocol(reader, rng)
 
 
-def _acquisition_trial(trial: int, carrier: float, fast: bool,
-                       seed: int, window_s: float) -> Tuple[float, float]:
+def _acquisition_trial(trial: int, window_s: float) -> Tuple[float, float]:
     """One environment draw paced by a frame-acquisition window.
 
     Models the deployed capture loop: a trial blocks for one sounder
     acquisition window (the real-time frame budget of the hardware
     front end) before the deterministic protocol runs.  The wait never
     touches the RNG, so the medians are bit-identical to
-    :func:`_environment_trial` with the same arguments.
+    :func:`_environment_trial` of the same trial (reduced-resolution
+    transducer).
     """
     time.sleep(window_s)
-    return _environment_trial(trial, carrier, fast, seed)
+    return _environment_trial(trial, True)
 
 
-def _fabricated_unit(unit: int, carrier: float, seed: int,
-                     tolerances: FabricationTolerances
+def _fabricated_unit(unit: int, seed: int
                      ) -> Tuple[WiForceTag, FrameLevelSounder,
                                 np.random.Generator]:
-    """Fabricate and deploy one toleranced unit (shared by both
-    unit campaigns; keeps their rng draw sequences identical)."""
+    """Fabricate a unit with the default tolerances and deploy it at
+    900 MHz (shared by both unit campaigns; keeps their rng draw
+    sequences identical)."""
     rng = np.random.default_rng(seed + unit)
-    design = perturbed_design(tolerances=tolerances, rng=rng)
+    design = perturbed_design(tolerances=FabricationTolerances(), rng=rng)
     transducer = ForceTransducer(design, force_points=16,
                                  location_points=17)
     tag = WiForceTag(transducer, clock_offset_ppm=20.0)
-    config = OFDMSounderConfig(carrier_frequency=carrier)
+    config = OFDMSounderConfig(carrier_frequency=900e6)
     sounder = FastSounder(config, tag, BackscatterLink(),
-                          indoor_channel(carrier, rng=rng),
+                          indoor_channel(900e6, rng=rng),
                           rng=rng)
     return tag, sounder, rng
 
 
-def _transfer_trial(unit: int, carrier: float, seed: int,
-                    tolerances: FabricationTolerances,
-                    fast: bool) -> Tuple[float, float]:
+def _transfer_trial(unit: int, fast: bool) -> Tuple[float, float]:
     """One toleranced unit read with the nominal calibration."""
-    _, sounder, rng = _fabricated_unit(unit, carrier, seed, tolerances)
-    nominal_model = calibrated_model(carrier, fast=fast)
+    _, sounder, rng = _fabricated_unit(unit, 211)
+    nominal_model = calibrated_model(900e6, fast=fast)
     reader = WiForceReader(sounder, nominal_model)
     return _protocol(reader, rng)
 
 
-def _per_unit_trial(unit: int, carrier: float, seed: int,
-                    tolerances: FabricationTolerances
-                    ) -> Tuple[float, float]:
+def _per_unit_trial(unit: int, seed: int) -> Tuple[float, float]:
     """One toleranced unit read with its own calibration."""
-    tag, sounder, rng = _fabricated_unit(unit, carrier, seed, tolerances)
+    tag, sounder, rng = _fabricated_unit(unit, seed)
     model = calibrate_harmonic_observable(
-        tag, carrier, CALIBRATION_LOCATIONS, np.linspace(0.5, 8.0, 12))
+        tag, 900e6, CALIBRATION_LOCATIONS, np.linspace(0.5, 8.0, 12))
     reader = WiForceReader(sounder, model)
     return _protocol(reader, rng)
 
@@ -172,8 +168,7 @@ def environment_campaign(trials: int = 8, fast: bool = True,
     900 MHz."""
     return _campaign(
         "environment", _environment_trial,
-        [(trial, 900e6, fast, 101) for trial in range(trials)],
-        executor)
+        [(trial, fast) for trial in range(trials)], executor)
 
 
 def acquisition_campaign(trials: int = 8, window_s: float = 0.1,
@@ -194,8 +189,7 @@ def acquisition_campaign(trials: int = 8, window_s: float = 0.1,
     """
     return _campaign(
         "acquisition", _acquisition_trial,
-        [(trial, 900e6, True, 101, window_s) for trial in range(trials)],
-        executor)
+        [(trial, window_s) for trial in range(trials)], executor)
 
 
 def calibration_transfer_campaign(
@@ -216,11 +210,9 @@ def calibration_transfer_campaign(
             model — much slower cold, but its contact tables and fit
             come from the artifact cache on every run after the first.
     """
-    tolerances = FabricationTolerances()
     return _campaign(
         "calibration-transfer", _transfer_trial,
-        [(unit, 900e6, 211, tolerances, fast) for unit in range(units)],
-        executor)
+        [(unit, fast) for unit in range(units)], executor)
 
 
 def per_unit_calibration_campaign(
@@ -234,8 +226,6 @@ def per_unit_calibration_campaign(
     Uses the same seeds as :func:`calibration_transfer_campaign` so the
     two are unit-for-unit comparable.
     """
-    tolerances = FabricationTolerances()
     return _campaign(
         "per-unit-calibration", _per_unit_trial,
-        [(unit, 900e6, seed, tolerances) for unit in range(units)],
-        executor)
+        [(unit, seed) for unit in range(units)], executor)

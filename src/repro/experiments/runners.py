@@ -565,14 +565,14 @@ def _stability_for_link(link: BackscatterLink, tag: WiForceTag,
 
 
 def _distance_trial(rng_seed: int, tx_to_tag: float, tag_to_rx: float,
-                    tx_to_rx: float, carrier: float, fast: bool,
-                    groups: int) -> float:
-    """One geometry's phase stability (module-level so it shards)."""
+                    tx_to_rx: float, fast: bool, groups: int) -> float:
+    """One geometry's phase stability at 900 MHz (module-level so it
+    shards)."""
     transducer = _transducer(fast)
     tag = WiForceTag(transducer, clock_offset_ppm=20.0)
     link = BackscatterLink(tx_to_tag=tx_to_tag, tag_to_rx=tag_to_rx,
                            tx_to_rx=tx_to_rx)
-    return _stability_for_link(link, tag, carrier, groups,
+    return _stability_for_link(link, tag, 900e6, groups,
                                np.random.default_rng(rng_seed))
 
 
@@ -588,11 +588,11 @@ def run_distance(fast: bool = True, groups: int = 8) -> DistanceResult:
     positions = (1.0, 1.5, 2.0)
     separations = (2.0, 4.0, 10.0, 30.0)
     arguments = [
-        (3 + index, 4.0 - from_rx, from_rx, 4.0, 900e6, fast, groups)
+        (3 + index, 4.0 - from_rx, from_rx, 4.0, fast, groups)
         for index, from_rx in enumerate(positions)
     ] + [
         (103 + index, separation / 2.0, separation / 2.0,
-         separation, 900e6, fast, groups)
+         separation, fast, groups)
         for index, separation in enumerate(separations)
     ]
     results = CampaignExecutor().map(_distance_trial, arguments)
@@ -834,9 +834,10 @@ class FormFactorResult:
     relative_location_medians: Tuple[float, ...]
 
 
-def _form_factor_trial(index: int, scale: float, base_carrier: float,
-                       seed: int) -> Tuple[float, float, float, float]:
-    """One scaled unit, calibrated and read at its own carrier.
+def _form_factor_trial(index: int, scale: float
+                       ) -> Tuple[float, float, float, float]:
+    """One scaled unit, calibrated and read at its own carrier,
+    2.4 GHz / ``scale``.
 
     Returns (carrier, phase swing [deg], location median [m],
     relative location median).  Module-level so the scales shard
@@ -845,7 +846,7 @@ def _form_factor_trial(index: int, scale: float, base_carrier: float,
     from repro.core.calibration import calibrate_harmonic_observable
     from repro.sensor.fabrication import scaled_design
 
-    carrier = base_carrier / float(scale)
+    carrier = 2.4e9 / float(scale)
     design = scaled_design(float(scale))
     transducer = ForceTransducer(design, force_points=16,
                                  location_points=17)
@@ -860,7 +861,7 @@ def _form_factor_trial(index: int, scale: float, base_carrier: float,
     swing = float(np.degrees(
         np.max(np.unwrap(phases)) - np.min(np.unwrap(phases))))
 
-    rng = np.random.default_rng(seed + index)
+    rng = np.random.default_rng(77 + index)
     config = OFDMSounderConfig(carrier_frequency=carrier)
     sounder = FastSounder(config, tag, BackscatterLink(),
                                 indoor_channel(carrier, rng=rng),
@@ -891,8 +892,7 @@ def run_form_factor(scales: Sequence[float] = (1.0, 0.5)
     """
     results = CampaignExecutor().map(
         _form_factor_trial,
-        [(index, float(scale), 2.4e9, 77)
-         for index, scale in enumerate(scales)])
+        [(index, float(scale)) for index, scale in enumerate(scales)])
     carriers, swings, medians, relative = (
         zip(*results) if results else ((), (), (), ()))
     return FormFactorResult(

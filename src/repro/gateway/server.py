@@ -74,6 +74,11 @@ _WS_CHUNK = 1 << 16
 #: Bound on waiting for in-flight estimate tasks at connection close.
 _DRAIN_TIMEOUT_S = 5.0
 
+#: Distinct sensors one WebSocket connection may subscribe to (the
+#: ``repro gateway`` default session cap); a subscribe beyond it is
+#: answered with a ``"protocol"`` error and the connection kept.
+MAX_SUBSCRIPTIONS = 1024
+
 
 @dataclass
 class _Subscription:
@@ -162,6 +167,8 @@ class Gateway:
         self._connections: Dict["asyncio.Task",
                                 asyncio.StreamWriter] = {}
         self._subscribers: Dict[str, Set[_WsConnection]] = {}
+        #: Flight-recorder dumps still being written in worker threads.
+        self._dumps: Set["asyncio.Task"] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -186,7 +193,8 @@ class Gateway:
 
     async def stop(self) -> None:
         """Stop accepting, close every open connection, wait for their
-        handlers to finish, then close the listening socket.
+        handlers and any flight-recorder dump still being written to
+        finish, then close the listening socket.
 
         A connection left open would stall the stop on Python 3.12.1+,
         whose ``Server.wait_closed`` waits for every connection to
@@ -201,6 +209,8 @@ class Gateway:
             for writer in self._connections.values():
                 writer.close()
             await asyncio.wait(handlers)
+        while self._dumps:
+            await asyncio.wait(set(self._dumps))
         await self._server.wait_closed()
         self._server = None
 
@@ -226,10 +236,25 @@ class Gateway:
 
     def _internal_error(self, where: str) -> None:
         """The zero-crash boundary tripped: count it and dump the
-        flight recorder so the events leading up to it survive."""
+        flight recorder so the events leading up to it survive.  The
+        ring is taken here, so the dump ends at this event, and written
+        in a worker thread, so no connection waits on the disk."""
         self._count("gateway.internal_errors")
-        flight_recorder().trigger("gateway.internal_errors",
-                                  where=where)
+        recorder = flight_recorder()
+        recorder.note("gateway.internal_errors", where=where)
+        write = recorder.capture("gateway.internal_errors")
+        if write is not None:
+            task = asyncio.ensure_future(asyncio.to_thread(write))
+            self._dumps.add(task)
+            task.add_done_callback(self._dump_written)
+
+    def _dump_written(self, task: "asyncio.Task") -> None:
+        """Retire a finished dump; log a failure other than the write's
+        own (which warns and returns ``None``)."""
+        self._dumps.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            logger.error("flight-recorder dump failed",
+                         exc_info=task.exception())
 
     def _respond(self, writer: asyncio.StreamWriter, status: int,
                  payload: dict, context: trace.TraceContext,
@@ -683,6 +708,12 @@ class Gateway:
                     f"min_groups must be >= 1, got {min_groups}")
         except ProtocolError as exc:
             await self._ws_protocol_error(conn, str(exc))
+            return
+        if (sensor_id not in conn.subscriptions
+                and len(conn.subscriptions) >= MAX_SUBSCRIPTIONS):
+            await self._ws_protocol_error(
+                conn, f"a connection subscribes to at most "
+                      f"{MAX_SUBSCRIPTIONS} sensors")
             return
         conn.subscriptions[sensor_id] = _Subscription(
             min_groups=min_groups)

@@ -32,8 +32,9 @@ only when ``REPRO_RECORDER`` is truthy — ``./flight-recordings``.
 With none of those set, triggers still record the wide event but
 write nothing, so test suites that intentionally provoke failures do
 not litter the working tree.  A dump that cannot be written logs one
-warning and returns ``None``: the gateway dumps from its zero-crash
-boundary, before it answers the failed request.
+warning and returns ``None``.  The gateway takes the ring at its
+zero-crash boundary (:meth:`FlightRecorder.capture`) and writes it in
+a worker thread, so a dump never stalls the event loop.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ import os
 import time
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Union
+from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional,
+                    Union)
 
 if TYPE_CHECKING:
     from repro.obs.instruments import Span
@@ -125,6 +128,22 @@ def _render(entry) -> dict:
     event.update(span_event(entry))
     event["kind"] = "span"
     return event
+
+
+def _write_dump(path: Path, header: dict, entries: list) -> Optional[Path]:
+    """Render ``entries`` under ``header`` as JSONL at ``path``; returns
+    the path, or ``None`` after one warning when the write fails."""
+    lines = [json.dumps(header, sort_keys=True)]
+    lines.extend(json.dumps(_render(entry), sort_keys=True, default=str)
+                 for entry in entries)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        logger.warning("flight-recorder dump %r not written to %s: %s",
+                       header["reason"], path.parent, exc)
+        return None
+    return path
 
 
 class FlightRecorder:
@@ -238,15 +257,16 @@ class FlightRecorder:
             return Path("flight-recordings")
         return None
 
-    def dump(self, reason: str,
-             directory: Optional[Union[str, Path]] = None
-             ) -> Optional[Path]:
-        """Write the ring as JSONL; returns the path (None if not written).
+    def capture(self, reason: str,
+                directory: Optional[Union[str, Path]] = None
+                ) -> Optional[Callable[[], Optional[Path]]]:
+        """Take the ring as it stands for a dump; returns the call that
+        renders and writes it, on any thread, or ``None`` when dumps
+        are disabled (no directory resolved) or this recorder spent its
+        ``max_dumps`` budget.
 
-        ``None`` means dumps are disabled (no directory resolved), this
-        recorder already spent its ``max_dumps`` budget, or the write
-        failed.  A failed write logs one warning and spends one dump of
-        the budget, so a crash loop stops retrying a broken disk.
+        Each capture spends one dump of the budget, written or not, so
+        a crash loop stops retrying a broken disk.
         """
         target = self._resolve_directory(directory)
         if target is None or self._dumps_spent >= self.max_dumps:
@@ -254,7 +274,6 @@ class FlightRecorder:
         name = (f"flight-{_slug(reason)}-{os.getpid()}-"
                 f"{self._dumps_spent:03d}.jsonl")
         self._dumps_spent += 1
-        path = target / name
         header = {
             "kind": "header",
             "schema": _DUMP_SCHEMA,
@@ -263,17 +282,16 @@ class FlightRecorder:
             "created_unix": time.time(),
             "events": len(self._events),
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(_render(entry), sort_keys=True, default=str)
-                     for entry in self._events)
-        try:
-            target.mkdir(parents=True, exist_ok=True)
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            logger.warning("flight-recorder dump %r not written to %s: "
-                           "%s", reason, target, exc)
-            return None
-        return path
+        return partial(_write_dump, target / name, header,
+                       list(self._events))
+
+    def dump(self, reason: str,
+             directory: Optional[Union[str, Path]] = None
+             ) -> Optional[Path]:
+        """Write the ring as JSONL; returns the path, or ``None`` when
+        no dump is due (see :meth:`capture`) or the write failed."""
+        write = self.capture(reason, directory)
+        return write() if write is not None else None
 
     def trigger(self, reason: str, **fields) -> Optional[Path]:
         """Record a wide event for ``reason``, then dump the ring."""

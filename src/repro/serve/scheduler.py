@@ -36,7 +36,7 @@ import asyncio
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class _Pending:
 class _Group:
     """Per-estimator batch group."""
 
-    estimator: ForceLocationEstimator
     entries: List[_Pending] = field(default_factory=list)
     timer: Optional[asyncio.TimerHandle] = None
 
@@ -127,11 +126,13 @@ class _Group:
 class MicroBatchScheduler:
     """Coalesces concurrent estimate requests into micro-batches.
 
-    Requests are grouped by ``key`` (one calibrated estimator per key —
-    samples from different sensor models can never share an
-    ``invert_batch`` call).  Single event-loop use only; the service
-    owns exactly one scheduler.  Its instruments land in the process
-    registry.
+    Requests are grouped by the estimator object they name — samples
+    from different sensor models can never share an ``invert_batch``
+    call, and a group holds its estimator until it flushes, so a
+    request parked with an estimator the session cache has since
+    dropped still completes with it.  Single event-loop use only; the
+    service owns exactly one scheduler.  Its instruments land in the
+    process registry.
 
     Args:
         policy: Batching knobs (see :class:`BatchPolicy`).
@@ -139,7 +140,7 @@ class MicroBatchScheduler:
 
     def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy if policy is not None else BatchPolicy()
-        self._groups: Dict[Hashable, _Group] = {}
+        self._groups: Dict[ForceLocationEstimator, _Group] = {}
         self._pending_total = 0
 
     @property
@@ -149,16 +150,15 @@ class MicroBatchScheduler:
 
     async def submit(self, estimator: ForceLocationEstimator,
                      phi1: float, phi2: float,
-                     location_hint: Optional[float] = None,
-                     key: Optional[Hashable] = None) -> ScheduledEstimate:
+                     location_hint: Optional[float] = None
+                     ) -> ScheduledEstimate:
         """Schedule one inversion; resolves when its batch flushes.
 
         Args:
-            estimator: The calibrated estimator to invert with.
+            estimator: The calibrated estimator to invert with (its
+                batch group).
             phi1 / phi2: Measured differential phases [rad].
             location_hint: Optional prior location [m].
-            key: Batch-group key; requests sharing a key must share the
-                estimator.  Defaults to the estimator's identity.
 
         Raises:
             QueueFullError: The bounded queue is full (backpressure).
@@ -177,15 +177,9 @@ class MicroBatchScheduler:
                 f"micro-batch queue is full ({self.policy.max_queue} "
                 f"pending); retry later or shed load"
             )
-        if key is None:
-            key = id(estimator)
-        group = self._groups.get(key)
+        group = self._groups.get(estimator)
         if group is None:
-            group = self._groups[key] = _Group(estimator)
-        elif group.estimator is not estimator:
-            raise ServeError(
-                f"batch group {key!r} is bound to a different estimator"
-            )
+            group = self._groups[estimator] = _Group()
         entry = _Pending(phi1=float(phi1), phi2=float(phi2),
                          location_hint=location_hint,
                          future=loop.create_future(),
@@ -195,10 +189,10 @@ class MicroBatchScheduler:
         group.entries.append(entry)
         self._pending_total += 1
         if len(group.entries) >= self.policy.max_batch:
-            self._flush(key)
+            self._flush(estimator)
         elif group.timer is None:
             group.timer = loop.call_later(self.policy.max_delay_s,
-                                          self._flush, key)
+                                          self._flush, estimator)
         return await entry.future
 
     async def _apply_fault(self, fault: FaultEvent) -> str:
@@ -219,12 +213,12 @@ class MicroBatchScheduler:
 
     def flush_all(self) -> None:
         """Flush every group now (shutdown / end-of-load drain)."""
-        for key in list(self._groups):
-            self._flush(key)
+        for estimator in list(self._groups):
+            self._flush(estimator)
 
-    def _flush(self, key: Hashable) -> None:
+    def _flush(self, estimator: ForceLocationEstimator) -> None:
         """Flush one group: invert the coalesced batch, fan out."""
-        group = self._groups.pop(key, None)
+        group = self._groups.pop(estimator, None)
         if group is None:
             return
         if group.timer is not None:
@@ -248,8 +242,7 @@ class MicroBatchScheduler:
             try:
                 with registry.span("estimator.invert_batch",
                                    {"batch_size": size}):
-                    estimates = self._invert_batched(group.estimator,
-                                                     entries)
+                    estimates = self._invert_batched(estimator, entries)
             except Exception as exc:
                 # Batcher failure: degrade to per-request scalar
                 # inversion so one poisoned sample fails alone.
@@ -259,7 +252,7 @@ class MicroBatchScheduler:
                     "degrading to per-request scalar inversion",
                     size, type(exc).__name__, exc)
                 registry.counter("serve.batch_fallbacks").increment()
-                self._resolve_scalar(group.estimator, entries, loop)
+                self._resolve_scalar(estimator, entries, loop)
                 return
         now = loop.time()
         queue_hist = registry.histogram("serve.queue_seconds")

@@ -27,13 +27,13 @@ exported by :meth:`telemetry_snapshot`.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.estimator import ForceLocationEstimator
 from repro.core.tracking import TouchEvent, TrackedSample
 from repro.errors import (EstimationError, ProtocolError, QueueFullError,
                           ServeError)
-from repro.obs.registry import active, process_registry
+from repro.obs.registry import process_registry
 from repro.serve.protocol import EstimateRequest, EstimateResponse
 from repro.serve.scheduler import (BatchPolicy, MicroBatchScheduler,
                                    ScheduledEstimate)
@@ -103,8 +103,7 @@ class InferenceService:
                 phi1, phi2 = session.correct(request.time, request.phi1,
                                              request.phi2)
             scheduled, retried = await self._submit(
-                session.estimator, phi1, phi2, request.location_hint,
-                session.config)
+                session.estimator, phi1, phi2, request.location_hint)
             quality = scheduled.quality
             if retried and quality == "ok":
                 quality = "recovered"
@@ -125,7 +124,7 @@ class InferenceService:
 
     async def _submit(self, estimator: ForceLocationEstimator,
                       phi1: float, phi2: float,
-                      location_hint: Optional[float], key: Hashable,
+                      location_hint: Optional[float],
                       ) -> Tuple[ScheduledEstimate, bool]:
         """Submit one inversion, retrying scheduler backpressure.
 
@@ -136,14 +135,12 @@ class InferenceService:
         for attempt, delay in enumerate(RETRY_DELAYS_S + (None,)):
             try:
                 scheduled = await self.scheduler.submit(
-                    estimator, phi1, phi2, location_hint=location_hint,
-                    key=key)
+                    estimator, phi1, phi2, location_hint=location_hint)
             except QueueFullError:
                 if delay is None:
                     raise
-                obs = active()
-                if obs is not None:
-                    obs.counter("fault.retries.serve.submit").increment()
+                process_registry().counter(
+                    "fault.retries.serve.submit").increment()
                 await asyncio.sleep(delay)
             else:
                 return scheduled, attempt > 0
@@ -170,13 +167,8 @@ class InferenceService:
         self.scheduler.flush_all()
 
     def telemetry_snapshot(self) -> Dict:
-        """The process registry's counters/histograms plus
-        session-cache stats (JSON-ready)."""
+        """The process registry's counters/histograms plus the live
+        session count (JSON-ready)."""
         snapshot = process_registry().snapshot()
-        snapshot["sessions"] = {
-            "count": len(self.sessions),
-            "model_builds": self.sessions.model_builds,
-            "model_hits": self.sessions.model_hits,
-            "evictions": self.sessions.evictions,
-        }
+        snapshot["sessions"] = {"count": len(self.sessions)}
         return snapshot

@@ -32,7 +32,7 @@ from repro.core.calibration import SensorModel
 from repro.core.estimator import ForceLocationEstimator
 from repro.core.tracking import TouchEvent, TouchSegmenter, TrackedSample
 from repro.errors import ServeError
-from repro.obs.registry import active
+from repro.obs.registry import process_registry
 from repro.serve.protocol import SensorConfig
 
 #: Builds (or loads) a calibrated model for a config.
@@ -109,9 +109,7 @@ class SensorSession:
         """
         self.consecutive_faults = 0
         self.quarantined = True
-        obs = active()
-        if obs is not None:
-            obs.counter("fault.quarantines").increment()
+        process_registry().counter("fault.quarantines").increment()
 
     @property
     def samples(self) -> array:
@@ -150,9 +148,13 @@ class SessionManager:
     drops any session that has not served a request for that long.
     Both default to *off*, preserving the unbounded in-process
     behavior; the network gateway turns them on.  Evicting a session
-    discards its touch events and quarantine state only — the calibrated
-    model stays cached per config, so a returning sensor re-opens
-    cheaply.
+    discards its touch events and quarantine state, and evicting the
+    last session bound to a config drops that config's estimator, so
+    the estimators never outnumber the live sessions.  The calibrated
+    model stays cached per (carrier, fast), so a returning sensor
+    re-opens cheaply and is served bit-identically.  Model builds,
+    model hits and evictions count into the process registry as
+    ``serve.session.*``.
 
     Args:
         model_factory: ``SensorConfig -> SensorModel``; defaults to
@@ -180,10 +182,9 @@ class SessionManager:
         self._clock = clock if clock is not None else time.monotonic
         self._models: Dict[Tuple[float, bool], SensorModel] = {}
         self._estimators: Dict[SensorConfig, ForceLocationEstimator] = {}
+        #: Live sessions per config; an estimator goes with its last.
+        self._bound: Dict[SensorConfig, int] = {}
         self._sessions: Dict[str, SensorSession] = {}
-        self.model_builds = 0
-        self.model_hits = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -193,36 +194,41 @@ class SessionManager:
 
         Models are cached on the calibration identity (carrier, fast)
         — configs differing only in the touch threshold share one
-        calibrated model and differ only in their estimator.
+        calibrated model and differ only in their estimator.  Each call
+        counts one ``serve.session.model_builds`` or ``model_hits``.
         """
-        obs = active()
+        registry = process_registry()
         estimator = self._estimators.get(config)
         if estimator is not None:
-            self.model_hits += 1
-            if obs is not None:
-                obs.counter("serve.session.model_hits").increment()
+            registry.counter("serve.session.model_hits").increment()
             return estimator
         model_key = (config.carrier_frequency, config.fast)
         model = self._models.get(model_key)
         if model is None:
             model = self._factory(config)
             self._models[model_key] = model
-            self.model_builds += 1
-            if obs is not None:
-                obs.counter("serve.session.model_builds").increment()
+            registry.counter("serve.session.model_builds").increment()
+        else:
+            registry.counter("serve.session.model_hits").increment()
         estimator = ForceLocationEstimator(
             model, touch_threshold_deg=config.touch_threshold_deg)
         self._estimators[config] = estimator
         return estimator
 
     def _evict_one(self) -> None:
-        """Drop the least-recently-used session."""
-        sensor_id = next(iter(self._sessions))
-        self._sessions.pop(sensor_id)
-        self.evictions += 1
-        obs = active()
-        if obs is not None:
-            obs.counter("serve.session.evictions").increment()
+        """Drop the least-recently-used session, and its config's
+        estimator with the config's last session.
+
+        A request already parked with that estimator still completes:
+        the scheduler's batch group holds the estimator itself.
+        """
+        config = self._sessions.pop(next(iter(self._sessions))).config
+        bound = self._bound.pop(config) - 1
+        if bound:
+            self._bound[config] = bound
+        else:
+            self._estimators.pop(config, None)
+        process_registry().counter("serve.session.evictions").increment()
 
     def _evict_idle(self, now: float) -> None:
         """Drop sessions idle beyond the TTL (LRU-first scan)."""
@@ -262,11 +268,14 @@ class SessionManager:
             return session
         if config is None:
             config = SensorConfig()
+        # Bind first, so evicting the config's last other session
+        # does not drop the estimator this session is about to share.
+        session = SensorSession(sensor_id, config, self.estimator(config))
+        self._bound[config] = self._bound.get(config, 0) + 1
         self._evict_idle(now)
         if self.max_sessions is not None:
             while len(self._sessions) >= self.max_sessions:
                 self._evict_one()
-        session = SensorSession(sensor_id, config, self.estimator(config))
         session.last_seen = now
         self._sessions[sensor_id] = session
         return session

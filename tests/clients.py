@@ -117,4 +117,4 @@ def submit_through(scheduler: RefusingScheduler) -> Tuple[None, bool]:
     the result and whether a retry was needed."""
     service = InferenceService()
     service.scheduler = scheduler
-    return asyncio.run(service._submit(None, 0.5, 0.4, None, "key"))
+    return asyncio.run(service._submit(None, 0.5, 0.4, None))

@@ -18,8 +18,12 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import socket
+import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from repro.gateway import (
     TokenBucket,
     WebSocketClient,
 )
+from repro.gateway.server import MAX_SUBSCRIPTIONS
 from repro.obs.recorder import RECORDER_DIR_ENV, recording
 from repro.obs.registry import observed, process_registry
 from repro.obs.slo import SloMonitor, default_slos
@@ -450,7 +455,8 @@ class TestStreamingParity:
                 return before, after, queried, gateway.service
 
         before, after, queried, service = asyncio.run(scenario())
-        assert service.sessions.evictions == 2
+        assert process_registry().snapshot()["counters"][
+            "serve.session.evictions"] == 2
         assert [push["index"] for push in before] == [0]
         events = queried.json()["events"]
         assert len(events) == 1
@@ -515,7 +521,8 @@ class TestStreamingParity:
                 return before, after, queried, gateway.service
 
         before, after, queried, service = asyncio.run(scenario())
-        assert service.sessions.evictions == 2
+        assert process_registry().snapshot()["counters"][
+            "serve.session.evictions"] == 2
         assert [push["index"] for push in before] == [0]
         events = queried.json()["events"]
         assert len(events) == 2
@@ -797,6 +804,42 @@ class TestHttpSurface:
         text = metrics.body.decode("utf-8")
         assert "gateway_responses" in text.replace(".", "_")
 
+    def test_metrics_show_session_builds_and_quarantines_unobserved(
+            self, model_900, monkeypatch):
+        """With observation off, a model build, the cache hits and a
+        quarantine still reach ``/metrics``: the serving stack records
+        them into the process registry ungated."""
+        def failing_batch(self, phi1, phi2, location_hint=None):
+            raise RuntimeError("batch path down")
+
+        # Every flush falls back to per-request inversion, so every
+        # answer is "degraded" and the streak quarantines the sensor.
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            failing_batch)
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                qualities = []
+                for sequence, sensor_id in enumerate(["s"] * 5 + ["t"]):
+                    response = await http_request(
+                        host, port, "POST", "/v1/estimate",
+                        payload=_request(sensor_id, sequence).to_dict(),
+                        token="token-0")
+                    qualities.append(response.json()["quality"])
+                metrics = await http_request(host, port, "GET",
+                                             "/metrics")
+                return qualities, metrics.body.decode("utf-8")
+
+        qualities, text = asyncio.run(scenario())
+        assert qualities == ["degraded"] * 4 + ["quarantined", "degraded"]
+        lines = set(text.splitlines())
+        assert "repro_serve_session_model_builds 1" in lines
+        assert "repro_serve_session_model_hits 1" in lines
+        assert "repro_fault_quarantines 1" in lines
+
     def test_unknown_route_404_and_wrong_method_405(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),
@@ -858,6 +901,64 @@ class TestHttpSurface:
         monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
                             _nan_batch)
         _assert_http_internal_error(model_900)
+
+    def test_dump_is_written_off_the_event_loop(self, model_900,
+                                                monkeypatch, tmp_path):
+        """A flight-recorder dump whose write takes 0.3 s stalls no
+        connection: a request on a second connection, sent while the
+        dump is being written, is answered within 0.1 s.  The dump holds
+        the events up to the trigger and exists once ``stop()``
+        returns."""
+        monkeypatch.setattr(ForceLocationEstimator, "invert_batch",
+                            _nan_batch)
+        directory = tmp_path / "dumps"
+        monkeypatch.setenv(RECORDER_DIR_ENV, str(directory))
+        writing = threading.Event()
+        write_text = Path.write_text
+
+        def slow_write_text(path, *args, **kwargs):
+            writing.set()
+            time.sleep(0.3)
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", slow_write_text)
+
+        def probe(host, port):
+            """GET /healthz on a blocking socket once the dump is being
+            written: the seconds to the status line, and the line."""
+            assert writing.wait(5.0)
+            start = time.perf_counter()
+            with socket.create_connection((host, port),
+                                          timeout=5.0) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: gateway\r\n"
+                             b"connection: close\r\n\r\n")
+                status = sock.makefile("rb").readline()
+            return time.perf_counter() - start, status
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                probed = asyncio.ensure_future(
+                    asyncio.to_thread(probe, host, port))
+                failed = await http_request(
+                    host, port, "POST", "/v1/estimate",
+                    payload=_request("s", 0).to_dict(), token="token-0")
+                elapsed, status = await probed
+            return failed, elapsed, status, sorted(directory.iterdir())
+
+        with recording():
+            failed, elapsed, status, dumps = asyncio.run(scenario())
+        assert failed.status == 500
+        assert status.startswith(b"HTTP/1.1 200")
+        assert elapsed < 0.1
+        assert len(dumps) == 1
+        lines = [json.loads(line)
+                 for line in dumps[0].read_text().splitlines()]
+        assert lines[0]["events"] == len(lines) - 1
+        assert (lines[-1]["kind"], lines[-1]["event"], lines[-1]["where"]) \
+            == ("log", "gateway.internal_errors", "/v1/estimate")
 
     def test_unwritable_dump_directory_still_answers_500(
             self, model_900, monkeypatch, unwritable_directory):
@@ -945,6 +1046,44 @@ class TestHttpSurface:
 
 
 class TestWsProtocolSurface:
+    def test_subscriptions_per_connection_are_capped(self, model_900):
+        """1,025 distinct subscribes on one connection: 1,024 are
+        accepted, the last is a protocol error and the connection keeps
+        serving; re-subscribing a sensor does not count twice, and an
+        unsubscribe frees its slot."""
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+
+                async def subscribe(sensor_id):
+                    await client.send_json({"type": "subscribe",
+                                            "sensor_id": sensor_id})
+                    return await client.recv_json(5.0)
+
+                replies = [await subscribe(f"s-{index}")
+                           for index in range(MAX_SUBSCRIPTIONS + 1)]
+                again = await subscribe("s-0")
+                await client.send_json({"type": "unsubscribe",
+                                        "sensor_id": "s-1"})
+                await client.recv_json(5.0)
+                freed = await subscribe("s-new")
+                await client.close()
+                return replies, again, freed, process_registry().snapshot()
+
+        replies, again, freed, snapshot = asyncio.run(scenario())
+        assert [reply["type"] for reply in replies] \
+            == ["subscribed"] * MAX_SUBSCRIPTIONS + ["error"]
+        assert replies[-1]["code"] == "protocol"
+        assert (again["type"], freed["type"]) == ("subscribed",
+                                                  "subscribed")
+        counters = snapshot["counters"]
+        assert counters["gateway.protocol_errors"] == 1
+        assert counters["gateway.subscriptions"] == MAX_SUBSCRIPTIONS + 2
+
     def test_bad_json_message_is_answered_not_fatal(self, model_900):
         async def scenario():
             gateway = Gateway(_service(model_900),

@@ -287,6 +287,20 @@ class TestImportSurface:
         loaded = _modules_after("\n".join(f"import {m}" for m in CAMPAIGN))
         assert _under(loaded, EVENT_LOOP_AND_POOL) == []
 
+    def test_serving_stack_records_ungated(self):
+        """The serving stack records into the process registry whether
+        or not observation is on, so no module under ``repro.serve``
+        or ``repro.gateway`` imports the ``active()`` gate."""
+        gated = sorted(
+            _module_name(path)
+            for package in ("serve", "gateway")
+            for path in (SRC / "repro" / package).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "active" for alias in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "active"))
+        assert gated == []
+
     def test_every_module_is_reached_from_an_entry_point(self):
         """A module only tests import is a test oracle or dead code."""
         reached = _reached()

@@ -117,23 +117,29 @@ class TestCoalescing:
             expected = estimator.invert(phi1, phi2, location_hint=hint)
             assert result.estimate == expected
 
-    def test_group_key_estimator_conflict(self, estimator, model_900,
-                                          press_phases):
+    def test_distinct_estimators_batch_apart(self, estimator, model_900,
+                                             press_phases):
+        """Requests are grouped by estimator object: two estimators of
+        one model never share a flush, even with equal configs."""
         scheduler = MicroBatchScheduler(BatchPolicy(max_batch=8,
                                                     max_delay_s=10.0))
-        other = ForceLocationEstimator(model_900, touch_threshold_deg=9.0)
+        twin = ForceLocationEstimator(model_900)
         phi1, phi2 = press_phases[0]
 
         async def drive():
             first = asyncio.ensure_future(
-                scheduler.submit(estimator, phi1, phi2, key="shared"))
+                scheduler.submit(estimator, phi1, phi2))
+            second = asyncio.ensure_future(
+                scheduler.submit(twin, phi1, phi2))
             await asyncio.sleep(0)
-            with pytest.raises(ServeError):
-                await scheduler.submit(other, phi1, phi2, key="shared")
+            assert scheduler.pending == 2
             scheduler.flush_all()
-            await first
+            return await first, await second
 
-        asyncio.run(drive())
+        first, second = asyncio.run(drive())
+        assert (first.batch_size, second.batch_size) == (1, 1)
+        assert first.estimate == second.estimate \
+            == estimator.invert(phi1, phi2)
 
 
 class TestBackpressure:

@@ -10,6 +10,8 @@ randomized multi-sensor loads through the full service to check it.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -74,8 +76,49 @@ class TestServiceBasics:
         assert snapshot["counters"]["serve.responses"] == 3
         assert snapshot["histograms"]["span.serve.estimate.seconds"][
             "count"] == 3
-        assert snapshot["sessions"]["count"] == 3
-        assert snapshot["sessions"]["model_builds"] == 1
+        assert snapshot["sessions"] == {"count": 3}
+        assert snapshot["counters"]["serve.session.model_builds"] == 1
+
+    def test_parked_request_outlives_its_dropped_estimator(self,
+                                                          model_900):
+        """Evicting a config's last session drops its estimator while a
+        request parked with it waits: that request still completes, the
+        returning sensor's new estimator batches apart from it, and
+        both answers are bit-identical."""
+        service = _service(model_900, max_sessions=1,
+                           policy=BatchPolicy(max_batch=8,
+                                              max_delay_s=10.0))
+        phi1, phi2 = model_900.predict(3.0, 0.035)
+
+        def request(sensor_id, sequence, config=SensorConfig()):
+            return EstimateRequest(sensor_id=sensor_id, sequence=sequence,
+                                   time=0.01 * sequence, phi1=phi1,
+                                   phi2=phi2, config=config)
+
+        async def drive():
+            first = asyncio.ensure_future(service.estimate(request("a", 0)))
+            await asyncio.sleep(0)
+            dropped = weakref.ref(service.sessions.get("a").estimator)
+            # "b" evicts "a", the default config's last session.
+            other = asyncio.ensure_future(service.estimate(request(
+                "b", 0, SensorConfig(touch_threshold_deg=9.0))))
+            await asyncio.sleep(0)
+            returning = asyncio.ensure_future(
+                service.estimate(request("a", 1)))
+            await asyncio.sleep(0)
+            assert service.sessions.get("a").estimator is not dropped()
+            assert service.scheduler.pending == 3
+            service.drain()
+            return (await first, await other, await returning), dropped
+
+        (first, other, returning), dropped = asyncio.run(drive())
+        gc.collect()
+        assert dropped() is None
+        expected = ForceLocationEstimator(model_900).invert(phi1, phi2)
+        assert first.estimate == returning.estimate == expected
+        assert (first.batch_size, returning.batch_size) == (1, 1)
+        assert first.quality == returning.quality == "ok"
+        assert other.estimate.touched
 
     def test_touch_events_served_history(self, model_900):
         service = _service(model_900)

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
 from repro.core.tracking import TrackedSample
 from repro.errors import ServeError
+from repro.obs.registry import process_registry
 from repro.serve.protocol import SensorConfig
 from repro.serve.session import SessionManager
+
+
+def _counter(name):
+    """A ``serve.session.*`` counter of the process registry (0 until
+    first counted)."""
+    return process_registry().snapshot()["counters"].get(
+        f"serve.session.{name}", 0)
 
 
 @pytest.fixture()
@@ -33,8 +43,8 @@ class TestModelCache:
         first = manager.session("sensor-a", config)
         second = manager.session("sensor-b", config)
         assert len(manager.factory_calls) == 1
-        assert manager.model_builds == 1
-        assert manager.model_hits >= 1
+        assert _counter("model_builds") == 1
+        assert _counter("model_hits") >= 1
         assert first.estimator is second.estimator
 
     def test_threshold_change_reuses_calibration(self, manager):
@@ -43,7 +53,7 @@ class TestModelCache:
         a = manager.session("sensor-a", base)
         b = manager.session("sensor-b", stricter)
         # One expensive calibration, two estimators.
-        assert manager.model_builds == 1
+        assert _counter("model_builds") == 1
         assert a.estimator is not b.estimator
         assert a.estimator.model is b.estimator.model
 
@@ -127,7 +137,7 @@ class TestEviction:
         assert manager.get("a") is not None
         assert manager.get("c") is not None
         assert len(manager) == 2
-        assert manager.evictions == 1
+        assert _counter("evictions") == 1
 
     def test_idle_ttl_evicts_stale_sessions(self, model_900):
         now = [0.0]
@@ -141,7 +151,7 @@ class TestEviction:
         assert manager.get("a") is None
         assert manager.get("b") is None
         assert manager.get("c") is not None
-        assert manager.evictions == 2
+        assert _counter("evictions") == 2
 
     def test_access_refreshes_idle_clock(self, model_900):
         now = [0.0]
@@ -153,7 +163,7 @@ class TestEviction:
         now[0] = 15.0  # only 7 s since the touch
         manager.session("b", SensorConfig())
         assert manager.get("a") is not None
-        assert manager.evictions == 0
+        assert _counter("evictions") == 0
 
     def test_eviction_counter_lands_in_registry(self, model_900):
         from repro.obs.registry import observed
@@ -197,5 +207,41 @@ class TestEviction:
                 sensor_id=sensor, sequence=index, time=0.0,
                 phi1=0.1, phi2=0.1, config=config)))
         snapshot = service.telemetry_snapshot()
-        assert snapshot["sessions"]["count"] == 2
-        assert snapshot["sessions"]["evictions"] == 1
+        assert snapshot["sessions"] == {"count": 2}
+        assert snapshot["counters"]["serve.session.evictions"] == 1
+
+    def test_estimator_goes_with_the_last_session_of_its_config(
+            self, model_900):
+        """Evicting a config's last session drops its estimator; the
+        calibrated model stays, so a returning sensor re-opens without
+        a model build."""
+        manager = self._manager(model_900, max_sessions=2)
+        default, stricter = (SensorConfig(),
+                             SensorConfig(touch_threshold_deg=9.0))
+        first = weakref.ref(manager.session("a", default).estimator)
+        manager.session("b", default)
+        manager.session("c", stricter)  # evicts "a"; "b" keeps default
+        gc.collect()
+        assert manager.session("b").estimator is first()
+        manager.session("d", stricter)  # evicts "c"
+        manager.session("e", stricter)  # evicts "b", default's last
+        gc.collect()
+        assert first() is None
+        returning = manager.session("a", default)
+        assert returning.estimator.model is model_900
+        assert _counter("model_builds") == 1
+
+    def test_estimators_bounded_by_live_sessions(self, model_900):
+        """200 distinct thresholds through a 4-session manager keep 4
+        estimators alive."""
+        manager = self._manager(model_900, max_sessions=4)
+        alive = []
+        for index in range(200):
+            session = manager.session(
+                f"s-{index}",
+                SensorConfig(touch_threshold_deg=1.0 + index * 1e-3))
+            alive.append(weakref.ref(session.estimator))
+        del session
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) == 4
+        assert _counter("evictions") == 196
